@@ -12,11 +12,15 @@ from collections import deque
 from .graph import Edge, Graph, edge
 
 
-def max_matching(g: Graph) -> frozenset[Edge]:
+def max_matching(g: Graph, vertices=None) -> frozenset[Edge]:
+    """Maximum matching of the subgraph induced on ``vertices`` (default:
+    all of ``g``); the same as on that subgraph relabeled in order."""
     n = g.n
-    adj = [sorted(g.adj[v]) for v in range(n)]
+    order = range(n) if vertices is None else sorted(vertices)
+    keep = set(order)
+    adj = [sorted(g.adj[v] & keep) for v in range(n)]
     match = [-1] * n
-    for v in range(n):
+    for v in order:
         if match[v] == -1:
             for w in adj[v]:
                 if match[w] == -1:
@@ -82,7 +86,7 @@ def max_matching(g: Graph) -> frozenset[Edge]:
                     q.append(match[to])
         return -1
 
-    for v in range(n):
+    for v in order:
         if match[v] == -1:
             u = find_path(v)
             while u != -1:

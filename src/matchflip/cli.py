@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 = YES / Accept / success, 1 = NO / Reject, 2 = malformed or
-unsupported input, 3 = budget exceeded.  The first stdout line of `solve`,
-`verify` and `oracle` is machine-parsable (YES / NO / Accept / Reject).
-The oracle budget honors the MATCHFLIP_BUDGET environment variable.
+unsupported input (a bad MATCHFLIP_BUDGET or an unwritable output file
+too), 3 = budget exceeded, 4 = internal error.  The first stdout line of `solve`, `verify` and `oracle`
+is machine-parsable (YES / NO / Accept / Reject).  The oracle budget
+honors the MATCHFLIP_BUDGET environment variable.
 """
 
 from __future__ import annotations
@@ -40,13 +41,17 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _budget(args) -> int:
     if getattr(args, "budget", None):
         return args.budget
     env = os.environ.get("MATCHFLIP_BUDGET")
-    return int(env) if env else oracle.DEFAULT_BUDGET
+    try:
+        return int(env) if env else oracle.DEFAULT_BUDGET
+    except ValueError:
+        raise MalformedInputError(f"MATCHFLIP_BUDGET must be an integer, got {env!r}") from None
 
 
 def _mode(args) -> oracle.Mode:
@@ -114,9 +119,9 @@ def _cmd_solve(args) -> int:
     verdict = verify_sequence(inst.graph, inst.m_ini, seq, inst.m_tar)
     if not verdict.ok:
         raise RuntimeError(f"internal: produced sequence fails verification: {verdict}")
+    _emit_sequence(args.emit_sequence, seq)
     print("YES")
     print(f"length {len(seq)}")
-    _emit_sequence(args.emit_sequence, seq)
     return EXIT_YES
 
 
@@ -145,11 +150,11 @@ def _cmd_oracle(args) -> int:
     if not res.reachable:
         print("NO")
         return EXIT_NO
-    print("YES")
     body = {"distance": res.distance}
     if res.sequence is not None:
         body["sequence"] = sequence_to_dict(res.sequence)
         _emit_sequence(args.emit_sequence, res.sequence)
+    print("YES")
     print(json.dumps(body, sort_keys=True))
     return EXIT_YES
 
@@ -273,9 +278,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (MalformedInputError, MatchFlipError) as exc:
+    except (MalformedInputError, MatchFlipError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except Exception as exc:  # a fault of ours must not read as NO (exit 1)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

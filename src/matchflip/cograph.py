@@ -1,11 +1,20 @@
 """Matching reconfiguration (flips + slides) on cographs.
 
-Cographs are the P4-free graphs; a connected one is the complete join of
-the two sides of its cotree's root split.  The solver classifies each
-connected piece by two conditions on the smaller side B of that split:
+Cographs are the P4-free graphs.  :func:`build_cotree` splits the vertex
+set top-down from an explicit stack into connected components (union
+nodes) and complement components (join nodes); a piece that is connected
+and co-connected holds an induced P4 (Corneil, Perl & Stewart, SIAM J.
+Comput. 1985).  Each node records its vertex count and maximum matching
+size nu (Yu & Yang, IPL 1993): a union adds the nu of its sides; a join
+of G1 and G2 with n1 >= n2 has nu = min(floor((n1+n2)/2), nu1+n2).
 
-* C1 -- some size-k matching keeps an edge inside B;
-* C2 -- some size-k matching leaves a B-vertex unmatched.
+A connected piece completely joins the larger side A of its cotree root
+to the smaller side B.  Its size-k matchings are classified by C1 (some
+keeps an edge inside B) and C2 (some leaves a B-vertex unmatched).
+Deleting B-vertices S leaves the join of A and B-S, and k <= n/2 <= |A|,
+so the join bound nu(B-S)+|A| never binds: C1 holds iff k >= 1, B has an
+edge and min(floor((n-2)/2), nu(A)+|B|-2) >= k-1; C2 iff
+min(floor((n-1)/2), nu(A)+|B|-1) >= k; any B-edge (B-vertex) witnesses.
 
 Under either condition every two size-k matchings are connected by a
 short sequence routed through an explicitly constructed anchor matching
@@ -13,12 +22,16 @@ short sequence routed through an explicitly constructed anchor matching
 both fail, every size-k matching covers B entirely, B is matched into A,
 and reachability reduces to the matchings induced on A, with A-side
 moves lifted back by turning blocked slides into flips and repairing the
-A-B assignment with at most 2|B| extra moves.
+A-B assignment with at most 2|B| extra moves.  The solver and
+``reachability_class`` walk one cotree per call with explicit stacks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
+from functools import partial, reduce
+from itertools import repeat
 from typing import Optional, Sequence
 
 from .blossom import max_matching
@@ -39,6 +52,7 @@ from .graph import (
     canonical_flip,
     connected_components,
     edge,
+    graph_from_adjacency,
     induced_subgraph,
     invert_move,
     matching_status,
@@ -59,11 +73,48 @@ class CotreeNode:
     vertex: Optional[int] = None
     left: Optional["CotreeNode"] = None
     right: Optional["CotreeNode"] = None
+    # vertex count and maximum matching size of the subtree's cograph
+    size: int = field(default=1, init=False, compare=False)
+    nu: int = field(default=0, init=False, compare=False)
+
+    def __post_init__(self):
+        if self.kind == "leaf":
+            return
+        size = self.left.size + self.right.size
+        if self.kind == "union":
+            nu = self.left.nu + self.right.nu
+        else:
+            big, small = self.sides()
+            nu = min(size // 2, big.nu + small.size)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "nu", nu)
+
+    def sides(self) -> tuple["CotreeNode", "CotreeNode"]:
+        """The two children, larger first (the left one on a tie)."""
+        if self.left.size < self.right.size:
+            return self.right, self.left
+        return self.left, self.right
+
+    def parts(self) -> list["CotreeNode"]:
+        """Subtrees below this node's run of its kind, left to right."""
+        out, stack = [], [self]
+        while stack:
+            t = stack.pop()
+            if t.kind == self.kind != "leaf":
+                stack += (t.right, t.left)
+            else:
+                out.append(t)
+        return out
 
     def leaves(self) -> frozenset[int]:
-        if self.kind == "leaf":
-            return frozenset((self.vertex,))
-        return self.left.leaves() | self.right.leaves()
+        out, stack = [], [self]
+        while stack:
+            t = stack.pop()
+            if t.kind == "leaf":
+                out.append(t.vertex)
+            else:
+                stack += (t.left, t.right)
+        return frozenset(out)
 
     def to_json(self):
         if self.kind == "leaf":
@@ -77,24 +128,22 @@ class RootPartition:
     b: frozenset[int]
 
 
-def _co_components(g: Graph, vertices: set[int]) -> list[list[int]]:
-    """Connected components of the complement, within ``vertices``."""
+def _split(adj, vertices: set[int], co: bool) -> list[set[int]]:
+    """Components (``co``: of the complement) of ``g[vertices]`` by least vertex."""
     left = set(vertices)
-    comps = []
+    parts = []
     while left:
         start = min(left)
         left.discard(start)
-        comp = {start}
-        frontier = [start]
-        while frontier:
+        part, frontier = {start}, [start]
+        while frontier and left:
             v = frontier.pop()
-            grab = left - g.adj[v]
+            grab = left - adj[v] if co else adj[v] & left
             left -= grab
-            comp |= grab
+            part |= grab
             frontier.extend(grab)
-        comps.append(sorted(comp))
-    comps.sort(key=lambda c: c[0])
-    return comps
+        parts.append(part)
+    return parts
 
 
 def _find_p4(g: Graph, vertices: set[int]) -> tuple[int, int, int, int]:
@@ -111,31 +160,42 @@ def _find_p4(g: Graph, vertices: set[int]) -> tuple[int, int, int, int]:
     raise RuntimeError("internal: expected an induced P4")
 
 
-def _fold(kind: str, trees: list[CotreeNode]) -> CotreeNode:
-    node = trees[0]
-    for t in trees[1:]:
-        node = CotreeNode(kind, None, node, t)
-    return node
+_cotrees = weakref.WeakKeyDictionary()  # graphs are immutable and hash by identity
 
 
 def build_cotree(g: Graph) -> CotreeNode:
-    """Cotree of ``g`` (single vertices at leaves, binary union/join nodes
-    above).  Raises :class:`NotACographError` with an induced-P4 witness."""
+    """Cotree of ``g`` (leaves are vertices; binary union/join nodes fold
+    each split's parts left by least vertex), kept while ``g`` lives.
+    Raises :class:`NotACographError` with an induced-P4 witness."""
+    if g in _cotrees:
+        return _cotrees[g]
     if g.n == 0:
         raise ValueError("cotree of the empty graph is undefined")
-
-    def rec(vertices: set[int]) -> CotreeNode:
-        if len(vertices) == 1:
-            return CotreeNode("leaf", next(iter(vertices)))
-        comps = connected_components(g, vertices)
-        if len(comps) > 1:
-            return _fold("union", [rec(set(c)) for c in comps])
-        cocomps = _co_components(g, vertices)
-        if len(cocomps) > 1:
-            return _fold("join", [rec(set(c)) for c in cocomps])
-        raise NotACographError(_find_p4(g, vertices))
-
-    return rec(set(range(g.n)))
+    # nodes[i]: a leaf, or (kind, child ids) until folded (children come later)
+    nodes: list = [None]
+    todo = [(0, set(range(g.n)), None)]
+    while todo:
+        i, vs, above = todo.pop()
+        if len(vs) == 1:
+            nodes[i] = CotreeNode("leaf", min(vs))
+            continue
+        # below a union the piece is connected, below a join co-connected
+        for kind in ("union", "join"):
+            parts = [] if kind == above else _split(g.adj, vs, kind == "join")
+            if len(parts) > 1:
+                break
+        else:
+            raise NotACographError(_find_p4(g, vs))
+        ids = range(len(nodes), len(nodes) + len(parts))
+        nodes[i] = (kind, ids)
+        nodes.extend(repeat(None, len(parts)))
+        todo.extend(zip(ids, parts, repeat(kind)))
+    for i in reversed(range(len(nodes))):
+        if isinstance(nodes[i], tuple):
+            kind, ids = nodes[i]
+            nodes[i] = reduce(partial(CotreeNode, kind, None), (nodes[j] for j in ids))
+    _cotrees[g] = nodes[0]
+    return nodes[0]
 
 
 def is_cograph(g: Graph) -> bool:
@@ -153,10 +213,8 @@ def root_partition(g: Graph, cotree: Optional[CotreeNode] = None) -> RootPartiti
     tree = cotree if cotree is not None else build_cotree(g)
     if tree.kind != "join":
         raise ValueError("root partition needs a connected cograph on >= 2 vertices")
-    a, b = tree.left.leaves(), tree.right.leaves()
-    if len(a) < len(b):
-        a, b = b, a
-    return RootPartition(a, b)
+    a, b = tree.sides()
+    return RootPartition(a.leaves(), b.leaves())
 
 
 # ---------------------------------------------------------------------------
@@ -169,32 +227,47 @@ class Conditions:
     c2: bool
 
 
-def _nu_without(g: Graph, removed: set[int]) -> int:
-    keep = [v for v in range(g.n) if v not in removed]
-    sub, _ = induced_subgraph(g, keep)
-    return len(max_matching(sub))
+def _conditions(n: int, nb: int, nu_a: int, b_edge: bool, k: int) -> Conditions:
+    """C1/C2 at the join of A and B on n vertices, |A| >= |B| = nb."""
+    return Conditions(
+        k >= 1 and b_edge and min((n - 2) // 2, nu_a + nb - 2) >= k - 1,
+        min((n - 1) // 2, nu_a + nb - 1) >= k,
+    )
+
+
+def _node_conditions(node: CotreeNode, k: int) -> Conditions:
+    a, b = node.sides()
+    return _conditions(node.size, b.size, a.nu, b.nu > 0, k)
+
+
+def _b_edges(g: Graph, b: frozenset[int]):
+    """The edges inside ``b`` in sorted order, lazily."""
+    for u in sorted(b):
+        yield from ((u, w) for w in sorted(g.adj[u] & b) if u < w)
+
+
+def _nu_without(g: Graph, removed) -> int:
+    return len(max_matching(g, set(range(g.n)).difference(removed)))
 
 
 def check_conditions(g: Graph, part: RootPartition, k: int) -> Conditions:
-    """C1: some size-k matching has an edge inside B (try every B-edge,
-    delete its endpoints, ask for k-1 more).  C2: some size-k matching
-    misses a B-vertex (delete the vertex, ask for k)."""
-    b = part.b
-    c1 = False
-    if k >= 1:
-        for (u, v) in sorted(g.edges):
-            if u in b and v in b and _nu_without(g, {u, v}) >= k - 1:
-                c1 = True
-                break
-    c2 = any(_nu_without(g, {v}) >= k for v in sorted(b))
-    return Conditions(c1, c2)
-
-
-# ---------------------------------------------------------------------------
-# a mutable matching that records the moves applied to it
+    """C1: some size-k matching has an edge inside B.  C2: some size-k
+    matching misses a B-vertex.  In closed form when ``part`` completely
+    joins a larger side A to a nonempty B (as from :func:`root_partition`);
+    any other partition by the definition, one blossom per candidate."""
+    a, b = part.a, part.b
+    if b and len(a) >= len(b) and a | b == set(range(g.n)) and all(b <= g.adj[v] for v in a):
+        nu_a = len(max_matching(g, a))
+        return _conditions(g.n, len(b), nu_a, next(_b_edges(g, b), None) is not None, k)
+    return Conditions(
+        k >= 1 and any(_nu_without(g, e) >= k - 1 for e in _b_edges(g, b)),
+        any(_nu_without(g, {v}) >= k for v in sorted(b)),
+    )
 
 
 class _Side:
+    """A mutable matching that records the moves applied to it."""
+
     def __init__(self, g: Graph, start):
         self.g = g
         self.m: set[Edge] = set(edge(*e) for e in start)
@@ -205,11 +278,8 @@ class _Side:
         mv = canonical_flip(tuple(cycle))
         cyc = mv.cycle_edges()
         inside = [e for e in cyc if e in self.m]
-        if len(inside) != len(cyc) // 2:
-            raise RuntimeError(f"internal: flip {cycle} not alternating")
-        for e in cyc:
-            if e[1] not in self.g.adj[e[0]]:
-                raise RuntimeError(f"internal: flip edge {e} missing from graph")
+        if len(inside) != len(cyc) // 2 or any(e[1] not in self.g.adj[e[0]] for e in cyc):
+            raise RuntimeError(f"internal: flip {cycle} not alternating in the graph")
         for e in inside:
             self.m.discard(e)
             del self.partner[e[0]], self.partner[e[1]]
@@ -232,49 +302,53 @@ class _Side:
         self.moves.append(mv)
 
 
-def _cancel_common_tail(fwd: list[Move], bwd: list[Move]) -> None:
-    """Equal final moves into the same meeting state come from the same
-    pre-state (moves are invertible), so matching tails cancel."""
+def _meet(fwd: list[Move], bwd: list[Move]) -> list[Move]:
+    """``fwd`` then ``bwd`` reversed, both ending in one matching; equal
+    final moves come from the same pre-state, so matching tails cancel."""
     while fwd and bwd and fwd[-1] == bwd[-1]:
         fwd.pop()
         bwd.pop()
+    return fwd + [invert_move(mv) for mv in reversed(bwd)]
 
 
-def _glue(g: Graph, fwd: _Side, bwd: _Side) -> list[Move]:
+def _pair(m1, m2) -> tuple[frozenset[Edge], frozenset[Edge]]:
+    m1, m2 = (frozenset(edge(*e) for e in m) for m in (m1, m2))
+    if len(m1) != len(m2):
+        raise SizeMismatchError("matchings must have equal size")
+    return m1, m2
+
+
+def _cycles(s1: _Side, s2: _Side) -> list[tuple[int, ...]]:
+    """The even cycles of the two sides' difference, as vertex tuples."""
+    comps = symmetric_difference_components(frozenset(s1.m), frozenset(s2.m))
+    return [c.vertices for c in comps if c.kind == "even_cycle"]
+
+
+def _glue(fwd: _Side, bwd: _Side) -> list[Move]:
     """Moves from fwd's start to bwd's start, meeting in the middle."""
     if fwd.m != bwd.m:
         raise RuntimeError("internal: sides did not meet")
-    f, b = list(fwd.moves), list(bwd.moves)
-    _cancel_common_tail(f, b)
-    return f + [invert_move(mv) for mv in reversed(b)]
+    return _meet(list(fwd.moves), list(bwd.moves))
 
 
 # ---------------------------------------------------------------------------
 # cycle-free transformation (difference contains no cycle)
 
 
-def transform_cycle_free(
-    g: Graph, m1, m2
-) -> ReconfigSequence:
+def transform_cycle_free(g: Graph, m1, m2) -> ReconfigSequence:
     """Flip+slide sequence of length <= 2|M1 (triangle) M2| when the
     difference is acyclic.  Paths retract from their endpoints; leftover
     lone-edge pairs travel via an adjacent edge or a distance-2 midpoint."""
-    m1 = frozenset(edge(*e) for e in m1)
-    m2 = frozenset(edge(*e) for e in m2)
-    if len(m1) != len(m2):
-        raise SizeMismatchError("matchings must have equal size")
+    m1, m2 = _pair(m1, m2)
     if any(c.kind == "even_cycle" for c in symmetric_difference_components(m1, m2)):
         raise CycleInDifferenceError("difference contains a cycle")
     s1, s2 = _Side(g, m1), _Side(g, m2)
     _make_equal_cycle_free(g, s1, s2)
-    return ReconfigSequence(MODE_FLIP_SLIDE, tuple(_glue(g, s1, s2)))
+    return ReconfigSequence(MODE_FLIP_SLIDE, tuple(_glue(s1, s2)))
 
 
 def _make_equal_cycle_free(g: Graph, s1: _Side, s2: _Side) -> None:
-    comp_id = {}
-    for i, comp in enumerate(connected_components(g)):
-        for v in comp:
-            comp_id[v] = i
+    comp_id = {v: i for i, comp in enumerate(connected_components(g)) for v in comp}
     while s1.m != s2.m:
         comps = symmetric_difference_components(frozenset(s1.m), frozenset(s2.m))
         paths = [c for c in comps if c.kind == "alternating_path"]
@@ -291,11 +365,8 @@ def _make_equal_cycle_free(g: Graph, s1: _Side, s2: _Side) -> None:
             continue
         singles = [c for c in comps if c.kind == "single_edge"]
         e1 = next(edge(*c.vertices) for c in singles if edge(*c.vertices) in s1.m)
-        e2 = next(
-            edge(*c.vertices)
-            for c in singles
-            if edge(*c.vertices) in s2.m and comp_id[c.vertices[0]] == comp_id[e1[0]]
-        )
+        e2 = next(edge(*c.vertices) for c in singles
+                  if edge(*c.vertices) in s2.m and comp_id[c.vertices[0]] == comp_id[e1[0]])
         _resolve_single_pair(g, s1, e1, e2)
 
 
@@ -327,72 +398,43 @@ def _resolve_single_pair(g: Graph, s1: _Side, e1: Edge, e2: Edge) -> None:
 
 
 # ---------------------------------------------------------------------------
-# anchored transformation when C1 holds
+# anchored transformations (C1: a fixed B-edge, C2: a free B-vertex)
 
 
-def _anchor_with_b_edge(g: Graph, part: RootPartition, k: int):
-    b = part.b
-    for (u, v) in sorted(g.edges):
-        if u in b and v in b and _nu_without(g, {u, v}) >= k - 1:
-            keep = [x for x in range(g.n) if x not in (u, v)]
-            sub, vmap = induced_subgraph(g, keep)
-            rest = sorted(edge(vmap[x], vmap[y]) for (x, y) in max_matching(sub))[: k - 1]
-            return edge(u, v), set(rest)
-    return None
+def _anchor(g: Graph, removed, size: int) -> list[Edge]:
+    """The first ``size`` edges of a maximum matching of g minus ``removed``."""
+    return sorted(max_matching(g, set(range(g.n)).difference(removed)))[:size]
+
+
+def _through_anchor(route, g: Graph, part: RootPartition, x, anchor, m1, m2) -> ReconfigSequence:
+    """Route both matchings to the anchor and join the two halves."""
+    moves = _meet(route(g, part, x, anchor, m1), route(g, part, x, anchor, m2))
+    return ReconfigSequence(MODE_FLIP_SLIDE, tuple(moves))
 
 
 def _normalize_anchor(g: Graph, part: RootPartition, e: Edge, m: set[Edge]) -> set[Edge]:
-    """Rewrite the anchor so e is its only edge inside B (pure editing;
-    the anchor is ours to choose)."""
-    a_side, b_side = part.a, part.b
-    while True:
-        extra = sorted(
-            f for f in m if f != e and f[0] in b_side and f[1] in b_side
-        )
-        if not extra:
-            return m
-        x, y = extra[0]
-        a_edges = sorted(f for f in m if f[0] in a_side and f[1] in a_side)
-        covered = partner_map(m)
-        free_a = sorted(v for v in a_side if v not in covered)
-        if a_edges:
-            c, d = a_edges[0]
-            m.discard((x, y))
-            m.discard((c, d))
-            m.add(edge(x, c))
-            m.add(edge(y, d))
-        elif free_a:
-            m.discard((x, y))
-            m.add(edge(x, free_a[0]))
-        else:
-            raise RuntimeError("internal: cannot normalize anchor")
+    """Rewrite the anchor so e is its only edge inside B (ours to choose)."""
+    s = _Side(g, m)
+    while _push_b_edge_out(part, s, e):
+        pass
+    return s.m
 
 
-def _enforce_claim_assumptions(
-    g: Graph, part: RootPartition, e: Edge, sm: _Side, si: _Side
-) -> None:
+def _enforce_claim_assumptions(part: RootPartition, e: Edge, sm: _Side, si: _Side) -> None:
     """Local fixes until the difference with the anchor has no B-edge on
     the non-anchor side, no cycle inside A, and none of the three short
     forbidden patterns.  Each fix is the constructive step from the
     anchored-transformation argument; the loop is capped defensively."""
-    a_side, b_side = part.a, part.b
-    xe, ye = e
-    cap = _CLAIM_CAP_FACTOR * (len(sm.m ^ si.m) + 2) + 20
-    steps = 0
-    while True:
-        steps += 1
-        if steps > cap:
-            raise RuntimeError("internal: assumption enforcement did not converge")
+    for _ in range(_CLAIM_CAP_FACTOR * (len(sm.m ^ si.m) + 2) + 20):
         diff = sm.m ^ si.m
-        if _fix_b_edge_in_other(g, part, si):
-            continue
-        if _fix_a_cycle(g, part, e, sm, si, diff):
-            continue
-        if _fix_short_pattern(g, part, sm, si, diff):
-            continue
-        if _fix_w_pattern(g, part, e, sm, si, diff):
-            continue
-        return
+        if not (
+            _push_b_edge_out(part, si)
+            or _fix_a_cycle(part, e, sm, si)
+            or _fix_short_pattern(part, sm, si, diff)
+            or _fix_w_pattern(part, e, sm, si, diff)
+        ):
+            return
+    raise RuntimeError("internal: assumption enforcement did not converge")
 
 
 def _diff_neighbors(diff: frozenset[Edge]) -> dict[int, list[int]]:
@@ -403,31 +445,32 @@ def _diff_neighbors(diff: frozenset[Edge]) -> dict[int, list[int]]:
     return nbr
 
 
-def _fix_b_edge_in_other(g: Graph, part: RootPartition, si: _Side) -> bool:
+def _push_b_edge_out(part: RootPartition, s: _Side, keep: Optional[Edge] = None) -> bool:
+    """Move the least B-edge of ``s`` but ``keep`` across the join: flip it
+    with the least A-edge, else slide it to the least free A-vertex."""
     a_side, b_side = part.a, part.b
-    bad = sorted(f for f in si.m if f[0] in b_side and f[1] in b_side)
+    bad = sorted(f for f in s.m if f != keep and f[0] in b_side and f[1] in b_side)
     if not bad:
         return False
     x, y = bad[0]
-    a_edges = sorted(f for f in si.m if f[0] in a_side and f[1] in a_side)
-    free_a = sorted(v for v in a_side if v not in si.partner)
+    a_edges = sorted(f for f in s.m if f[0] in a_side and f[1] in a_side)
+    free_a = sorted(v for v in a_side if v not in s.partner)
     if a_edges:
         c, d = a_edges[0]
-        si.flip((x, c, d, y))  # removes {xy, cd}, adds {xc, dy}
+        s.flip((x, c, d, y))  # removes {xy, cd}, adds {xc, dy}
     elif free_a:
-        si.slide((x, y), (x, free_a[0]))
+        s.slide((x, y), (x, free_a[0]))
     else:
         raise RuntimeError("internal: B-edge with no A-edge and no free A-vertex")
     return True
 
 
-def _fix_a_cycle(g, part, e, sm: _Side, si: _Side, diff) -> bool:
-    a_side = part.a
+def _fix_a_cycle(part, e, sm: _Side, si: _Side) -> bool:
     xe, ye = e
-    for comp in symmetric_difference_components(frozenset(sm.m), frozenset(si.m)):
-        if comp.kind != "even_cycle" or not all(v in a_side for v in comp.vertices):
+    for cyc in _cycles(sm, si):
+        if not part.a.issuperset(cyc):
             continue
-        cyc = list(comp.vertices)
+        cyc = list(cyc)
         if edge(cyc[-1], cyc[0]) not in sm.m:
             cyc = cyc[1:] + cyc[:1]
         if edge(cyc[-1], cyc[0]) not in sm.m:
@@ -441,65 +484,47 @@ def _fix_a_cycle(g, part, e, sm: _Side, si: _Side, diff) -> bool:
     return False
 
 
-def _fix_short_pattern(g, part, sm: _Side, si: _Side, diff) -> bool:
+def _step(nbr: dict[int, list[int]], frm: int, hop: int) -> Optional[int]:
+    """The difference neighbour of ``hop`` other than ``frm``, if any."""
+    return next((t for t in nbr.get(hop, []) if t != frm), None)
+
+
+def _fix_short_pattern(part, sm: _Side, si: _Side, diff) -> bool:
     """Patterns (3) and (4): three consecutive difference edges that a
     single flip across the join collapses."""
-    a_side, b_side = part.a, part.b
     nbr = _diff_neighbors(diff)
-
-    def side(v):
-        return "A" if v in a_side else "B"
-
-    for mid in sorted(diff):
-        v, w = mid
+    for v, w in sorted(diff):
         for vv, ww in ((v, w), (w, v)):
-            us = [u for u in nbr.get(vv, []) if u != ww]
-            xs = [x for x in nbr.get(ww, []) if x != vv]
-            if not us or not xs:
+            u, x = _step(nbr, ww, vv), _step(nbr, vv, ww)
+            if u is None or x is None or u == x:
                 continue
-            u, x = us[0], xs[0]
-            if u == x:
-                continue
-            pat3 = side(u) == "B" and side(vv) == "A" and side(ww) == "A" and side(x) == "A"
-            pat4 = (
-                side(u) != side(vv) and side(vv) != side(ww) and side(ww) != side(x)
-            )
-            if not (pat3 or pat4):
-                continue
+            in_a = [t in part.a for t in (u, vv, ww, x)]
+            pat3 = in_a == [False, True, True, True]
+            pat4 = in_a[0] != in_a[1] != in_a[2] != in_a[3]
             owner = sm if edge(u, vv) in sm.m else si
-            if edge(ww, x) not in owner.m:
-                continue
-            owner.flip((u, vv, ww, x))
-            return True
+            if (pat3 or pat4) and edge(ww, x) in owner.m:
+                owner.flip((u, vv, ww, x))
+                return True
     return False
 
 
-def _fix_w_pattern(g, part, e, sm: _Side, si: _Side, diff) -> bool:
-    a_side, b_side = part.a, part.b
+def _fix_w_pattern(part, e, sm: _Side, si: _Side, diff) -> bool:
+    """Pattern (5): a B-A-A-B-A-A run with the anchor's edges 1, 3 and 5."""
     xe, ye = e
     nbr = _diff_neighbors(diff)
-
-    def step(frm, hop):
-        nxt = [t for t in nbr.get(hop, []) if t != frm]
-        return nxt[0] if nxt else None
-
     for u, v in sorted(diff):
-        for uu, vv in ((u, v), (v, u)):
-            if uu not in b_side or vv not in a_side or edge(uu, vv) not in sm.m:
+        for walk in ([u, v], [v, u]):
+            while len(walk) < 6 and (t := _step(nbr, walk[-2], walk[-1])) is not None:
+                walk.append(t)
+            if len(walk) < 6:
                 continue
-            w = step(uu, vv)
-            if w is None or w not in a_side:
+            uu, vv, w, x, y, z = walk
+            if not (
+                uu in part.b and x in part.b and part.a.issuperset((vv, w, y, z))
+                and {edge(uu, vv), edge(w, x), edge(y, z)} <= sm.m
+            ):
                 continue
-            x = step(vv, w)
-            if x is None or x not in b_side or edge(w, x) not in sm.m:
-                continue
-            y = step(w, x)
-            if y is None or y not in a_side:
-                continue
-            z = step(x, y)
-            if z is None or z not in a_side or edge(y, z) not in sm.m:
-                continue
-            if {xe, ye} & {uu, vv, w, x, y, z}:
+            if {xe, ye} & set(walk):
                 raise RuntimeError("internal: anchor edge inside W-pattern")
             sm.flip((xe, y, z, ye))
             sm.flip((x, y, xe, w))
@@ -512,123 +537,77 @@ def _fix_w_pattern(g, part, e, sm: _Side, si: _Side, diff) -> bool:
 def _route_to_b_edge_anchor(
     g: Graph, part: RootPartition, e: Edge, anchor: frozenset[Edge], m: frozenset[Edge]
 ) -> list[Move]:
-    sm = _Side(g, anchor)
-    si = _Side(g, m)
-    _enforce_claim_assumptions(g, part, e, sm, si)
-    cycles = [
-        c
-        for c in symmetric_difference_components(frozenset(sm.m), frozenset(si.m))
-        if c.kind == "even_cycle"
-    ]
+    sm, si = _Side(g, anchor), _Side(g, m)
+    _enforce_claim_assumptions(part, e, sm, si)
+    cycles = _cycles(sm, si)
     if cycles:
-        if len(cycles) != 1 or len(cycles[0].vertices) != 4 or not (
-            {e[0], e[1]} <= set(cycles[0].vertices)
-        ):
+        if len(cycles) != 1 or len(cycles[0]) != 4 or not set(e) <= set(cycles[0]):
             raise RuntimeError("internal: unexpected cycle structure after fixes")
-        sm.flip(cycles[0].vertices)
+        sm.flip(cycles[0])
     _make_equal_cycle_free(g, si, sm)
-    return _glue(g, si, sm)
+    return _glue(si, sm)
 
 
-def transform_with_B_edge(
-    g: Graph, part: RootPartition, m1, m2
-) -> ReconfigSequence:
+def transform_with_B_edge(g: Graph, part: RootPartition, m1, m2) -> ReconfigSequence:
     """Sequence between two equal-size matchings when condition C1 holds,
     routed through an anchor whose only B-edge is fixed."""
-    m1 = frozenset(edge(*x) for x in m1)
-    m2 = frozenset(edge(*x) for x in m2)
-    if len(m1) != len(m2):
-        raise SizeMismatchError("matchings must have equal size")
+    m1, m2 = _pair(m1, m2)
     k = len(m1)
-    found = _anchor_with_b_edge(g, part, k)
-    if found is None:
+    # the first B-edge that leaves k-1 more edges; at a root join (larger
+    # side A) every B-edge does if one does, so the first is the only try
+    for e in _b_edges(g, part.b) if k >= 1 else ():
+        if len(rest := _anchor(g, e, k - 1)) == k - 1:
+            break
+    else:
         raise ConditionViolatedError("condition C1 does not hold")
-    e, rest = found
-    anchor = frozenset(_normalize_anchor(g, part, e, {e} | rest))
-    fwd = _route_to_b_edge_anchor(g, part, e, anchor, m1)
-    bwd = _route_to_b_edge_anchor(g, part, e, anchor, m2)
-    _cancel_common_tail(fwd, bwd)
-    moves = fwd + [invert_move(mv) for mv in reversed(bwd)]
-    return ReconfigSequence(MODE_FLIP_SLIDE, tuple(moves))
+    anchor = frozenset(_normalize_anchor(g, part, e, {e, *rest}))
+    return _through_anchor(_route_to_b_edge_anchor, g, part, e, anchor, m1, m2)
 
 
-# ---------------------------------------------------------------------------
-# anchored transformation when C2 holds (and C1 fails)
-
-
-def transform_with_free_B_vertex(
-    g: Graph, part: RootPartition, m1, m2
-) -> ReconfigSequence:
+def transform_with_free_B_vertex(g: Graph, part: RootPartition, m1, m2) -> ReconfigSequence:
     """Sequence between two equal-size matchings when C2 holds and C1
     fails: difference cycles unwind by sliding through a B-vertex the
     anchor leaves unmatched."""
-    m1 = frozenset(edge(*x) for x in m1)
-    m2 = frozenset(edge(*x) for x in m2)
-    if len(m1) != len(m2):
-        raise SizeMismatchError("matchings must have equal size")
-    k = len(m1)
-    cond = check_conditions(g, part, k)
+    m1, m2 = _pair(m1, m2)
+    cond = check_conditions(g, part, len(m1))
     if cond.c1 or not cond.c2:
         raise ConditionViolatedError("needs C2 and not C1")
-    b_side = part.b
-    # with C1 false no size-k matching uses a B-edge, so B-edges are inert
-    work_edges = [f for f in g.edges if not (f[0] in b_side and f[1] in b_side)]
-    work = Graph(g.n, work_edges)
-    v_free = None
-    for v in sorted(b_side):
-        if _nu_without(work, {v}) >= k:
-            v_free = v
-            break
-    if v_free is None:
-        raise ConditionViolatedError("condition C2 does not hold")
-    keep = [x for x in range(g.n) if x != v_free]
-    sub, vmap = induced_subgraph(work, keep)
-    anchor = frozenset(
-        sorted(edge(vmap[x], vmap[y]) for (x, y) in max_matching(sub))[:k]
-    )
-    fwd = _route_via_free_vertex(work, part, v_free, anchor, m1)
-    bwd = _route_via_free_vertex(work, part, v_free, anchor, m2)
-    _cancel_common_tail(fwd, bwd)
-    moves = fwd + [invert_move(mv) for mv in reversed(bwd)]
-    return ReconfigSequence(MODE_FLIP_SLIDE, tuple(moves))
+    return _via_free_b_vertex(g, part, m1, m2)
+
+
+def _via_free_b_vertex(g: Graph, part: RootPartition, m1, m2) -> ReconfigSequence:
+    # C1 fails, so no size-k matching uses a B-edge: without them the
+    # B-vertices are twins, and any one witnesses C2
+    b = part.b
+    work = graph_from_adjacency([a - b if v in b else a for v, a in enumerate(g.adj)])
+    v = min(b)
+    anchor = frozenset(_anchor(work, {v}, len(m1)))
+    return _through_anchor(_route_via_free_vertex, work, part, v, anchor, m1, m2)
 
 
 def _route_via_free_vertex(
     g: Graph, part: RootPartition, v: int, anchor: frozenset[Edge], m: frozenset[Edge]
 ) -> list[Move]:
-    a_side = part.a
-    sm = _Side(g, anchor)
-    si = _Side(g, m)
-    while True:
-        cycles = [
-            c
-            for c in symmetric_difference_components(frozenset(sm.m), frozenset(si.m))
-            if c.kind == "even_cycle"
-        ]
-        if not cycles:
-            break
-        cyc = list(cycles[0].vertices)
-        start = None
-        for i, x in enumerate(cyc):
-            if x in a_side and edge(x, cyc[(i + 1) % len(cyc)]) in sm.m:
-                start = i
+    sm, si = _Side(g, anchor), _Side(g, m)
+    while cycles := _cycles(sm, si):
+        # start at an A-vertex whose next edge is the anchor side's
+        for cyc in (cycles[0], cycles[0][::-1]):
+            starts = [
+                i for i, x in enumerate(cyc)
+                if x in part.a and edge(x, cyc[(i + 1) % len(cyc)]) in sm.m
+            ]
+            if starts:
                 break
-        if start is None:
-            cyc.reverse()
-            for i, x in enumerate(cyc):
-                if x in a_side and edge(x, cyc[(i + 1) % len(cyc)]) in sm.m:
-                    start = i
-                    break
-        if start is None:
+        else:
             raise RuntimeError("internal: difference cycle avoids side A")
-        cyc = cyc[start:] + cyc[:start]
+        cyc = cyc[starts[0]:] + cyc[:starts[0]]
         t = len(cyc) // 2
         sm.slide(edge(cyc[0], cyc[1]), edge(cyc[0], v))
         for i in range(1, t):
             sm.slide(edge(cyc[2 * i], cyc[2 * i + 1]), edge(cyc[2 * i - 1], cyc[2 * i]))
         sm.slide(edge(cyc[0], v), edge(cyc[-1], cyc[0]))
     _make_equal_cycle_free(g, si, sm)
-    return _glue(g, si, sm)
+    return _glue(si, sm)
 
 
 # ---------------------------------------------------------------------------
@@ -641,65 +620,65 @@ class CographResult:
     sequence: Optional[ReconfigSequence]
 
 
-def _restrict(m: frozenset[Edge], vertices: set[int], idx: dict[int, int]) -> frozenset[Edge]:
-    return frozenset(
-        edge(idx[u], idx[v]) for (u, v) in m if u in vertices and v in vertices
-    )
+def _restrict(m: frozenset[Edge], vertices) -> frozenset[Edge]:
+    return frozenset(e for e in m if e[0] in vertices and e[1] in vertices)
 
 
 def _map_moves(moves, vmap: tuple[int, ...]) -> list[Move]:
+    return [
+        canonical_flip(tuple(vmap[v] for v in mv.cycle)) if isinstance(mv, Flip)
+        else Slide(tuple(vmap[v] for v in mv.removed), tuple(vmap[v] for v in mv.added))
+        for mv in moves
+    ]
+
+
+def _anchored(g: Graph, node: CotreeNode, c1: bool, m1, m2) -> list[Move]:
+    """The anchored transformation on the piece under ``node``, relabeled."""
+    a, b = (t.leaves() for t in node.sides())
+    sub, vmap = induced_subgraph(g, a | b)
+    idx = {v: i for i, v in enumerate(vmap)}
+    part = RootPartition(frozenset(idx[v] for v in a), frozenset(idx[v] for v in b))
+    l1, l2 = (frozenset(edge(idx[u], idx[v]) for (u, v) in m) for m in (m1, m2))
+    seq = (transform_with_B_edge if c1 else _via_free_b_vertex)(sub, part, l1, l2)
+    return _map_moves(seq.moves, vmap)
+
+
+def _solve_tree(g: Graph, tree: CotreeNode, m1: frozenset[Edge], m2: frozenset[Edge]):
+    """Moves from m1 to m2 (None on NO) over the cotree, depth first: a
+    union solves its components in order, a join where C1 or C2 holds is
+    anchored, any other join solves side A, then lifts ``out[start:]``."""
     out: list[Move] = []
-    for mv in moves:
-        if isinstance(mv, Flip):
-            out.append(canonical_flip(tuple(vmap[v] for v in mv.cycle)))
-        else:
-            out.append(
-                Slide(
-                    (vmap[mv.removed[0]], vmap[mv.removed[1]]),
-                    (vmap[mv.added[0]], vmap[mv.added[1]]),
-                )
-            )
+    todo: list = [(tree, m1, m2)]
+    while todo:
+        item = todo.pop()
+        if len(item) == 4:  # a pending lift
+            part, m1, m2, start = item
+            out[start:] = _lift_from_a(g, part, m1, m2, out[start:])
+            continue
+        node, m1, m2 = item
+        if len(m1) != len(m2):
+            return None
+        if node.kind == "union":
+            for t in reversed(node.parts()):
+                vs = t.leaves()
+                todo.append((t, _restrict(m1, vs), _restrict(m2, vs)))
+            continue
+        if node.kind == "leaf" or not m1:
+            if m1 != m2:
+                return None
+            continue
+        cond = _node_conditions(node, len(m1))
+        if cond.c1 or cond.c2:
+            out += _anchored(g, node, cond.c1, m1, m2)
+            continue
+        a, b = node.sides()
+        part = RootPartition(a.leaves(), b.leaves())
+        todo.append((part, m1, m2, len(out)))
+        todo.append((a, _restrict(m1, part.a), _restrict(m2, part.a)))
     return out
 
 
-def _solve_rec(g: Graph, m1: frozenset[Edge], m2: frozenset[Edge]) -> Optional[list[Move]]:
-    if len(m1) != len(m2):
-        return None
-    comps = connected_components(g)
-    if len(comps) > 1:
-        out: list[Move] = []
-        for comp in comps:
-            vs = set(comp)
-            sub, vmap = induced_subgraph(g, comp)
-            idx = {v: i for i, v in enumerate(vmap)}
-            r = _solve_rec(sub, _restrict(m1, vs, idx), _restrict(m2, vs, idx))
-            if r is None:
-                return None
-            out.extend(_map_moves(r, vmap))
-        return out
-    if g.n <= 1 or len(m1) == 0:
-        return [] if m1 == m2 else None  # empty matchings are equal here
-    part = root_partition(g)
-    k = len(m1)
-    cond = check_conditions(g, part, k)
-    if cond.c1:
-        return list(transform_with_B_edge(g, part, m1, m2).moves)
-    if cond.c2:
-        return list(transform_with_free_B_vertex(g, part, m1, m2).moves)
-    a_sorted = sorted(part.a)
-    sub, vmap = induced_subgraph(g, a_sorted)
-    idx = {v: i for i, v in enumerate(vmap)}
-    m1a = _restrict(m1, part.a, idx)
-    m2a = _restrict(m2, part.a, idx)
-    sub_moves = _solve_rec(sub, m1a, m2a)
-    if sub_moves is None:
-        return None
-    return _lift_from_a(g, part, m1, m2, _map_moves(sub_moves, vmap))
-
-
-def _lift_from_a(
-    g: Graph, part: RootPartition, m1: frozenset[Edge], m2: frozenset[Edge], a_moves
-) -> list[Move]:
+def _lift_from_a(g: Graph, part: RootPartition, m1, m2, a_moves) -> list[Move]:
     """Replay A-side moves on the full graph (blocked slides become flips
     with the B-partner), then align which A-vertices serve B and repair
     the A-B assignment by transposition flips."""
@@ -723,16 +702,14 @@ def _lift_from_a(
         a2 = min(tar_a - cur_a)
         bpart = s.partner[a]
         s.slide(edge(a, bpart), edge(bpart, a2))
-        cur_a.discard(a)
-        cur_a.add(a2)
+        cur_a ^= {a, a2}
     for bvert in sorted(part.b):
         want = tar.get(bvert)
         have = s.partner.get(bvert)
         if want is None or have is None:
             raise RuntimeError("internal: B-vertex unmatched though C2 fails")
         if have != want:
-            b2 = s.partner[want]
-            s.flip((bvert, have, b2, want))
+            s.flip((bvert, have, s.partner[want], want))
     if s.m != set(m2):
         raise RuntimeError("internal: lift did not reach the target")
     return s.moves
@@ -741,14 +718,13 @@ def _lift_from_a(
 def solve_cograph(g: Graph, m_ini, m_tar) -> CographResult:
     """Decide flip+slide reachability between two matchings of a cograph
     and produce a verified sequence on YES."""
-    m_ini = frozenset(edge(*x) for x in m_ini)
-    m_tar = frozenset(edge(*x) for x in m_tar)
+    m_ini, m_tar = (frozenset(edge(*x) for x in m) for m in (m_ini, m_tar))
     for m in (m_ini, m_tar):
         if matching_status(g, m).kind == "not_matching":
             raise SizeMismatchError("input is not a matching")
     if len(m_ini) != len(m_tar):
         return CographResult(False, None)
-    moves = _solve_rec(g, m_ini, m_tar)
+    moves = _solve_tree(g, build_cotree(g), m_ini, m_tar) if g.n else []
     if moves is None:
         return CographResult(False, None)
     return CographResult(True, ReconfigSequence(MODE_FLIP_SLIDE, tuple(moves)))
@@ -756,29 +732,26 @@ def solve_cograph(g: Graph, m_ini, m_tar) -> CographResult:
 
 def reachability_class(g: Graph, m) -> tuple:
     """Invariant deciding reachability: two matchings of ``g`` are
-    connected under flips+slides iff their classes are equal."""
+    connected under flips+slides iff their classes are equal.  The class
+    is a flat tuple read depth first over the cotree: ``"u", c`` opens a
+    union of c component classes, ``"l", k`` a size-k join whose class
+    is that of side A, and ``"k", k`` ends a size-k piece."""
     m = frozenset(edge(*x) for x in m)
-
-    def rec(sub: Graph, mm: frozenset[Edge]) -> tuple:
-        comps = connected_components(sub)
-        if len(comps) > 1:
-            parts = []
-            for comp in comps:
-                vs = set(comp)
-                s2, vmap = induced_subgraph(sub, comp)
-                idx = {v: i for i, v in enumerate(vmap)}
-                parts.append(rec(s2, _restrict(mm, vs, idx)))
-            return ("u", tuple(parts))
+    out: list = [] if g.n else ["k", 0]
+    todo = [(build_cotree(g), m)] if g.n else []
+    while todo:
+        node, mm = todo.pop()
         k = len(mm)
-        if sub.n <= 1 or k == 0:
-            return ("k", k)
-        part = root_partition(sub)
-        cond = check_conditions(sub, part, k)
-        if cond.c1 or cond.c2:
-            return ("k", k)
-        a_sorted = sorted(part.a)
-        s2, vmap = induced_subgraph(sub, a_sorted)
-        idx = {v: i for i, v in enumerate(vmap)}
-        return ("k", k, rec(s2, _restrict(mm, part.a, idx)))
-
-    return rec(g, m)
+        if node.kind == "union":
+            parts = node.parts()
+            out += ("u", len(parts))
+            todo += ((t, _restrict(mm, t.leaves())) for t in reversed(parts))
+            continue
+        cond = _node_conditions(node, k) if node.kind == "join" and k else None
+        if cond is None or cond.c1 or cond.c2:
+            out += ("k", k)
+        else:
+            a = node.sides()[0]
+            out += ("l", k)
+            todo.append((a, _restrict(mm, a.leaves())))
+    return tuple(out)

@@ -40,7 +40,7 @@ class Graph:
     out-of-range endpoints are rejected.
     """
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "edges", "adj", "__weakref__")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
         if n < 0:
@@ -202,7 +202,6 @@ def canonical_flip(cycle: Sequence[int]) -> Flip:
     """Rotate/reflect a cycle so it starts at its smallest vertex and
     continues toward the smaller of that vertex's two cycle neighbors."""
     c = list(cycle)
-    k = len(c)
     i = c.index(min(c))
     c = c[i:] + c[:i]
     if c[-1] < c[1]:
@@ -450,13 +449,25 @@ def four_cycles(g: Graph) -> list[tuple[int, int, int, int]]:
     return out
 
 
+def graph_from_adjacency(adj: Sequence[frozenset[int]]) -> Graph:
+    """A :class:`Graph` from a symmetric, loop-free adjacency, trusted
+    without re-validation (for subgraphs of a validated graph)."""
+    g = object.__new__(Graph)
+    g.n = len(adj)
+    g.adj = tuple(adj)
+    g.edges = frozenset((u, w) for u, ws in enumerate(g.adj) for w in ws if u < w)
+    return g
+
+
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Relabeled induced subgraph plus its local-index -> original map."""
-    vmap = tuple(sorted(set(vertices)))
+    """Relabeled induced subgraph plus its local-index -> original map
+    (``g`` itself when every vertex is kept)."""
+    keep = set(vertices)
+    if keep == set(range(g.n)):
+        return g, tuple(range(g.n))
+    vmap = tuple(sorted(keep))
     idx = {v: i for i, v in enumerate(vmap)}
-    keep = set(vmap)
-    edges = [(idx[u], idx[v]) for (u, v) in g.edges if u in keep and v in keep]
-    return Graph(len(vmap), edges), vmap
+    return graph_from_adjacency([frozenset(idx[w] for w in g.adj[v] & keep) for v in vmap]), vmap
 
 
 def connected_components(g: Graph, vertices: Optional[Iterable[int]] = None) -> list[list[int]]:

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
 from matchflip.blossom import max_matching
+from matchflip.cli import main
 from matchflip.cograph import (
     Conditions,
     RootPartition,
+    _node_conditions,
     build_cotree,
     check_conditions,
+    is_cograph,
     reachability_class,
     root_partition,
     solve_cograph,
@@ -23,8 +27,10 @@ from matchflip.errors import (
     NotACographError,
 )
 from matchflip.generators import random_cotree_graph, random_matching_pair
-from matchflip.graph import Graph, Slide, edge_set, verify_sequence
+from matchflip.graph import Graph, Slide, edge_set, induced_subgraph, verify_sequence
+from matchflip.io import instance_to_dict, load_sequence
 from matchflip.oracle import FLIP_SLIDE, enumerate_matchings, reachable
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     C4,
@@ -33,6 +39,7 @@ from helpers import (
     K4,
     all_matchings_by_size,
     complete_graph,
+    connected_cographs,
     flip_component_ids,
     path_graph,
     petersen_graph,
@@ -324,3 +331,87 @@ def test_complete_graph_matchings_connected():
         res = solve_cograph(g, a, b)
         assert res.yes
         assert verify_sequence(g, a, res.sequence, b).ok
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.data())
+def test_cotree_nu_equals_blossom(n, seed, data):
+    # the cotree's matching-size record against blossom, on G minus S for
+    # S empty, one vertex or two vertices
+    g = random_cotree_graph(n, random.Random(seed))
+    removed = data.draw(st.sets(st.integers(0, n - 1), max_size=min(2, n - 1)))
+    sub, _ = induced_subgraph(g, set(range(n)) - removed)
+    assert build_cotree(sub).nu == len(max_matching(sub))
+
+
+def _conditions_by_definition(by_size, b, k) -> Conditions:
+    # some size-k matching with an edge inside B / missing a B-vertex
+    ms = by_size.get(k, [])
+    return Conditions(
+        any(u in b and v in b for m in ms for (u, v) in m),
+        any(not b <= {x for e in m for x in e} for m in ms),
+    )
+
+
+def test_closed_form_conditions_match_brute_force():
+    # on every connected cograph with <= 7 vertices
+    checked = 0
+    for g in connected_cographs(7):
+        if g.n < 2:
+            continue
+        tree = build_cotree(g)
+        part = root_partition(g, tree)
+        by_size = all_matchings_by_size(g)
+        for k in range(g.n // 2 + 2):
+            want = _conditions_by_definition(by_size, part.b, k)
+            assert check_conditions(g, part, k) == want, (sorted(g.edges), k)
+            assert _node_conditions(tree, k) == want, (sorted(g.edges), k)
+            checked += 1
+    assert checked > 500
+
+
+def test_check_conditions_any_partition():
+    # a partition other than a root join (sides swapped, B a subset, a
+    # graph that is not a cograph) is answered by the definition as well
+    cases = []
+    for g in connected_cographs(6):
+        if g.n >= 2:
+            part = root_partition(g)
+            cases += [(g, RootPartition(part.b, part.a)),
+                      (g, RootPartition(part.a, part.b - {min(part.b)}))]
+    cases += [(path_graph(5), RootPartition(frozenset({0, 2, 4}), frozenset({1, 3}))),
+              (petersen_graph(), RootPartition(frozenset(range(5)), frozenset(range(5, 10))))]
+    for g, part in cases:
+        by_size = all_matchings_by_size(g)
+        for k in range(g.n // 2 + 2):
+            want = _conditions_by_definition(by_size, part.b, k)
+            assert check_conditions(g, part, k) == want, (sorted(g.edges), part, k)
+    k4_part = RootPartition(frozenset({0, 1}), frozenset({2, 3}))
+    with pytest.raises(ConditionViolatedError):  # C1 holds
+        transform_with_free_B_vertex(K4, k4_part, [(0, 1), (2, 3)], [(0, 2), (1, 3)])
+
+
+def test_deep_threshold_cograph(tmp_path, capsys):
+    # vertices alternately isolated and dominating when added: the cotree
+    # is a path of depth n, and the (unique) perfect matching makes the
+    # solver and the class descend through every level
+    n = 1200
+    edges = [(u, v) for v in range(1, n, 2) for u in range(v)]
+    g = Graph(n, edges)
+    assert is_cograph(g)
+    pm = edge_set((v - 1, v) for v in range(1, n, 2))
+    res = solve_cograph(g, pm, pm)
+    assert res.yes and verify_sequence(g, pm, res.sequence, pm).ok
+    assert reachability_class(g, pm).count("l") == n // 2
+    # a size-300 pair one slide per edge apart
+    a = edge_set((v - 1, v) for v in range(3, n, 4))
+    b = edge_set((v - 3, v) for v in range(3, n, 4))
+    res = solve_cograph(g, a, b)
+    assert res.yes and len(res.sequence) > 0
+    assert verify_sequence(g, a, res.sequence, b).ok
+    assert reachability_class(g, a) == reachability_class(g, b)
+    ipath, spath = tmp_path / "deep.json", tmp_path / "seq.json"
+    ipath.write_text(json.dumps(instance_to_dict(g, pm, pm)))
+    assert main(["solve", "--class", "auto", str(ipath), "--emit-sequence", str(spath)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "YES"
+    assert verify_sequence(g, pm, load_sequence(str(spath)), pm).ok

@@ -304,3 +304,45 @@ def test_canonical_dump_is_stable():
     a = dumps_canonical({"b": 1, "a": [2, 3]})
     b = dumps_canonical({"a": [2, 3], "b": 1})
     assert a == b and a.endswith("\n")
+
+
+def test_cli_bad_budget_env_exits_2(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "k4.json", K4_INSTANCE)
+    monkeypatch.setenv("MATCHFLIP_BUDGET", "abc")
+    assert main(["oracle", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "MATCHFLIP_BUDGET" in captured.err
+
+
+@pytest.mark.parametrize("fault", [RuntimeError("internal: boom"), RecursionError("too deep")])
+def test_cli_internal_fault_exits_4(tmp_path, capsys, monkeypatch, fault):
+    # a fault inside the library must not read as NO (exit 1)
+    import matchflip.cli as cli
+
+    def broken(*args):
+        raise fault
+
+    monkeypatch.setattr(cli, "solve_cograph", broken)
+    path = _write(tmp_path, "k4.json", K4_INSTANCE)
+    assert main(["solve", "--class", "cograph", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:") and captured.err.count("\n") == 1
+    assert type(fault).__name__ in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--class", "cograph"],
+    ["oracle", "--want-path"],
+])
+def test_cli_unwritable_emit_path_exits_2(tmp_path, capsys, command):
+    # a sequence file that cannot be written is the caller's error, and
+    # no verdict is printed for an answer that was not delivered
+    path = _write(tmp_path, "k4.json", K4_INSTANCE)
+    spath = str(tmp_path / "missing-dir" / "seq.json")
+    assert main(command + [path, "--emit-sequence", spath]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
