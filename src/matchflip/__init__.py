@@ -22,7 +22,6 @@ from .graph import (
     edge_set,
     matching_status,
     symmetric_difference_components,
-    validate_graph,
     verify_sequence,
 )
 from .oracle import (
@@ -34,6 +33,7 @@ from .oracle import (
     enumerate_matchings,
     kflip,
     reachable,
+    reconfiguration_components,
     reconfiguration_stats,
 )
 from .blossom import max_matching

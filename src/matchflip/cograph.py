@@ -49,12 +49,12 @@ from .graph import (
     Move,
     ReconfigSequence,
     Slide,
+    _meet,
     canonical_flip,
     connected_components,
     edge,
     graph_from_adjacency,
     induced_subgraph,
-    invert_move,
     matching_status,
     partner_map,
     symmetric_difference_components,
@@ -300,15 +300,6 @@ class _Side:
         self.m.add(add)
         self.partner[add[0]], self.partner[add[1]] = add[1], add[0]
         self.moves.append(mv)
-
-
-def _meet(fwd: list[Move], bwd: list[Move]) -> list[Move]:
-    """``fwd`` then ``bwd`` reversed, both ending in one matching; equal
-    final moves come from the same pre-state, so matching tails cancel."""
-    while fwd and bwd and fwd[-1] == bwd[-1]:
-        fwd.pop()
-        bwd.pop()
-    return fwd + [invert_move(mv) for mv in reversed(bwd)]
 
 
 def _pair(m1, m2) -> tuple[frozenset[Edge], frozenset[Edge]]:

@@ -83,11 +83,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def validate_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
-    """Build a :class:`Graph`, normalizing edges to ``u < v`` pairs."""
-    return Graph(n, edges)
-
-
 # ---------------------------------------------------------------------------
 # matchings
 
@@ -118,13 +113,6 @@ def matching_status(g: Graph, edges: Iterable[Sequence[int]]) -> MatchingStatus:
     if len(covered) == g.n:
         return MatchingStatus("perfect", len(es))
     return MatchingStatus("matching", len(es))
-
-
-def is_matching(g: Graph, edges: frozenset[Edge]) -> bool:
-    try:
-        return matching_status(g, edges).kind != "not_matching"
-    except EdgeNotInGraphError:
-        return False
 
 
 def partner_map(matching: Iterable[Edge]) -> dict[int, int]:
@@ -214,6 +202,15 @@ def invert_move(move: Move) -> Move:
     if isinstance(move, Flip):
         return move
     return Slide(move.added, move.removed)
+
+
+def _meet(fwd: list[Move], bwd: list[Move]) -> list[Move]:
+    """``fwd`` then ``bwd`` reversed, both ending in one matching; equal
+    final moves come from the same pre-state, so matching tails cancel."""
+    while fwd and bwd and fwd[-1] == bwd[-1]:
+        fwd.pop()
+        bwd.pop()
+    return fwd + [invert_move(mv) for mv in reversed(bwd)]
 
 
 def apply_move(g: Graph, matching: frozenset[Edge], move: Move) -> frozenset[Edge]:

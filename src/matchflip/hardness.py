@@ -34,7 +34,14 @@ from .errors import (
     UnbalancedSidesError,
 )
 from .graph import Edge, Graph, edge, matching_status
-from .oracle import MaskSpace
+from .oracle import (
+    DEFAULT_BUDGET,
+    FLIP_ONLY,
+    MaskSpace,
+    _adjacency,
+    _components,
+    enumerate_matchings,
+)
 
 # ---------------------------------------------------------------------------
 # gadget templates
@@ -641,46 +648,10 @@ def standalone_vertex_system(kind: str) -> tuple[Graph, dict]:
     }
 
 
-def _flip_components(g: Graph, matchings: list[frozenset[Edge]]) -> list[int]:
-    space = MaskSpace(g)
-    masks = [space.to_mask(m) for m in matchings]
-    ids = {m: i for i, m in enumerate(masks)}
-    comp = [-1] * len(masks)
-    cid = 0
-    for i in range(len(masks)):
-        if comp[i] >= 0:
-            continue
-        comp[i] = cid
-        q = deque([i])
-        while q:
-            v = q.popleft()
-            for nb in space.flip_neighbor_masks(masks[v]):
-                j = ids.get(nb)
-                if j is not None and comp[j] < 0:
-                    comp[j] = cid
-                    q.append(j)
-        cid += 1
-    return comp
-
-
-def _quotient_edges(g: Graph, matchings, classes) -> frozenset:
-    space = MaskSpace(g)
-    ids = {space.to_mask(m): i for i, m in enumerate(matchings)}
-    out = set()
-    for i, m in enumerate(matchings):
-        for nb in space.flip_neighbor_masks(space.to_mask(m)):
-            j = ids.get(nb)
-            if j is not None and classes[i] != classes[j]:
-                out.add(frozenset((classes[i], classes[j])))
-    return frozenset(out)
-
-
 def gadget_selftest(kind: str) -> GadgetReport:
     """Enumerate all perfect matchings of the standalone gadget system,
     classify them by orientation, and check the three behavioral
     properties against the legal orientation transitions."""
-    from .oracle import enumerate_matchings
-
     if kind == "edge":
         g, meta = standalone_edge_system()
         pms = enumerate_matchings(g, "perfect")
@@ -727,15 +698,18 @@ def gadget_selftest(kind: str) -> GadgetReport:
         counts[c] = counts.get(c, 0) + 1
     forbidden_empty = all(c in valid for c in classes)
     classes_nonempty = all(counts.get(c, 0) > 0 for c in valid)
-    comp = _flip_components(g, pms)
-    internally_connected = True
-    for cls in set(classes):
-        members = [i for i, c in enumerate(classes) if c == cls]
-        sub = [pms[i] for i in members]
-        sub_comp = _flip_components(g, sub)
-        if len(set(sub_comp)) > 1:
-            internally_connected = False
-    quotient = _quotient_edges(g, pms, classes)
+    space = MaskSpace(g)
+    adj = _adjacency(space, [space.to_mask(m) for m in pms], FLIP_ONLY, DEFAULT_BUDGET)
+    # each class is flip-connected on its own iff dropping the flips
+    # between classes leaves exactly one component per class
+    within = [[j for j in adj[i] if classes[j] == classes[i]] for i in range(len(pms))]
+    internally_connected = len(set(_components(within))) == len(set(classes))
+    quotient = frozenset(
+        frozenset((classes[i], classes[j]))
+        for i in range(len(pms))
+        for j in adj[i]
+        if classes[i] != classes[j]
+    )
     return GadgetReport(
         kind=kind,
         class_counts=counts,
@@ -859,12 +833,6 @@ def enumerate_k_factors(g: Graph, k: int, budget: int = 200_000) -> list[frozens
         return [frozenset()]
     rec(0)
     return out
-
-
-def kfactor_flip_components(g: Graph, subgraphs: list[frozenset[Edge]]) -> list[int]:
-    """Connected components of edge subsets under alternating-4-cycle
-    exchanges (flip semantics shared with matchings)."""
-    return _flip_components(g, subgraphs)
 
 
 def subdivide_edges(

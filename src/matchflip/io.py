@@ -85,16 +85,16 @@ def load_instance(source: Union[str, dict]) -> Instance:
         raw_edges = [tuple(e) for e in data["edges"]]
         raw_ini = [tuple(e) for e in data.get("m_ini", [])]
         raw_tar = [tuple(e) for e in data.get("m_tar", [])]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInputError(f"bad instance structure: {exc}") from exc
-    hints = data.get("hints", {}) or {}
-    labels = set()
-    for u, v in raw_edges + raw_ini + raw_tar:
-        labels.add(u)
-        labels.add(v)
-    for key in ("strong_order", "boundary_order"):
-        for v in hints.get(key, []) or []:
+        hints = data.get("hints", {}) or {}
+        labels = set()
+        for u, v in raw_edges + raw_ini + raw_tar:
+            labels.add(u)
             labels.add(v)
+        for key in ("strong_order", "boundary_order"):
+            for v in hints.get(key, []) or []:
+                labels.add(v)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise MalformedInputError(f"bad instance structure: {exc}") from exc
     mapping = _label_map(n, labels)
     try:
         g = Graph(n, [(mapping[u], mapping[v]) for u, v in raw_edges])
@@ -206,16 +206,3 @@ def load_ncl(source: Union[str, dict]):
         raise
     except (KeyError, TypeError, ValueError, IndexError, MatchFlipError) as exc:
         raise MalformedInputError(f"bad NCL machine structure: {exc}") from exc
-
-
-def ncl_to_dict(machine: NclMachine, c_ini=None, c_tar=None) -> dict:
-    out = {
-        "vertices": [
-            {"id": i, "type": t} for i, t in enumerate(machine.vertex_types)
-        ],
-        "edges": [{"u": u, "v": v, "w": w} for u, v, w in machine.edges],
-    }
-    for key, conf in (("c_ini", c_ini), ("c_tar", c_tar)):
-        if conf is not None:
-            out[key] = [{"edge": i, "head": h} for i, h in enumerate(conf)]
-    return out

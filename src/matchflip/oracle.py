@@ -3,6 +3,8 @@
 Matchings are encoded as bitmasks over a global edge index so BFS states
 hash in O(1).  Flip neighbors come from a 4-cycle table precomputed once
 per graph; k-flip neighbors are found by DFS over alternating cycles.
+Neighbors are masks only: the moves of a returned path are rebuilt from
+the difference of consecutive masks.
 Everything here is desk-scale by design and guarded by an explicit budget.
 """
 
@@ -15,7 +17,6 @@ from typing import Iterable, Literal, Optional, Union
 from .errors import BudgetExceededError, SizeMismatchError
 from .graph import (
     Edge,
-    Flip,
     Graph,
     MODE_FLIP,
     MODE_FLIP_SLIDE,
@@ -27,6 +28,7 @@ from .graph import (
     edge,
     four_cycles,
     matching_status,
+    symmetric_difference_components,
 )
 
 DEFAULT_BUDGET = 2_000_000
@@ -50,10 +52,6 @@ class Mode:
                 raise ValueError(f"k capped at {KFLIP_MAX} for the oracle")
         elif self.k is not None:
             raise ValueError("k only applies to kflip mode")
-
-    @property
-    def sequence_mode(self) -> str:
-        return self.kind
 
 
 FLIP_ONLY = Mode(MODE_FLIP)
@@ -108,14 +106,17 @@ def enumerate_matchings(
 
 
 def _perfect_matchings(g: Graph, budget: int) -> Iterable[tuple[Edge, ...]]:
+    """Depth first: the first uncovered vertex takes each free neighbour in
+    turn.  One stack frame per matched edge, kept explicitly."""
     if g.n % 2 != 0:
         return
+    nbrs = [sorted(a) for a in g.adj]
     found = 0
     cur: list[Edge] = []
     covered = [False] * g.n
-
-    def rec(lo: int):
-        nonlocal found
+    stack: list[list[int]] = []  # [vertex, index of its next partner to try]
+    lo = 0
+    while True:
         v = lo
         while v < g.n and covered[v]:
             v += 1
@@ -124,46 +125,64 @@ def _perfect_matchings(g: Graph, budget: int) -> Iterable[tuple[Edge, ...]]:
             if found > budget:
                 raise BudgetExceededError("too many perfect matchings")
             yield tuple(cur)
-            return
-        covered[v] = True
-        for w in sorted(g.adj[v]):
-            if not covered[w]:
-                covered[w] = True
-                cur.append(edge(v, w))
-                yield from rec(v + 1)
+        else:
+            covered[v] = True
+            stack.append([v, 0])
+        while stack:
+            top = stack[-1]
+            v, i = top
+            ws = nbrs[v]
+            if len(cur) == len(stack):  # undo this frame's last partner
+                covered[ws[i - 1]] = False
                 cur.pop()
-                covered[w] = False
-        covered[v] = False
-
-    yield from rec(0)
+            while i < len(ws) and covered[ws[i]]:
+                i += 1
+            if i < len(ws):
+                covered[ws[i]] = True
+                cur.append(edge(v, ws[i]))
+                top[1] = i + 1
+                lo = v + 1
+                break
+            covered[v] = False
+            stack.pop()
+        else:
+            return
 
 
 def _all_matchings(g: Graph, budget: int) -> Iterable[tuple[Edge, ...]]:
+    """Depth first over sorted edges; ``stack`` holds, per open level, the
+    next edge index to try there (one level more than matched edges)."""
     edges = g.sorted_edges()
     found = 0
     cur: list[Edge] = []
     covered = [False] * max(g.n, 1)
-
-    def rec(i: int):
-        nonlocal found
+    stack = [0]
+    while True:
         found += 1
         if found > budget:
             raise BudgetExceededError("too many matchings")
         yield tuple(cur)
-        for j in range(i, len(edges)):
-            u, v = edges[j]
-            if not covered[u] and not covered[v]:
+        while stack:
+            j = stack[-1]
+            while j < len(edges) and (covered[edges[j][0]] or covered[edges[j][1]]):
+                j += 1
+            if j < len(edges):
+                u, v = edges[j]
                 covered[u] = covered[v] = True
                 cur.append(edges[j])
-                yield from rec(j + 1)
-                cur.pop()
+                stack[-1] = j + 1
+                stack.append(j + 1)
+                break
+            stack.pop()
+            if cur:
+                u, v = cur.pop()
                 covered[u] = covered[v] = False
-
-    yield from rec(0)
+        else:
+            return
 
 
 # ---------------------------------------------------------------------------
-# mask-level machinery (shared with the hardness module's k-factor checks)
+# mask-level machinery (shared with the hardness module's gadget self-test)
 
 
 class MaskSpace:
@@ -173,10 +192,8 @@ class MaskSpace:
         self.g = g
         self.edges = g.sorted_edges()
         self.index = {e: i for i, e in enumerate(self.edges)}
-        cycles = four_cycles(g)
-        self.cycles = cycles
         self.cycle_masks: list[tuple[int, int, int]] = []
-        for a, b, c, d in cycles:
+        for a, b, c, d in four_cycles(g):
             e1 = 1 << self.index[edge(a, b)]
             e2 = 1 << self.index[edge(b, c)]
             e3 = 1 << self.index[edge(c, d)]
@@ -203,7 +220,7 @@ class MaskSpace:
         return out
 
 
-def _slide_neighbor_masks(space: MaskSpace, mask: int) -> list[tuple[int, Slide]]:
+def _slide_neighbor_masks(space: MaskSpace, mask: int) -> list[int]:
     g = space.g
     matched = [space.edges[i] for i in range(len(space.edges)) if mask >> i & 1]
     covered = set()
@@ -216,14 +233,14 @@ def _slide_neighbor_masks(space: MaskSpace, mask: int) -> list[tuple[int, Slide]
         for pivot, other in ((u, v), (v, u)):
             for w in g.adj[pivot]:
                 if w not in covered and w != other:
-                    nb = (mask ^ bit) | (1 << space.index[edge(pivot, w)])
-                    out.append((nb, Slide((pivot, other), (pivot, w))))
+                    out.append((mask ^ bit) | (1 << space.index[edge(pivot, w)]))
     return out
 
 
-def _kflip_neighbor_masks(space: MaskSpace, mask: int, k: int) -> list[tuple[int, Flip]]:
+def _kflip_neighbor_masks(space: MaskSpace, mask: int, k: int) -> list[int]:
     """Alternating cycles of length exactly k, each found once by starting
-    at its minimum vertex along that vertex's matched edge."""
+    at its minimum vertex along that vertex's matched edge (the cycle's
+    direction is then fixed, so no cycle is entered twice)."""
     g = space.g
     partner: dict[int, int] = {}
     for i, e in enumerate(space.edges):
@@ -242,17 +259,10 @@ def _kflip_neighbor_masks(space: MaskSpace, mask: int, k: int) -> list[tuple[int
             # after an odd number of steps: next edge must be unmatched
             if steps == k - 1:
                 if u0 in g.adj[cur] and partner.get(cur) != u0:
-                    cyc = tuple(path)
                     cmask = 0
-                    ok = True
                     for i in range(k):
-                        a, b = cyc[i], cyc[(i + 1) % k]
-                        if b not in g.adj[a]:
-                            ok = False
-                            break
-                        cmask |= 1 << space.index[edge(a, b)]
-                    if ok:
-                        out.append((mask ^ cmask, canonical_flip(cyc)))
+                        cmask |= 1 << space.index[edge(path[i], path[(i + 1) % k])]
+                    out.append(mask ^ cmask)
                 return
             if steps % 2 == 1:
                 for w in g.adj[cur]:
@@ -272,37 +282,64 @@ def _kflip_neighbor_masks(space: MaskSpace, mask: int, k: int) -> list[tuple[int
                     used.discard(w)
 
         rec(v1, 1)
-    # deduplicate (a cycle can be scanned once only, but stay safe)
-    seen = set()
-    uniq = []
-    for nb, fl in out:
-        if fl.cycle not in seen:
-            seen.add(fl.cycle)
-            uniq.append((nb, fl))
-    return uniq
+    return out
 
 
-def _neighbors(space: MaskSpace, mask: int, mode: Mode) -> list[tuple[int, Move]]:
-    res: list[tuple[int, Move]] = []
-    if mode.kind in (MODE_FLIP, MODE_FLIP_SLIDE):
-        for idx, (even, odd, both) in enumerate(space.cycle_masks):
-            inter = mask & both
-            if inter == even or inter == odd:
-                res.append((mask ^ both, canonical_flip(space.cycles[idx])))
-        if mode.kind == MODE_FLIP_SLIDE:
-            res.extend(_slide_neighbor_masks(space, mask))
-    else:
-        res.extend(_kflip_neighbor_masks(space, mask, mode.k or 4))
-    return res
+def _neighbors(space: MaskSpace, mask: int, mode: Mode) -> list[int]:
+    """Masks one move of ``mode`` away from ``mask``."""
+    if mode.kind == MODE_KFLIP:
+        return _kflip_neighbor_masks(space, mask, mode.k)
+    out = space.flip_neighbor_masks(mask)
+    if mode.kind == MODE_FLIP_SLIDE:
+        out.extend(_slide_neighbor_masks(space, mask))
+    return out
 
 
-def _neighbors_fast(space: MaskSpace, mask: int, mode: Mode) -> list[int]:
-    if mode.kind in (MODE_FLIP, MODE_FLIP_SLIDE):
-        res = space.flip_neighbor_masks(mask)
-        if mode.kind == MODE_FLIP_SLIDE:
-            res.extend(nb for nb, _ in _slide_neighbor_masks(space, mask))
-        return res
-    return [nb for nb, _ in _kflip_neighbor_masks(space, mask, mode.k or 4)]
+def _move(space: MaskSpace, a: int, b: int) -> Move:
+    """The move between neighbouring matchings ``a`` and ``b``: what they
+    differ in is the flipped cycle, or the two edges of a slide."""
+    gone, new = space.to_edges(a & ~b), space.to_edges(b & ~a)
+    (comp,) = symmetric_difference_components(gone, new)
+    if comp.kind == "even_cycle":
+        return canonical_flip(comp.vertices)
+    (removed,), (added,) = gone, new
+    return Slide(removed, added)
+
+
+def _adjacency(space: MaskSpace, masks: list[int], mode: Mode, budget: int) -> list[list[int]]:
+    """Each mask's neighbours under ``mode`` as indices into ``masks``;
+    neighbours outside the list are left out."""
+    ids = {m: i for i, m in enumerate(masks)}
+    adj: list[list[int]] = [[] for _ in masks]
+    work = 0
+    for i, m in enumerate(masks):
+        for nb in _neighbors(space, m, mode):
+            j = ids.get(nb)
+            if j is not None:
+                adj[i].append(j)
+        work += 1 + len(adj[i])
+        if work > budget:
+            raise BudgetExceededError("stats adjacency exceeds budget")
+    return adj
+
+
+def _components(adj: list[list[int]]) -> list[int]:
+    """Component label of each node, numbered in order of first node."""
+    comp = [-1] * len(adj)
+    cid = 0
+    for i in range(len(adj)):
+        if comp[i] >= 0:
+            continue
+        comp[i] = cid
+        stack = [i]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if comp[w] < 0:
+                    comp[w] = cid
+                    stack.append(w)
+        cid += 1
+    return comp
 
 
 # ---------------------------------------------------------------------------
@@ -332,37 +369,43 @@ def reachable(
         raise SizeMismatchError(f"matching sizes differ: {len(m1)} vs {len(m2)}")
     space = MaskSpace(g)
     start, goal = space.to_mask(m1), space.to_mask(m2)
-    if start == goal:
-        return ReachResult(True, 0, _empty_sequence(mode) if want_path else None)
-    dist = {start: 0}
-    parent: dict[int, tuple[int, Move]] = {}
+    parent = {start: start}
     q = deque([start])
-    while q:
+    while q and goal not in parent:
         cur = q.popleft()
-        for nb, mv in _neighbors(space, cur, mode):
-            if nb in dist:
+        for nb in _neighbors(space, cur, mode):
+            if nb in parent:
                 continue
-            dist[nb] = dist[cur] + 1
-            parent[nb] = (cur, mv)
+            parent[nb] = cur
             if nb == goal:
-                seq = None
-                if want_path:
-                    moves: list[Move] = []
-                    node = goal
-                    while node != start:
-                        node, mv2 = parent[node]
-                        moves.append(mv2)
-                    moves.reverse()
-                    seq = ReconfigSequence(mode.sequence_mode, tuple(moves), mode.k)
-                return ReachResult(True, dist[goal], seq)
+                break
             q.append(nb)
-            if len(dist) > budget:
+            if len(parent) > budget:
                 raise BudgetExceededError("reachability state space exceeds budget")
-    return ReachResult(False)
+    if goal not in parent:
+        return ReachResult(False)
+    path = [goal]
+    while path[-1] != start:
+        path.append(parent[path[-1]])
+    path.reverse()
+    seq = None
+    if want_path:
+        moves = tuple(_move(space, a, b) for a, b in zip(path, path[1:]))
+        seq = ReconfigSequence(mode.kind, moves, mode.k)
+    return ReachResult(True, len(path) - 1, seq)
 
 
-def _empty_sequence(mode: Mode) -> ReconfigSequence:
-    return ReconfigSequence(mode.sequence_mode, (), mode.k)
+def reconfiguration_components(
+    g: Graph,
+    subsets: list[frozenset[Edge]],
+    mode: Mode = FLIP_ONLY,
+) -> list[int]:
+    """Component label of each edge subset in the reconfiguration graph
+    on ``subsets`` alone, numbered in order of first subset.  Subsets are
+    matchings under ``mode``, or any spanning subgraphs (k-factors) under
+    flips, i.e. alternating-4-cycle exchanges."""
+    space = MaskSpace(g)
+    return _components(_adjacency(space, [space.to_mask(s) for s in subsets], mode, DEFAULT_BUDGET))
 
 
 def reconfiguration_stats(
@@ -378,46 +421,22 @@ def reconfiguration_stats(
     nodes = enumerate_matchings(g, target, budget)
     space = MaskSpace(g)
     masks = [space.to_mask(m) for m in nodes]
-    ids = {m: i for i, m in enumerate(masks)}
-    adj: list[list[int]] = [[] for _ in masks]
-    work = 0
-    for i, m in enumerate(masks):
-        for nb in _neighbors_fast(space, m, mode):
-            j = ids.get(nb)
-            if j is not None and j != i:
-                adj[i].append(j)
-        work += 1 + len(adj[i])
-        if work > budget:
-            raise BudgetExceededError("stats adjacency exceeds budget")
-    comp = [-1] * len(masks)
-    comp_lists: list[list[int]] = []
-    for i in range(len(masks)):
-        if comp[i] >= 0:
-            continue
-        cid = len(comp_lists)
-        comp[i] = cid
-        members = [i]
-        q = deque([i])
-        while q:
-            v = q.popleft()
-            for w in adj[v]:
-                if comp[w] < 0:
-                    comp[w] = cid
-                    members.append(w)
-                    q.append(w)
-        comp_lists.append(members)
-    sizes = tuple(sorted((len(c) for c in comp_lists), reverse=True))
+    adj = _adjacency(space, masks, mode, budget)
+    comp = _components(adj)
+    members: list[list[int]] = [[] for _ in range(max(comp, default=-1) + 1)]
+    for i, c in enumerate(comp):
+        members[c].append(i)
+    sizes = tuple(sorted((len(c) for c in members), reverse=True))
 
-    def comp_diameter(members: list[int]) -> int:
+    def comp_diameter(sources: list[int]) -> int:
         best = 0
-        mem = set(members)
-        for s in members:
+        for s in sources:
             d = {s: 0}
             q = deque([s])
             while q:
                 v = q.popleft()
                 for w in adj[v]:
-                    if w in mem and w not in d:
+                    if w not in d:
                         d[w] = d[v] + 1
                         q.append(w)
             best = max(best, max(d.values()))
@@ -426,11 +445,11 @@ def reconfiguration_stats(
     diameter: Optional[int]
     if source is not None:
         smask = space.to_mask(source)
-        if smask not in ids:
+        if smask not in masks:
             raise SizeMismatchError("source matching not in the target class")
-        diameter = comp_diameter(comp_lists[comp[ids[smask]]])
-    elif comp_lists:
-        diameter = max(comp_diameter(c) for c in comp_lists)
+        diameter = comp_diameter(members[comp[masks.index(smask)]])
+    elif members:
+        diameter = max(comp_diameter(c) for c in members)
     else:
         diameter = None
-    return ReconfigGraphStats(len(nodes), len(comp_lists), sizes, diameter)
+    return ReconfigGraphStats(len(nodes), len(members), sizes, diameter)

@@ -46,6 +46,7 @@ from .graph import (
     canonical_flip,
     connected_components,
     edge,
+    induced_subgraph,
     matching_status,
     partner_map,
 )
@@ -192,10 +193,6 @@ def biconnected_blocks(
     return blocks, cuts
 
 
-def _cut_vertices(adj, vertices: Iterable[int]) -> set[int]:
-    return biconnected_blocks(adj, vertices)[1]
-
-
 # ---------------------------------------------------------------------------
 # boundary cycle by ear contraction
 
@@ -309,7 +306,7 @@ def boundary_order(g: Graph) -> BoundaryOrder:
     comps = connected_components(g)
     if len(comps) != 1:
         raise NotTwoConnectedError("graph is disconnected")
-    if _cut_vertices(g.adj, verts):
+    if biconnected_blocks(g.adj, verts)[1]:
         raise NotTwoConnectedError("graph has a cut vertex")
     adj = {v: set(g.adj[v]) for v in verts}
     return BoundaryOrder(tuple(_boundary_cycle(adj, verts)))
@@ -356,44 +353,41 @@ def is_outerplanar(g: Graph) -> bool:
 def split_at_cut_vertices(
     g: Graph, m_ini: frozenset[Edge], m_tar: frozenset[Edge]
 ) -> list[SubInstance]:
-    """Recursively split at cut vertices into 2-connected (or K2)
-    sub-instances with restricted matchings."""
+    """Split at cut vertices, again and again, into 2-connected (or K2)
+    sub-instances with restricted matchings.  The smallest cut vertex
+    joins the first odd component left by its removal; the pieces of that
+    side come before those of the other components."""
     for m in (m_ini, m_tar):
         if matching_status(g, m).kind != "perfect":
             raise NotPerfectError("matchings must be perfect")
+    p_ini, p_tar = partner_map(m_ini), partner_map(m_tar)
     out: list[SubInstance] = []
 
     def restrict(vertices: list[int]) -> SubInstance:
-        vmap = sorted(vertices)
+        sub, vmap = induced_subgraph(g, vertices)
         idx = {v: i for i, v in enumerate(vmap)}
-        vs = set(vmap)
-        sub_edges = [
-            (idx[u], idx[v]) for (u, v) in g.edges if u in vs and v in vs
-        ]
-        sub = Graph(len(vmap), sub_edges)
-        mi = frozenset(edge(idx[u], idx[v]) for (u, v) in m_ini if u in vs and v in vs)
-        mt = frozenset(edge(idx[u], idx[v]) for (u, v) in m_tar if u in vs and v in vs)
-        return SubInstance(sub, mi, mt, tuple(vmap))
 
-    def rec(vertices: list[int]):
-        for comp in connected_components(g, vertices):
-            if len(comp) <= 2:
-                out.append(restrict(comp))
-                continue
-            cuts = _cut_vertices(g.adj, comp)
-            cuts = {v for v in cuts if len(set(g.adj[v]) & set(comp)) > 1}
-            if not cuts:
-                out.append(restrict(comp))
-                continue
-            v = min(cuts)
-            rest = [w for w in comp if w != v]
-            side_comps = connected_components(g, rest)
-            odd = [c for c in side_comps if len(c) % 2 == 1]
-            x = min(odd, key=lambda c: c[0])
-            rec(sorted(x + [v]))
-            rec([w for w in rest if w not in set(x)])
+        def local(partner: dict[int, int]) -> frozenset[Edge]:
+            return frozenset(
+                edge(i, idx[partner[v]]) for i, v in enumerate(vmap) if partner[v] in idx
+            )
 
-    rec(list(range(g.n)))
+        return SubInstance(sub, local(p_ini), local(p_tar), vmap)
+
+    # connected vertex sets still to split, sorted, the next one on top
+    stack = connected_components(g)[::-1]
+    while stack:
+        comp = stack.pop()
+        cuts = biconnected_blocks(g.adj, comp)[1]
+        if not cuts:
+            out.append(restrict(comp))
+            continue
+        v = min(cuts)
+        side_comps = connected_components(g, [w for w in comp if w != v])
+        odd = [c for c in side_comps if len(c) % 2 == 1]
+        x = min(odd, key=lambda c: c[0])
+        stack.extend(c for c in reversed(side_comps) if c is not x)
+        stack.append(sorted(x + [v]))
     return out
 
 

@@ -24,6 +24,7 @@ from .graph import (
     Graph,
     MODE_FLIP,
     ReconfigSequence,
+    _meet,
     canonical_flip,
     edge,
     matching_status,
@@ -171,10 +172,4 @@ def solve_strongly_orderable(
     canon = canonical_matching(g, order)
     fwd = _route_to_canonical(g, order, canon, frozenset(m_ini))
     bwd = _route_to_canonical(g, order, canon, frozenset(m_tar))
-    # Equal final flips into the canonical matching come from equal
-    # pre-states (flips are involutions), so matching tails cancel.
-    while fwd and bwd and fwd[-1] == bwd[-1]:
-        fwd.pop()
-        bwd.pop()
-    moves = fwd + bwd[::-1]
-    return ReconfigSequence(MODE_FLIP, tuple(moves))
+    return ReconfigSequence(MODE_FLIP, tuple(_meet(fwd, bwd)))

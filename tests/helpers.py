@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
 
 from matchflip.graph import Graph, edge, edge_set
-from matchflip.oracle import MaskSpace
 
 
 def cycle_graph(n: int) -> Graph:
@@ -56,32 +54,6 @@ def random_matching_of(g: Graph, rng: random.Random) -> frozenset:
             used.add(v)
             out.append(edge(u, v))
     return frozenset(out)
-
-
-def flip_component_ids(g: Graph, matchings, slides: bool = False) -> list[int]:
-    """Brute-force component labels over a fixed matching list."""
-    from matchflip.oracle import FLIP_ONLY, FLIP_SLIDE, _neighbors_fast
-
-    mode = FLIP_SLIDE if slides else FLIP_ONLY
-    space = MaskSpace(g)
-    masks = [space.to_mask(m) for m in matchings]
-    ids = {m: i for i, m in enumerate(masks)}
-    comp = [-1] * len(masks)
-    cid = 0
-    for i in range(len(masks)):
-        if comp[i] >= 0:
-            continue
-        comp[i] = cid
-        q = deque([i])
-        while q:
-            v = q.popleft()
-            for nb in _neighbors_fast(space, masks[v], mode):
-                j = ids.get(nb)
-                if j is not None and comp[j] < 0:
-                    comp[j] = cid
-                    q.append(j)
-        cid += 1
-    return comp
 
 
 def all_matchings_by_size(g: Graph, budget: int = 10**7):

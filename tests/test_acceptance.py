@@ -34,7 +34,6 @@ from matchflip.hardness import (
     gadget_selftest,
     is_bipartite,
     k_factor_instance,
-    kfactor_flip_components,
     reduce_ncl_to_pmr,
     split_completion,
     standalone_edge_system,
@@ -48,6 +47,7 @@ from matchflip.oracle import (
     enumerate_matchings,
     kflip,
     reachable,
+    reconfiguration_components,
 )
 from matchflip.outerplanar import solve_outerplanar
 from matchflip.strongly_orderable import (
@@ -67,7 +67,6 @@ from helpers import (
     K4,
     all_matchings_by_size,
     connected_cographs,
-    flip_component_ids,
     random_graph,
     random_outerplanar,
 )
@@ -94,7 +93,7 @@ def test_criterion_01_cograph_oracle_agreement():
             continue
         by_size = all_matchings_by_size(g)
         for k, ms in by_size.items():
-            comp = flip_component_ids(g, ms, slides=True)
+            comp = reconfiguration_components(g, ms, FLIP_SLIDE)
             sigs = [reachability_class(g, m) for m in ms]
             by_sig: dict = {}
             by_comp: dict = {}
@@ -294,7 +293,7 @@ def test_criterion_08_instance_transformations():
     bases = [C4, K4, C6, C6_CHORD]
     for g in bases:
         pms = enumerate_matchings(g, "perfect")
-        pcomp = flip_component_ids(g, pms)
+        pcomp = reconfiguration_components(g, pms)
         for k in (2, 3):
             kf = k_factor_instance(g, pms[0], pms[-1], k)
             for v in kf.new_vertices:
@@ -305,7 +304,7 @@ def test_criterion_08_instance_transformations():
                 frozenset(e for e in f if e[0] < g.n and e[1] < g.n) for f in factors
             ]
             assert sorted(map(sorted, base)) == sorted(map(sorted, pms))
-            fcomp = kfactor_flip_components(kf.graph, factors)
+            fcomp = reconfiguration_components(kf.graph, factors)
             pidx = {m: i for i, m in enumerate(pms)}
             for i in range(len(factors)):
                 for j in range(len(factors)):

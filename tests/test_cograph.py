@@ -29,7 +29,7 @@ from matchflip.errors import (
 from matchflip.generators import random_cotree_graph, random_matching_pair
 from matchflip.graph import Graph, Slide, edge_set, induced_subgraph, verify_sequence
 from matchflip.io import instance_to_dict, load_sequence
-from matchflip.oracle import FLIP_SLIDE, enumerate_matchings, reachable
+from matchflip.oracle import FLIP_SLIDE, enumerate_matchings, reachable, reconfiguration_components
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
@@ -40,7 +40,6 @@ from helpers import (
     all_matchings_by_size,
     complete_graph,
     connected_cographs,
-    flip_component_ids,
     path_graph,
     petersen_graph,
     random_graph,
@@ -189,7 +188,7 @@ def test_transform_with_b_edge_join_of_2k2s():
     part = root_partition(g)
     assert check_conditions(g, part, 4).c1
     pms = enumerate_matchings(g, "perfect")
-    comp = flip_component_ids(g, pms, slides=True)
+    comp = reconfiguration_components(g, pms, FLIP_SLIDE)
     assert len(set(comp)) == 1
     rng = random.Random(3)
     for _ in range(15):
@@ -252,7 +251,7 @@ def test_solve_five_vertex_cograph_full_sweep():
     g = Graph(5, edges)
     by_size = all_matchings_by_size(g)
     for k, ms in by_size.items():
-        comp = flip_component_ids(g, ms, slides=True)
+        comp = reconfiguration_components(g, ms, FLIP_SLIDE)
         for i in range(len(ms)):
             for j in range(len(ms)):
                 res = solve_cograph(g, ms[i], ms[j])
@@ -297,7 +296,7 @@ def test_lift_equivalence_when_conditions_fail():
             if cond.c1 or cond.c2:
                 continue
             seen += 1
-            comp = flip_component_ids(g, ms, slides=True)
+            comp = reconfiguration_components(g, ms, FLIP_SLIDE)
             cls = [reachability_class(g, m) for m in ms]
             groups = {}
             for i in range(len(ms)):

@@ -25,7 +25,6 @@ from matchflip.graph import (
     four_cycles,
     matching_status,
     symmetric_difference_components,
-    validate_graph,
     verify_sequence,
 )
 from matchflip.oracle import enumerate_matchings
@@ -34,18 +33,18 @@ from helpers import C4, C4_PM1, C4_PM2, C6, C6_PM1, C6_PM2, path_graph, random_g
 
 
 def test_validate_graph_c4():
-    g = validate_graph(4, [[0, 1], [1, 2], [2, 3], [3, 0]])
+    g = Graph(4, [[0, 1], [1, 2], [2, 3], [3, 0]])
     assert g.n == 4 and g.m == 4
     assert g.has_edge(1, 0) and not g.has_edge(0, 2)
 
 
 def test_validate_graph_rejections():
     with pytest.raises(SelfLoopError):
-        validate_graph(2, [[0, 0]])
+        Graph(2, [[0, 0]])
     with pytest.raises(DuplicateEdgeError):
-        validate_graph(3, [[0, 1], [1, 0]])
+        Graph(3, [[0, 1], [1, 0]])
     with pytest.raises(VertexOutOfRangeError):
-        validate_graph(2, [[0, 2]])
+        Graph(2, [[0, 2]])
 
 
 def test_matching_status():

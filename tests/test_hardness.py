@@ -23,7 +23,6 @@ from matchflip.hardness import (
     gadget_selftest,
     is_bipartite,
     k_factor_instance,
-    kfactor_flip_components,
     mixed_machine,
     reduce_ncl_to_pmr,
     split_completion,
@@ -35,9 +34,9 @@ from matchflip.hardness import (
     validate_machine,
     validate_ncl,
 )
-from matchflip.oracle import enumerate_matchings, kflip, reachable
+from matchflip.oracle import enumerate_matchings, kflip, reachable, reconfiguration_components
 
-from helpers import C4, C4_PM1, C4_PM2, C6, K4, flip_component_ids
+from helpers import C4, C4_PM1, C4_PM2, C6, K4
 
 
 def test_validate_ncl_and_vertex_semantics():
@@ -229,13 +228,13 @@ def test_k_factor_reachability_mirrors_matchings():
     rng = random.Random(6)
     for g in (C4, K4, C6):
         pms = enumerate_matchings(g, "perfect")
-        pcomp = flip_component_ids(g, pms)
+        pcomp = reconfiguration_components(g, pms)
         for k in (2, 3):
             kf = k_factor_instance(g, pms[0], pms[-1], k)
             factors = enumerate_k_factors(kf.graph, k)
             base = [frozenset(e for e in f if e[0] < g.n and e[1] < g.n) for f in factors]
             assert sorted(map(sorted, base)) == sorted(map(sorted, pms))
-            fcomp = kfactor_flip_components(kf.graph, factors)
+            fcomp = reconfiguration_components(kf.graph, factors)
             for i in range(len(factors)):
                 for j in range(len(factors)):
                     want = pcomp[pms.index(base[i])] == pcomp[pms.index(base[j])]

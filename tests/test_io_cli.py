@@ -227,6 +227,16 @@ def test_cli_malformed_input(tmp_path, capsys):
         "n": 2, "edges": [[0, 1]], "m_ini": [[0, 1]], "m_tar": [[0, 1]]})
     assert main(["solve", "--class", "strongly_orderable", path2]) == 2
     capsys.readouterr()
+    base = {"n": 2, "edges": [[0, 1]], "m_ini": [[0, 1]], "m_tar": [[0, 1]]}
+    shapes = [
+        {"edges": [[0, 1, 2]]},
+        {"hints": [1]},
+        {"hints": {"strong_order": 5}},
+    ]
+    for i, shape in enumerate(shapes):
+        path3 = _write(tmp_path, f"shape{i}.json", {**base, **shape})
+        assert main(["solve", path3]) == 2, shape
+        assert capsys.readouterr().err.startswith("error: bad instance structure")
 
 
 def test_cli_budget_exit_code(tmp_path, capsys):

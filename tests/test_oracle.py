@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
+from matchflip.cli import main
 from matchflip.errors import BudgetExceededError, SizeMismatchError
 from matchflip.graph import edge_set, verify_sequence
+from matchflip.io import instance_to_dict
 from matchflip.oracle import (
     FLIP_ONLY,
     FLIP_SLIDE,
+    MaskSpace,
+    _neighbors,
     enumerate_matchings,
     kflip,
     reachable,
@@ -23,6 +28,8 @@ from helpers import (
     C6_PM1,
     C6_PM2,
     K4,
+    all_matchings_by_size,
+    path_graph,
     random_graph,
 )
 
@@ -103,6 +110,35 @@ def test_kflip4_equals_fliponly_on_perfect():
             continue
         a, b = rng.sample(pms, 2)
         assert reachable(g, a, b, FLIP_ONLY).reachable == reachable(g, a, b, kflip(4)).reachable
+
+
+def test_kflip_neighbor_masks_against_flips():
+    """On every matching of a few random graphs: k = 4 finds exactly the
+    4-cycle flips, and k = 6 finds no neighbour twice."""
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(8):
+        g = random_graph(rng, rng.choice([6, 7, 8]), rng.uniform(0.5, 0.9))
+        space = MaskSpace(g)
+        for ms in all_matchings_by_size(g).values():
+            for m in ms:
+                mask = space.to_mask(m)
+                four = _neighbors(space, mask, kflip(4))
+                assert sorted(four) == sorted(space.flip_neighbor_masks(mask))
+                six = _neighbors(space, mask, kflip(6))
+                assert len(six) == len(set(six))
+                checked += len(six)
+    assert checked > 0
+
+
+def test_enumeration_deep_path(tmp_path, capsys):
+    g = path_graph(3000)
+    pms = enumerate_matchings(g, "perfect")
+    assert pms == [edge_set((2 * i, 2 * i + 1) for i in range(1500))]
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(instance_to_dict(g, pms[0], pms[0])))
+    assert main(["stats", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["nodes"] == 1
 
 
 def test_stats_examples():

@@ -103,6 +103,14 @@ def test_split_recursive_path():
     assert all(s.m_ini == edge_set([(0, 1)]) for s in subs)
 
 
+def test_split_long_path():
+    # deeper than the interpreter's recursion limit; one K2 per matched edge
+    m = edge_set((2 * i, 2 * i + 1) for i in range(1200))
+    subs = split_at_cut_vertices(path_graph(2400), m, m)
+    assert [s.vertex_map for s in subs] == [(2 * i, 2 * i + 1) for i in range(1200)]
+    assert all(s.graph.n == 2 and s.m_ini == s.m_tar == edge_set([(0, 1)]) for s in subs)
+
+
 def test_solve_c6_no():
     res = solve_outerplanar(C6, C6_PM1, C6_PM2)
     assert not res.yes and res.sequence is None
