@@ -3,8 +3,9 @@
 Exit codes: 0 = YES / Accept / success, 1 = NO / Reject, 2 = malformed or
 unsupported input (a bad MATCHFLIP_BUDGET or an unwritable output file
 too), 3 = budget exceeded, 4 = internal error.  The first stdout line of `solve`, `verify` and `oracle`
-is machine-parsable (YES / NO / Accept / Reject).  The oracle budget
-honors the MATCHFLIP_BUDGET environment variable.
+is machine-parsable (YES / NO / Accept / Reject).  The budget of
+`oracle` and `stats` is --budget when given, else the MATCHFLIP_BUDGET
+environment variable when set, else oracle.DEFAULT_BUDGET.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ EXIT_INTERNAL = 4
 
 
 def _budget(args) -> int:
-    if getattr(args, "budget", None):
+    if args.budget is not None:
         return args.budget
     env = os.environ.get("MATCHFLIP_BUDGET")
     try:

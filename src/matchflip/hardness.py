@@ -18,10 +18,11 @@ matching the legal orientation changes -- is re-derived by enumeration in
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import AbstractSet, Iterable, Optional, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -39,6 +40,7 @@ from .oracle import (
     FLIP_ONLY,
     MaskSpace,
     _adjacency,
+    _all_matchings,
     _components,
     enumerate_matchings,
 )
@@ -131,46 +133,48 @@ def _valid_inward_sets(kind: str) -> list[frozenset[str]]:
     return out
 
 
-def _local_matchings_by_class(gadget: dict) -> dict[frozenset[str], list[tuple]]:
-    """All gadget-internal matchings covering the internal vertices plus
-    exactly the connector pairs of a slot subset, grouped by that subset.
-    Gadget pairs straddle the bipartition, so partial pair coverage is
-    impossible and the grouping is exhaustive."""
+def _pair_slots(covered: AbstractSet, pairs: dict) -> frozenset[str]:
+    """Slots whose connector pair lies in ``covered``, the vertices one
+    gadget's edges cover.  A pair with one vertex in it is split between
+    two gadgets, so the matching encodes no orientation."""
+    out = []
+    for slot, (x, y) in pairs.items():
+        if (x in covered) != (y in covered):
+            raise InvalidConfigurationError(
+                "matching splits a connector pair between gadgets; "
+                "it does not encode an orientation"
+            )
+        if x in covered:
+            out.append(slot)
+    return frozenset(out)
+
+
+@functools.cache
+def _class_table(kind: str) -> dict[frozenset[str], tuple[tuple[str, str], ...]]:
+    """Per class, the least gadget-internal matching of gadget ``kind``
+    ("and", "or" or "edge"), built on first use.  A gadget-internal
+    matching covers every internal vertex; its class is the set of slots
+    whose connector pair it covers.  Matchings that cover one vertex of a
+    pair (11 for AND, 21 for OR, 2 for the edge gadget) exist but split
+    that pair with the neighbouring gadget, which encodes no orientation,
+    so they are skipped."""
+    gadget = EDGE_GADGET if kind == "edge" else VERTEX_GADGETS[kind]
     names = gadget["vertices"]
     idx = {v: i for i, v in enumerate(names)}
-    edges = [tuple(sorted((idx[a], idx[b]))) for a, b in gadget["edges"]]
-    pair_sets = {s: frozenset(idx[x] for x in p) for s, p in gadget["pairs"].items()}
-    connectors = frozenset().union(*pair_sets.values())
-    internals = frozenset(range(len(names))) - connectors
-    out: dict[frozenset[str], list[tuple]] = {}
-    m = len(edges)
-    for bits in range(1 << m):
-        chosen = [edges[i] for i in range(m) if bits >> i & 1]
-        covered: set[int] = set()
-        ok = True
-        for u, v in chosen:
-            if u in covered or v in covered:
-                ok = False
-                break
-            covered.add(u)
-            covered.add(v)
-        if not ok or not internals <= covered:
+    g = Graph(len(names), [(idx[a], idx[b]) for a, b in gadget["edges"]])
+    internals = set(names) - {v for pair in gadget["pairs"].values() for v in pair}
+    table: dict[frozenset[str], tuple[tuple[str, str], ...]] = {}
+    # matchings come in lexicographic order, so the first of a class is least
+    for m in _all_matchings(g, DEFAULT_BUDGET):
+        covered = {names[v] for e in m for v in e}
+        if not internals <= covered:
             continue
-        slots = []
-        bad = False
-        for s, pair in pair_sets.items():
-            hit = len(pair & covered)
-            if hit == 1:
-                bad = True  # cannot happen: pairs straddle the bipartition
-                break
-            if hit == 2:
-                slots.append(s)
-        if bad:
+        try:
+            slots = _pair_slots(covered, gadget["pairs"])
+        except InvalidConfigurationError:
             continue
-        out.setdefault(frozenset(slots), []).append(tuple(sorted(chosen)))
-    for v in out.values():
-        v.sort()
-    return out
+        table.setdefault(slots, tuple((names[a], names[b]) for a, b in m))
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +242,11 @@ def validate_ncl(machine: NclMachine, config: Sequence[Optional[int]]) -> bool:
     """True iff every vertex receives in-weight >= 2; a neutral edge
     (head ``None``) contributes to neither endpoint."""
     validate_machine(machine)
+    return _in_weights_hold(machine, config)
+
+
+def _in_weights_hold(machine: NclMachine, config: Sequence[Optional[int]]) -> bool:
+    """:func:`validate_ncl` on a machine already validated."""
     if len(config) != len(machine.edges):
         raise InvalidConfigurationError("configuration length mismatch")
     inw = [0] * machine.n
@@ -255,7 +264,7 @@ def enumerate_configurations(machine: NclMachine) -> list[Configuration]:
     validate_machine(machine)
     out = []
     for choice in itertools.product(*[(u, v) for (u, v, _) in machine.edges]):
-        if validate_ncl(machine, choice):
+        if _in_weights_hold(machine, choice):
             out.append(tuple(choice))
     return out
 
@@ -264,24 +273,12 @@ def configuration_components(machine: NclMachine) -> dict[Configuration, int]:
     """Component id of each valid configuration under single-edge reversal."""
     configs = enumerate_configurations(machine)
     ids = {c: i for i, c in enumerate(configs)}
-    comp = {}
-    cid = 0
+    adj = []
     for c in configs:
-        if c in comp:
-            continue
-        comp[c] = cid
-        q = deque([c])
-        while q:
-            cur = q.popleft()
-            for i, (u, v, _) in enumerate(machine.edges):
-                nxt = list(cur)
-                nxt[i] = u if cur[i] == v else v
-                nxt = tuple(nxt)
-                if nxt in ids and nxt not in comp:
-                    comp[nxt] = cid
-                    q.append(nxt)
-        cid += 1
-    return comp
+        reversals = (c[:i] + (u if c[i] == v else v,) + c[i + 1:]
+                     for i, (u, v, _) in enumerate(machine.edges))
+        adj.append([ids[r] for r in reversals if r in ids])
+    return dict(zip(configs, _components(adj)))
 
 
 # sample machines (small enough for exhaustive checks)
@@ -387,7 +384,7 @@ def reduce_ncl_to_pmr(
     for c in (c_ini, c_tar):
         if any(h is None for h in c):
             raise InvalidConfigurationError("input configurations must not be neutral")
-        if not validate_ncl(machine, c):
+        if not _in_weights_hold(machine, c):
             raise InvalidConfigurationError("configuration violates in-weight bounds")
     slots = _slot_assignment(machine)
     nxt = 0
@@ -460,79 +457,59 @@ def reduce_ncl_to_pmr(
     return inst
 
 
-_CLASS_TABLES = {
-    kind: _local_matchings_by_class(g) for kind, g in VERTEX_GADGETS.items()
-}
-_EDGE_TABLE = _local_matchings_by_class(EDGE_GADGET)
-
-
 def _encode(inst: GadgetInstance, config: Configuration) -> frozenset[Edge]:
-    machine = inst.machine
-    if len(config) != len(machine.edges):
-        raise InvalidConfigurationError("configuration length mismatch")
-    if not validate_ncl(machine, config):
+    """The encoding of ``config``; the instance's machine was validated
+    when the instance was built."""
+    if not _in_weights_hold(inst.machine, config):
         raise InvalidConfigurationError("invalid configuration")
     chosen: set[Edge] = set()
     for vg in inst.vertex_gadgets:
         inward = frozenset(
             s for s, eidx in vg.slot_edges.items() if config[eidx] == vg.ncl_vertex
         )
-        table = _CLASS_TABLES[vg.kind]
+        table = _class_table(vg.kind)
         if inward not in table:
             raise InvalidConfigurationError(
                 f"vertex {vg.ncl_vertex}: orientation {sorted(inward)} unmatchable"
             )
-        names = VERTEX_GADGETS[vg.kind]["vertices"]
-        local = table[inward][0]
-        for a, b in local:
-            chosen.add(edge(vg.local_to_global[names[a]], vg.local_to_global[names[b]]))
-    enames = EDGE_GADGET["vertices"]
+        loc = vg.local_to_global
+        chosen.update(edge(loc[a], loc[b]) for a, b in table[inward])
     for eg in inst.edge_gadgets:
         head = config[eg.ncl_edge]
         if head is None:
             raise InvalidConfigurationError("neutral edge in configuration")
         # the tail-side pair is covered by the edge gadget
         side = frozenset("p") if head == eg.q_vertex else frozenset("q")
-        local = _EDGE_TABLE[side][0]
-        for a, b in local:
-            chosen.add(edge(eg.local_to_global[enames[a]], eg.local_to_global[enames[b]]))
-    out = _expand_subdivided(inst, frozenset(chosen))
+        loc = eg.local_to_global
+        chosen.update(edge(loc[a], loc[b]) for a, b in _class_table("edge")[side])
+    out = _along_paths(chosen, inst.subdivision)
     if matching_status(inst.graph, out).kind != "perfect":
         raise RuntimeError("internal: encoding is not a perfect matching")
     return out
 
 
-def _expand_subdivided(inst: GadgetInstance, m: frozenset[Edge]) -> frozenset[Edge]:
-    if not inst.subdivision:
-        return m
-    out = set()
-    for e in m:
-        path = inst.subdivision.get(e)
-        if path is None:
-            out.add(e)
-        else:
-            for i in range(0, len(path) - 1, 2):
-                out.add(edge(path[i], path[i + 1]))
-    for e, path in inst.subdivision.items():
-        if e not in m:
-            for i in range(1, len(path) - 1, 2):
-                out.add(edge(path[i], path[i + 1]))
+def _along_paths(m: AbstractSet[Edge], paths: dict[Edge, tuple[int, ...]]) -> frozenset[Edge]:
+    """``m`` on the graph whose edges ``paths`` subdivides: a path takes
+    its first, third, ... edges where ``m`` holds its edge, and its second,
+    fourth, ... edges where not (alternation is forced either way)."""
+    out = {e for e in m if e not in paths}
+    for e, path in paths.items():
+        first = 0 if e in m else 1
+        out.update(edge(path[i], path[i + 1]) for i in range(first, len(path) - 1, 2))
     return frozenset(out)
 
 
+def _path_edges(paths: dict[Edge, tuple[int, ...]]) -> set[Edge]:
+    """Every edge of every path."""
+    return {edge(path[i], path[i + 1]) for path in paths.values() for i in range(len(path) - 1)}
+
+
 def _project_subdivided(inst: GadgetInstance, m: frozenset[Edge]) -> frozenset[Edge]:
-    if not inst.subdivision:
-        return m
-    path_edges = set()
-    out = set()
-    for e, path in inst.subdivision.items():
-        for i in range(len(path) - 1):
-            path_edges.add(edge(path[i], path[i + 1]))
-        if edge(path[0], path[1]) in m:
-            out.add(e)
-    for e in m:
-        if e not in path_edges:
-            out.add(e)
+    """``m`` on the graph before subdivision: a path stands for its edge
+    where ``m`` holds the path's first edge."""
+    path_edges = _path_edges(inst.subdivision)
+    out = {e for e in m if e not in path_edges}
+    out.update(e for e, path in inst.subdivision.items() if edge(path[0], path[1]) in m)
     return frozenset(out)
 
 
@@ -545,28 +522,18 @@ def _decode(inst: GadgetInstance, matching: frozenset[Edge]) -> Configuration:
     pair wholly from one side.  Stray perfect matchings that split a pair
     exist but sit in unreachable flip components; they are rejected."""
     m = _project_subdivided(inst, matching)
-    cover: dict[int, Edge] = {}
-    for e in m:
-        cover[e[0]] = e
-        cover[e[1]] = e
     heads: list[Optional[int]] = []
     for eg in inst.edge_gadgets:
-        states = []
-        for ncl_v in (eg.p_vertex, eg.q_vertex):
-            g0, g1 = inst.connector_pairs[(ncl_v, eg.ncl_edge)]
-            by_edge_gadget = [cover[g0] in eg.edge_set, cover[g1] in eg.edge_set]
-            if by_edge_gadget[0] != by_edge_gadget[1]:
-                raise InvalidConfigurationError(
-                    "matching splits a connector pair between gadgets; "
-                    "it does not encode an orientation"
-                )
-            states.append(by_edge_gadget[0])
-        p_by_edge, q_by_edge = states
-        if p_by_edge and q_by_edge:
+        pairs = {
+            "p": inst.connector_pairs[(eg.p_vertex, eg.ncl_edge)],
+            "q": inst.connector_pairs[(eg.q_vertex, eg.ncl_edge)],
+        }
+        by_edge_gadget = _pair_slots({v for e in eg.edge_set & m for v in e}, pairs)
+        if len(by_edge_gadget) == 2:
             heads.append(None)  # neutral
-        elif p_by_edge:
+        elif "p" in by_edge_gadget:
             heads.append(eg.q_vertex)
-        elif q_by_edge:
+        elif "q" in by_edge_gadget:
             heads.append(eg.p_vertex)
         else:
             raise RuntimeError("internal: both-inward edge state in a perfect matching")
@@ -654,38 +621,22 @@ def gadget_selftest(kind: str) -> GadgetReport:
     properties against the legal orientation transitions."""
     if kind == "edge":
         g, meta = standalone_edge_system()
-        pms = enumerate_matchings(g, "perfect")
-        classes = []
-        for m in pms:
-            pv, qv = meta["pair_p"] in m, meta["pair_q"] in m
-            classes.append(
-                "toward_p" if pv and not qv
-                else "toward_q" if qv and not pv
-                else "neutral" if not pv and not qv
-                else "forbidden"
-            )
-        valid = ("toward_p", "toward_q", "neutral")
+        owned = g.edges - {meta["pair_p"], meta["pair_q"]}
+        pairs = {"p": meta["pair_p"], "q": meta["pair_q"]}
+    else:
+        g, meta = standalone_vertex_system(kind)
+        owned, pairs = meta["vertex_edges"], meta["slot_pairs"]
+    pms = enumerate_matchings(g, "perfect")
+    # per matching, the slots whose pair the gadget under test covers
+    classes = [_pair_slots({v for e in m & owned for v in e}, pairs) for m in pms]
+    if kind == "edge":
+        names = {frozenset("q"): "toward_p", frozenset("p"): "toward_q", frozenset("pq"): "neutral"}
+        classes = [names.get(c, "forbidden") for c in classes]
+        valid = tuple(names.values())
         expected_quotient = frozenset(
             {frozenset(("toward_p", "neutral")), frozenset(("toward_q", "neutral"))}
         )
     else:
-        g, meta = standalone_vertex_system(kind)
-        vertex_edges = meta["vertex_edges"]
-        pms = enumerate_matchings(g, "perfect")
-        classes = []
-        for m in pms:
-            cov = {}
-            for e in m:
-                cov[e[0]] = e
-                cov[e[1]] = e
-            inward = []
-            for slot, (x, y) in meta["slot_pairs"].items():
-                by_vg = (cov[x] in vertex_edges, cov[y] in vertex_edges)
-                if by_vg[0] != by_vg[1]:
-                    raise RuntimeError("internal: split pair coverage")
-                if by_vg[0]:
-                    inward.append(slot)
-            classes.append(frozenset(inward))
         valid = tuple(_valid_inward_sets(kind))
         expected_quotient = frozenset(
             frozenset((s, t))
@@ -797,42 +748,53 @@ def k_factor_instance(
 
 
 def enumerate_k_factors(g: Graph, k: int, budget: int = 200_000) -> list[frozenset[Edge]]:
-    """All spanning subgraphs with every degree exactly k (test-scale)."""
+    """All spanning subgraphs with every degree exactly k (test-scale).
+
+    Depth first over sorted edges, skipping an edge before taking it;
+    ``taken`` holds the decision on each edge before the current one."""
+    if g.n == 0:
+        return [frozenset()]
     edges = g.sorted_edges()
     remaining = [g.degree(v) for v in range(g.n)]
     deg = [0] * g.n
     out: list[frozenset[Edge]] = []
-    cur: list[Edge] = []
-
-    def rec(i: int):
+    taken: list[bool] = []
+    while True:
         if len(out) > budget:
             raise BudgetExceededError("too many k-factors")
+        i = len(taken)
         if i == len(edges):
             if all(d == k for d in deg):
-                out.append(frozenset(cur))
-            return
-        u, v = edges[i]
-        remaining[u] -= 1
-        remaining[v] -= 1
-        # skip the edge
-        if deg[u] + remaining[u] >= k and deg[v] + remaining[v] >= k:
-            rec(i + 1)
-        # take the edge
-        if deg[u] < k and deg[v] < k:
-            deg[u] += 1
-            deg[v] += 1
-            cur.append(edges[i])
-            rec(i + 1)
-            cur.pop()
-            deg[u] -= 1
-            deg[v] -= 1
-        remaining[u] += 1
-        remaining[v] += 1
-
-    if g.n == 0:
-        return [frozenset()]
-    rec(0)
-    return out
+                out.append(frozenset(e for e, t in zip(edges, taken) if t))
+        else:
+            u, v = edges[i]
+            remaining[u] -= 1
+            remaining[v] -= 1
+            if deg[u] + remaining[u] >= k and deg[v] + remaining[v] >= k:
+                taken.append(False)
+                continue
+            if deg[u] < k and deg[v] < k:
+                deg[u] += 1
+                deg[v] += 1
+                taken.append(True)
+                continue
+            remaining[u] += 1
+            remaining[v] += 1
+        # back up to the last edge skipped that can still be taken
+        while taken:
+            u, v = edges[len(taken) - 1]
+            if taken.pop():
+                deg[u] -= 1
+                deg[v] -= 1
+            elif deg[u] < k and deg[v] < k:
+                deg[u] += 1
+                deg[v] += 1
+                taken.append(True)
+                break
+            remaining[u] += 1
+            remaining[v] += 1
+        else:
+            return out
 
 
 def subdivide_edges(
@@ -857,47 +819,21 @@ def subdivide_edges(
         path_map[(x, y)] = tuple(path)
         for i in range(len(path) - 1):
             edges.append((path[i], path[i + 1]))
-    new_g = Graph(nxt, edges)
-    new_ms = []
-    for m in matchings:
-        out = set()
-        for e in m:
-            if e in path_map:
-                path = path_map[e]
-                for i in range(0, len(path) - 1, 2):
-                    out.add(edge(path[i], path[i + 1]))
-            else:
-                out.add(e)
-        for e, path in path_map.items():
-            if e not in m:
-                for i in range(1, len(path) - 1, 2):
-                    out.add(edge(path[i], path[i + 1]))
-        new_ms.append(frozenset(out))
-    return new_g, new_ms, path_map
+    return Graph(nxt, edges), [_along_paths(m, path_map) for m in matchings], path_map
 
 
 def subdivide_for_kflip(inst: GadgetInstance, k: int) -> GadgetInstance:
     """Stretch every subdividable gadget edge to a path on k-3 edges so
     only k-cycles through single gadgets stay flippable; k = 4 is the
     identity.  Per-gadget perfect matching counts are unchanged."""
-    if k % 2 != 0:
-        raise KOddError(f"k must be even, got {k}")
-    if k < 4:
-        raise KTooSmallError(f"k must be >= 4, got {k}")
+    # subdivide_edges checks k before the instance is refused
+    new_g, (mi, mt), path_map = subdivide_edges(
+        inst.graph, inst.orange_edges, k, [inst.m_ini, inst.m_tar]
+    )
     if inst.subdivision:
         raise InvalidConfigurationError("instance is already subdivided")
     if k == 4:
         return inst
-    new_g, (mi, mt), path_map = subdivide_edges(
-        inst.graph, inst.orange_edges, k, [inst.m_ini, inst.m_tar]
-    )
-    new_orange = tuple(
-        sorted(
-            edge(path[i], path[i + 1])
-            for path in path_map.values()
-            for i in range(len(path) - 1)
-        )
-    )
     return GadgetInstance(
         graph=new_g,
         m_ini=mi,
@@ -906,7 +842,7 @@ def subdivide_for_kflip(inst: GadgetInstance, k: int) -> GadgetInstance:
         vertex_gadgets=inst.vertex_gadgets,
         edge_gadgets=inst.edge_gadgets,
         connector_pairs=inst.connector_pairs,
-        orange_edges=new_orange,
+        orange_edges=tuple(sorted(_path_edges(path_map))),
         k=k,
         subdivision=path_map,
     )

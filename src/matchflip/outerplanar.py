@@ -350,44 +350,61 @@ def is_outerplanar(g: Graph) -> bool:
 # cut-vertex splitting (public operation)
 
 
+def _kept_blocks(
+    blocks: list[set[int]], cuts: set[int], p1: dict[int, int], p2: dict[int, int]
+) -> list[tuple[int, set[int]]]:
+    """Each cut vertex, in order, with the one block it keeps.
+
+    Every perfect matching pairs a cut vertex into its unique odd side,
+    which is the branch through the block holding its matched edge; edges
+    into its other blocks can never be matched or flipped, so every cut
+    vertex of a component can be severed from them at once."""
+    blocks_of: dict[int, list[set[int]]] = {}
+    for blk in blocks:
+        for bv in blk:
+            blocks_of.setdefault(bv, []).append(blk)
+    out = []
+    for v in sorted(cuts):
+        keep = next((blk for blk in blocks_of[v] if p1[v] in blk), None)
+        if keep is None or p2[v] not in keep:
+            raise RuntimeError("internal: matched partners straddle blocks")
+        out.append((v, keep))
+    return out
+
+
 def split_at_cut_vertices(
     g: Graph, m_ini: frozenset[Edge], m_tar: frozenset[Edge]
 ) -> list[SubInstance]:
-    """Split at cut vertices, again and again, into 2-connected (or K2)
-    sub-instances with restricted matchings.  The smallest cut vertex
-    joins the first odd component left by its removal; the pieces of that
-    side come before those of the other components."""
+    """Split at cut vertices into 2-connected (or K2) sub-instances with
+    restricted matchings, listed by least vertex.  Each cut vertex of a
+    component keeps only the block holding its matched edge, as in
+    :func:`solve_outerplanar`; the components this leaves are split again
+    until none has a cut vertex."""
     for m in (m_ini, m_tar):
         if matching_status(g, m).kind != "perfect":
             raise NotPerfectError("matchings must be perfect")
     p_ini, p_tar = partner_map(m_ini), partner_map(m_tar)
-    out: list[SubInstance] = []
-
-    def restrict(vertices: list[int]) -> SubInstance:
-        sub, vmap = induced_subgraph(g, vertices)
-        idx = {v: i for i, v in enumerate(vmap)}
-
-        def local(partner: dict[int, int]) -> frozenset[Edge]:
-            return frozenset(
-                edge(i, idx[partner[v]]) for i, v in enumerate(vmap) if partner[v] in idx
-            )
-
-        return SubInstance(sub, local(p_ini), local(p_tar), vmap)
-
-    # connected vertex sets still to split, sorted, the next one on top
-    stack = connected_components(g)[::-1]
-    while stack:
-        comp = stack.pop()
-        cuts = biconnected_blocks(g.adj, comp)[1]
+    adj = {v: set(g.adj[v]) for v in range(g.n)}
+    pieces: list[list[int]] = []
+    work = connected_components(g)
+    while work:
+        comp = work.pop()
+        blocks, cuts = biconnected_blocks(adj, comp)
         if not cuts:
-            out.append(restrict(comp))
+            pieces.append(comp)
             continue
-        v = min(cuts)
-        side_comps = connected_components(g, [w for w in comp if w != v])
-        odd = [c for c in side_comps if len(c) % 2 == 1]
-        x = min(odd, key=lambda c: c[0])
-        stack.extend(c for c in reversed(side_comps) if c is not x)
-        stack.append(sorted(x + [v]))
+        for v, keep in _kept_blocks(blocks, cuts, p_ini, p_tar):
+            for t in adj[v] - keep:
+                adj[v].discard(t)
+                adj[t].discard(v)
+        work.extend(_components_from(adj, set(comp), set(comp)))
+    out = []
+    for piece in sorted(pieces):
+        sub, vmap = induced_subgraph(g, piece)
+        idx = {v: i for i, v in enumerate(vmap)}
+        # no cut vertex severs its matched edges, so partners share a piece
+        local = [frozenset(edge(i, idx[p[v]]) for i, v in enumerate(vmap)) for p in (p_ini, p_tar)]
+        out.append(SubInstance(sub, *local, vmap))
     return out
 
 
@@ -561,22 +578,7 @@ def solve_outerplanar(
                 continue
             blocks, cuts = biconnected_blocks(adj, comp)
             if cuts:
-                # every perfect matching pairs a cut vertex into its unique
-                # odd side, which is the branch through the block holding
-                # its matched edge; edges into other blocks can never be
-                # matched or flipped, so all cut vertices sever at once
-                blocks_of: dict[int, list[set[int]]] = {}
-                for blk in blocks:
-                    for bv in blk:
-                        blocks_of.setdefault(bv, []).append(blk)
-                for v in sorted(cuts):
-                    keep = None
-                    for blk in blocks_of[v]:
-                        if p1[v] in blk:
-                            keep = blk
-                            break
-                    if keep is None or p2[v] not in keep:
-                        raise RuntimeError("internal: matched partners straddle blocks")
+                for v, keep in _kept_blocks(blocks, cuts, p1, p2):
                     trace.steps.append(
                         SplitStep(v, tuple(sorted(w for w in adj[v] if w in keep)))
                     )

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +40,7 @@ from matchflip.hardness import (
 )
 from matchflip.oracle import enumerate_matchings, kflip, reachable, reconfiguration_components
 
-from helpers import C4, C4_PM1, C4_PM2, C6, K4
+from helpers import C4, C4_PM1, C4_PM2, C6, K4, cycle_graph
 
 
 def test_validate_ncl_and_vertex_semantics():
@@ -239,6 +243,28 @@ def test_k_factor_reachability_mirrors_matchings():
                 for j in range(len(factors)):
                     want = pcomp[pms.index(base[i])] == pcomp[pms.index(base[j])]
                     assert (fcomp[i] == fcomp[j]) == want
+
+
+def test_k_factors_deep_cycle():
+    # one edge decision per level, deeper than the interpreter's recursion
+    # limit; a cycle's only 2-factor is the cycle itself
+    g = cycle_graph(3000)
+    assert enumerate_k_factors(g, 2) == [g.edges]
+
+
+def test_gadget_tables_are_built_on_first_use():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = (
+        "import matchflip.cli, matchflip.hardness as h; "
+        "print(h._class_table.cache_info().currsize)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 def test_subdivide_identity_and_rejections():

@@ -268,6 +268,23 @@ def test_cli_budget_env_var(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_cli_budget_zero_is_a_budget(tmp_path, capsys, monkeypatch):
+    # --budget 0 is an explicit budget, not "unset": it beats the variable
+    path = _write(tmp_path, "c4.json", {
+        "n": 4,
+        "edges": [[0, 1], [1, 2], [2, 3], [3, 0]],
+        "m_ini": [[0, 1], [2, 3]],
+        "m_tar": [[1, 2], [3, 0]],
+    })
+    assert main(["stats", path]) == 0
+    assert main(["stats", path, "--budget", "0"]) == 3
+    monkeypatch.setenv("MATCHFLIP_BUDGET", "1000")
+    assert main(["stats", path, "--budget", "0"]) == 3
+    monkeypatch.setenv("MATCHFLIP_BUDGET", "0")
+    assert main(["stats", path, "--budget", "1000"]) == 0
+    capsys.readouterr()
+
+
 def test_cli_boundary_hint_verified(tmp_path, capsys):
     inst = {
         "n": 4,
