@@ -23,7 +23,18 @@ both fail, every size-k matching covers B entirely, B is matched into A,
 and reachability reduces to the matchings induced on A, with A-side
 moves lifted back by turning blocked slides into flips and repairing the
 A-B assignment with at most 2|B| extra moves.  The solver and
-``reachability_class`` walk one cotree per call with explicit stacks.
+``reachability_class`` walk one cotree per call with explicit stacks,
+handing each piece's vertex and edge sets down and cutting them in place,
+so only a join's smaller side and a union's smaller parts are listed.
+
+Within one transformation the two matchings share the neighbour map of
+their symmetric difference, and each move updates it in O(1).  A choice
+reads the map only near the vertices the last move touched: a path
+retraction or a forbidden-pattern fix costs O(log d) heap work per move
+(d the size of the difference), a check for cycles inside A walks the
+components through the touched vertices, and the cycles routed through
+a free B-vertex are listed once.  Only pushing the input's B-edges out,
+at the start, still scans that matching once per push.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import partial, reduce
+from heapq import heapify, heappop, heappush
 from itertools import repeat
 from typing import Optional, Sequence
 
@@ -51,13 +63,11 @@ from .graph import (
     Slide,
     _meet,
     canonical_flip,
-    connected_components,
     edge,
     graph_from_adjacency,
     induced_subgraph,
     matching_status,
     partner_map,
-    symmetric_difference_components,
 )
 
 _CLAIM_CAP_FACTOR = 10
@@ -266,13 +276,28 @@ def check_conditions(g: Graph, part: RootPartition, k: int) -> Conditions:
 
 
 class _Side:
-    """A mutable matching that records the moves applied to it."""
+    """A mutable matching that records the moves applied to it.  Two sides
+    made by :func:`_sides` share ``diff``, the neighbour map of their
+    symmetric difference, which each move updates in place."""
 
     def __init__(self, g: Graph, start):
         self.g = g
         self.m: set[Edge] = set(edge(*e) for e in start)
         self.partner = partner_map(self.m)
         self.moves: list[Move] = []
+        self.diff: Optional[dict[int, set[int]]] = None
+
+    def _drop(self, e: Edge) -> None:
+        self.m.discard(e)
+        del self.partner[e[0]], self.partner[e[1]]
+        if self.diff is not None:
+            _toggle(self.diff, e)
+
+    def _add(self, e: Edge) -> None:
+        self.m.add(e)
+        self.partner[e[0]], self.partner[e[1]] = e[1], e[0]
+        if self.diff is not None:
+            _toggle(self.diff, e)
 
     def flip(self, cycle: Sequence[int]) -> None:
         mv = canonical_flip(tuple(cycle))
@@ -281,12 +306,10 @@ class _Side:
         if len(inside) != len(cyc) // 2 or any(e[1] not in self.g.adj[e[0]] for e in cyc):
             raise RuntimeError(f"internal: flip {cycle} not alternating in the graph")
         for e in inside:
-            self.m.discard(e)
-            del self.partner[e[0]], self.partner[e[1]]
+            self._drop(e)
         for e in cyc:
             if e not in inside:
-                self.m.add(e)
-                self.partner[e[0]], self.partner[e[1]] = e[1], e[0]
+                self._add(e)
         self.moves.append(mv)
 
     def slide(self, removed: Edge, added: Edge) -> None:
@@ -295,11 +318,27 @@ class _Side:
         far = add[0] if add[1] == mv.pivot else add[1]
         if rem not in self.m or far in self.partner or add[1] not in self.g.adj[add[0]]:
             raise RuntimeError(f"internal: bad slide {rem} -> {add}")
-        self.m.discard(rem)
-        del self.partner[rem[0]], self.partner[rem[1]]
-        self.m.add(add)
-        self.partner[add[0]], self.partner[add[1]] = add[1], add[0]
+        self._drop(rem)
+        self._add(add)
         self.moves.append(mv)
+
+
+def _toggle(nbr: dict[int, set[int]], e: Edge) -> None:
+    """An edge entering or leaving one side leaves or enters the difference."""
+    for x, y in (e, e[::-1]):
+        ws = nbr.setdefault(x, set())
+        ws ^= {y}
+        if not ws:
+            del nbr[x]
+
+
+def _sides(g: Graph, m1, m2) -> tuple[_Side, _Side]:
+    """Two sides sharing the neighbour map of their symmetric difference."""
+    s1, s2 = _Side(g, m1), _Side(g, m2)
+    s1.diff = s2.diff = {}
+    for e in s1.m ^ s2.m:
+        _toggle(s1.diff, e)
+    return s1, s2
 
 
 def _pair(m1, m2) -> tuple[frozenset[Edge], frozenset[Edge]]:
@@ -309,10 +348,32 @@ def _pair(m1, m2) -> tuple[frozenset[Edge], frozenset[Edge]]:
     return m1, m2
 
 
-def _cycles(s1: _Side, s2: _Side) -> list[tuple[int, ...]]:
-    """The even cycles of the two sides' difference, as vertex tuples."""
-    comps = symmetric_difference_components(frozenset(s1.m), frozenset(s2.m))
-    return [c.vertices for c in comps if c.kind == "even_cycle"]
+def _step(nbr: dict[int, set[int]], frm: int, hop: int) -> Optional[int]:
+    """The difference neighbour of ``hop`` other than ``frm``, if any."""
+    return next((t for t in nbr.get(hop, ()) if t != frm), None)
+
+
+def _cycles_through(nbr: dict[int, set[int]], vertices) -> list[tuple[int, ...]]:
+    """The difference cycles through ``vertices``, each once, by least
+    vertex.  A cycle is listed from its least vertex toward that vertex's
+    lesser neighbour, the order of ``symmetric_difference_components``."""
+    out, seen = [], set()
+    for v in vertices:
+        if v not in nbr or v in seen:
+            continue
+        walk = [v]
+        for start in sorted(nbr[v]):  # a path is walked both ways from v
+            prev, cur = v, start
+            while cur is not None and cur != v:
+                walk.append(cur)
+                prev, cur = cur, _step(nbr, prev, cur)
+            if cur == v:
+                i = walk.index(min(walk))
+                cyc = walk[i:] + walk[:i]
+                out.append(tuple(cyc if cyc[1] < cyc[-1] else cyc[:1] + cyc[:0:-1]))
+                break
+        seen.update(walk)
+    return sorted(out)
 
 
 def _glue(fwd: _Side, bwd: _Side) -> list[Move]:
@@ -330,35 +391,42 @@ def transform_cycle_free(g: Graph, m1, m2) -> ReconfigSequence:
     """Flip+slide sequence of length <= 2|M1 (triangle) M2| when the
     difference is acyclic.  Paths retract from their endpoints; leftover
     lone-edge pairs travel via an adjacent edge or a distance-2 midpoint."""
-    m1, m2 = _pair(m1, m2)
-    if any(c.kind == "even_cycle" for c in symmetric_difference_components(m1, m2)):
+    s1, s2 = _sides(g, *_pair(m1, m2))
+    if _cycles_through(s1.diff, s1.diff):
         raise CycleInDifferenceError("difference contains a cycle")
-    s1, s2 = _Side(g, m1), _Side(g, m2)
     _make_equal_cycle_free(g, s1, s2)
     return ReconfigSequence(MODE_FLIP_SLIDE, tuple(_glue(s1, s2)))
 
 
 def _make_equal_cycle_free(g: Graph, s1: _Side, s2: _Side) -> None:
-    comp_id = {v: i for i, comp in enumerate(connected_components(g)) for v in comp}
-    while s1.m != s2.m:
-        comps = symmetric_difference_components(frozenset(s1.m), frozenset(s2.m))
-        paths = [c for c in comps if c.kind == "alternating_path"]
-        if paths:
-            vs = paths[0].vertices
-            first = edge(vs[0], vs[1])
-            second = edge(vs[1], vs[2])
-            # the path's end vertex is unmatched on the side missing its
-            # end edge, so that side absorbs it with one slide
-            if first in s1.m:
-                s2.slide(second, first)
-            else:
-                s1.slide(second, first)
-            continue
-        singles = [c for c in comps if c.kind == "single_edge"]
-        e1 = next(edge(*c.vertices) for c in singles if edge(*c.vertices) in s1.m)
-        e2 = next(edge(*c.vertices) for c in singles
-                  if edge(*c.vertices) in s2.m and comp_id[c.vertices[0]] == comp_id[e1[0]])
-        _resolve_single_pair(g, s1, e1, e2)
+    """Equalise two sides whose shared difference has no cycle: retract the
+    path with the least end from that end while paths are left, then pair
+    each side's least lone edge in a graph component."""
+    nbr = s1.diff
+    # Retraction drops the two edges at a path's end, so the only new path
+    # end is the vertex two steps in; stale heap entries are skipped.
+    ends = [v for v, ws in nbr.items() if len(ws) == 1]
+    heapify(ends)
+    while ends:
+        v = heappop(ends)
+        if len(nbr.get(v, ())) != 1 or len(nbr[u := min(nbr[v])]) != 2:
+            continue  # gone, or a lone edge
+        w = _step(nbr, v, u)
+        first, second = edge(v, u), edge(u, w)
+        # the path's end vertex is unmatched on the side missing its end
+        # edge, so that side absorbs it with one slide
+        (s2 if first in s1.m else s1).slide(second, first)
+        heappush(ends, w)
+    # only lone edges are left, and resolving a pair removes just those two
+    lone = sorted({edge(u, w) for u, ws in nbr.items() for w in ws})
+    lone1 = [f for f in lone if f in s1.m]
+    lone2 = [f for f in lone if f not in s1.m]
+    if lone1:
+        comps = _split(g.adj, set(range(g.n)), False)
+        comp_id = {v: i for i, comp in enumerate(comps) for v in comp}
+    for e1 in lone1:
+        i = next(i for i, f in enumerate(lone2) if comp_id[f[0]] == comp_id[e1[0]])
+        _resolve_single_pair(g, s1, e1, lone2.pop(i))
 
 
 def _resolve_single_pair(g: Graph, s1: _Side, e1: Edge, e2: Edge) -> None:
@@ -415,25 +483,48 @@ def _enforce_claim_assumptions(part: RootPartition, e: Edge, sm: _Side, si: _Sid
     """Local fixes until the difference with the anchor has no B-edge on
     the non-anchor side, no cycle inside A, and none of the three short
     forbidden patterns.  Each fix is the constructive step from the
-    anchored-transformation argument; the loop is capped defensively."""
-    for _ in range(_CLAIM_CAP_FACTOR * (len(sm.m ^ si.m) + 2) + 20):
-        diff = sm.m ^ si.m
+    anchored-transformation argument; the loop is capped defensively.
+
+    Each fix applies at the least site where its pattern matches.  It
+    reads the shared difference only near that site, so a move can change
+    the matches only near the vertices it touched.  Each fix keeps a heap
+    holding every site where it matches (stale ones are dropped at the
+    top) and the vertices moved since it last topped that heap up."""
+    cap = _CLAIM_CAP_FACTOR * (len(sm.m ^ si.m) + 2) + 20
+    while _push_b_edge_out(part, si):  # no later fix gives si a B-edge
+        cap -= 1
+    # per fix: its heap of sites and the vertices moved since its last
+    # top-up (at first all of them)
+    state = [([], set(sm.diff)) for _ in range(3)]
+    for _ in range(cap):
+        done = len(sm.moves), len(si.moves)
         if not (
-            _push_b_edge_out(part, si)
-            or _fix_a_cycle(part, e, sm, si)
-            or _fix_short_pattern(part, sm, si, diff)
-            or _fix_w_pattern(part, e, sm, si, diff)
+            _fix_a_cycle(part, e, sm, *state[0])
+            or _fix_short_pattern(part, sm, si, *state[1])
+            or _fix_w_pattern(part, e, sm, *state[2])
         ):
             return
+        touched = {v for mv in sm.moves[done[0]:] + si.moves[done[1]:]
+                   for v in (mv.cycle if isinstance(mv, Flip) else mv.removed + mv.added)}
+        for _, moved in state:
+            moved |= touched
     raise RuntimeError("internal: assumption enforcement did not converge")
 
 
-def _diff_neighbors(diff: frozenset[Edge]) -> dict[int, list[int]]:
-    nbr: dict[int, list[int]] = {}
-    for u, v in diff:
-        nbr.setdefault(u, []).append(v)
-        nbr.setdefault(v, []).append(u)
-    return nbr
+def _top_up(heap: list, sites, moved: set[int]) -> None:
+    """Push the ``sites`` gathered around ``moved`` and start ``moved`` afresh."""
+    for site in sites:
+        heappush(heap, site)
+    moved.clear()
+
+
+def _near(nbr: dict[int, set[int]], touched: set[int], hops: int) -> set[Edge]:
+    """Difference edges with an end at most ``hops`` steps from ``touched``."""
+    ball = frontier = touched & nbr.keys()
+    for _ in range(hops):
+        frontier = {w for v in frontier for w in nbr[v]} - ball
+        ball = ball | frontier
+    return {edge(v, w) for v in ball for w in nbr[v]}
 
 
 def _push_b_edge_out(part: RootPartition, s: _Side, keep: Optional[Edge] = None) -> bool:
@@ -456,36 +547,41 @@ def _push_b_edge_out(part: RootPartition, s: _Side, keep: Optional[Edge] = None)
     return True
 
 
-def _fix_a_cycle(part, e, sm: _Side, si: _Side) -> bool:
+def _fix_a_cycle(part, e, sm: _Side, heap: list[int], moved: set[int]) -> bool:
+    """Unwind the least difference cycle inside A (sites: least vertices)."""
+    nbr = sm.diff
+    cycles = _cycles_through(nbr, part.a & moved)
+    _top_up(heap, (c[0] for c in cycles if part.a.issuperset(c)), moved)
+    while heap:
+        cycles = _cycles_through(nbr, heap[:1])
+        if cycles and cycles[0][0] == heap[0] and part.a.issuperset(cycles[0]):
+            break
+        heappop(heap)
+    else:
+        return False
     xe, ye = e
-    for cyc in _cycles(sm, si):
-        if not part.a.issuperset(cyc):
-            continue
-        cyc = list(cyc)
-        if edge(cyc[-1], cyc[0]) not in sm.m:
-            cyc = cyc[1:] + cyc[:1]
-        if edge(cyc[-1], cyc[0]) not in sm.m:
-            raise RuntimeError("internal: cycle does not alternate")
-        # rotate the anchor's B-edge around the cycle, restoring it at the end
-        sm.flip((xe, ye, cyc[-1], cyc[0]))
-        for i in range(1, len(cyc) // 2):
-            sm.flip((xe, cyc[2 * i - 2], cyc[2 * i - 1], cyc[2 * i]))
-        sm.flip((xe, cyc[-2], cyc[-1], ye))
-        return True
-    return False
+    cyc = list(cycles[0])
+    if edge(cyc[-1], cyc[0]) not in sm.m:
+        cyc = cyc[1:] + cyc[:1]
+    if edge(cyc[-1], cyc[0]) not in sm.m:
+        raise RuntimeError("internal: cycle does not alternate")
+    # rotate the anchor's B-edge around the cycle, restoring it at the end
+    sm.flip((xe, ye, cyc[-1], cyc[0]))
+    for i in range(1, len(cyc) // 2):
+        sm.flip((xe, cyc[2 * i - 2], cyc[2 * i - 1], cyc[2 * i]))
+    sm.flip((xe, cyc[-2], cyc[-1], ye))
+    return True
 
 
-def _step(nbr: dict[int, list[int]], frm: int, hop: int) -> Optional[int]:
-    """The difference neighbour of ``hop`` other than ``frm``, if any."""
-    return next((t for t in nbr.get(hop, []) if t != frm), None)
-
-
-def _fix_short_pattern(part, sm: _Side, si: _Side, diff) -> bool:
+def _fix_short_pattern(part, sm: _Side, si: _Side, heap: list[Edge], moved: set[int]) -> bool:
     """Patterns (3) and (4): three consecutive difference edges that a
-    single flip across the join collapses."""
-    nbr = _diff_neighbors(diff)
-    for v, w in sorted(diff):
-        for vv, ww in ((v, w), (w, v)):
+    single flip across the join collapses (sites: middle edges)."""
+    nbr = sm.diff
+    _top_up(heap, _near(nbr, moved, 0), moved)
+    while heap:
+        v, w = heap[0]
+        # a site whose edge left the difference matches nothing
+        for vv, ww in ((v, w), (w, v)) if w in nbr.get(v, ()) else ():
             u, x = _step(nbr, ww, vv), _step(nbr, vv, ww)
             if u is None or x is None or u == x:
                 continue
@@ -496,15 +592,20 @@ def _fix_short_pattern(part, sm: _Side, si: _Side, diff) -> bool:
             if (pat3 or pat4) and edge(ww, x) in owner.m:
                 owner.flip((u, vv, ww, x))
                 return True
+        heappop(heap)
     return False
 
 
-def _fix_w_pattern(part, e, sm: _Side, si: _Side, diff) -> bool:
-    """Pattern (5): a B-A-A-B-A-A run with the anchor's edges 1, 3 and 5."""
+def _fix_w_pattern(part, e, sm: _Side, heap: list[Edge], moved: set[int]) -> bool:
+    """Pattern (5): a B-A-A-B-A-A run with the anchor's edges 1, 3 and 5
+    (sites: first edges; a run reads the map four steps past it)."""
     xe, ye = e
-    nbr = _diff_neighbors(diff)
-    for u, v in sorted(diff):
-        for walk in ([u, v], [v, u]):
+    nbr = sm.diff
+    _top_up(heap, _near(nbr, moved, 4), moved)
+    while heap:
+        u, v = heap[0]
+        # a site whose edge left the difference matches nothing
+        for walk in ([u, v], [v, u]) if v in nbr.get(u, ()) else ():
             while len(walk) < 6 and (t := _step(nbr, walk[-2], walk[-1])) is not None:
                 walk.append(t)
             if len(walk) < 6:
@@ -522,15 +623,16 @@ def _fix_w_pattern(part, e, sm: _Side, si: _Side, diff) -> bool:
             sm.flip((ye, z, uu, vv))
             sm.flip((xe, w, vv, ye))
             return True
+        heappop(heap)
     return False
 
 
 def _route_to_b_edge_anchor(
     g: Graph, part: RootPartition, e: Edge, anchor: frozenset[Edge], m: frozenset[Edge]
 ) -> list[Move]:
-    sm, si = _Side(g, anchor), _Side(g, m)
+    sm, si = _sides(g, anchor, m)
     _enforce_claim_assumptions(part, e, sm, si)
-    cycles = _cycles(sm, si)
+    cycles = _cycles_through(sm.diff, sm.diff)
     if cycles:
         if len(cycles) != 1 or len(cycles[0]) != 4 or not set(e) <= set(cycles[0]):
             raise RuntimeError("internal: unexpected cycle structure after fixes")
@@ -579,10 +681,11 @@ def _via_free_b_vertex(g: Graph, part: RootPartition, m1, m2) -> ReconfigSequenc
 def _route_via_free_vertex(
     g: Graph, part: RootPartition, v: int, anchor: frozenset[Edge], m: frozenset[Edge]
 ) -> list[Move]:
-    sm, si = _Side(g, anchor), _Side(g, m)
-    while cycles := _cycles(sm, si):
+    sm, si = _sides(g, anchor, m)
+    # unwinding one cycle leaves the others as they are
+    for cycle in _cycles_through(sm.diff, sm.diff):
         # start at an A-vertex whose next edge is the anchor side's
-        for cyc in (cycles[0], cycles[0][::-1]):
+        for cyc in (cycle, cycle[::-1]):
             starts = [
                 i for i, x in enumerate(cyc)
                 if x in part.a and edge(x, cyc[(i + 1) % len(cyc)]) in sm.m
@@ -611,8 +714,30 @@ class CographResult:
     sequence: Optional[ReconfigSequence]
 
 
-def _restrict(m: frozenset[Edge], vertices) -> frozenset[Edge]:
-    return frozenset(e for e in m if e[0] in vertices and e[1] in vertices)
+def _take(m: set[Edge], partner: dict[int, int], vertices) -> set[Edge]:
+    """Remove from ``m`` and return its edges at ``vertices``, found through
+    ``partner``, the partner map of a matching that contains ``m``."""
+    out = {f for v in vertices if v in partner and (f := edge(v, partner[v])) in m}
+    m -= out
+    return out
+
+
+def _union_pieces(node: CotreeNode, vs: set[int], ms, partners) -> list[tuple]:
+    """``(part, vertices, *matchings)`` for each part of a union, left to
+    right.  The largest part keeps the piece's own sets, from which every
+    other part's vertices and edges are taken, so each vertex is listed
+    only in parts at most half its piece's size."""
+    parts = node.parts()
+    big = max(parts, key=lambda t: t.size)
+    out = []
+    for t in parts:
+        if t is big:
+            out.append((t, vs, *ms))
+            continue
+        leaves = set(t.leaves())
+        vs -= leaves
+        out.append((t, leaves, *(_take(m, p, leaves) for m, p in zip(ms, partners))))
+    return out
 
 
 def _map_moves(moves, vmap: tuple[int, ...]) -> list[Move]:
@@ -623,12 +748,12 @@ def _map_moves(moves, vmap: tuple[int, ...]) -> list[Move]:
     ]
 
 
-def _anchored(g: Graph, node: CotreeNode, c1: bool, m1, m2) -> list[Move]:
-    """The anchored transformation on the piece under ``node``, relabeled."""
-    a, b = (t.leaves() for t in node.sides())
-    sub, vmap = induced_subgraph(g, a | b)
+def _anchored(g: Graph, vs: set[int], b: frozenset[int], c1: bool, m1, m2) -> list[Move]:
+    """The anchored transformation on the piece ``vs`` with smaller side
+    ``b``, relabeled."""
+    sub, vmap = induced_subgraph(g, vs)
     idx = {v: i for i, v in enumerate(vmap)}
-    part = RootPartition(frozenset(idx[v] for v in a), frozenset(idx[v] for v in b))
+    part = RootPartition(frozenset(idx[v] for v in vs - b), frozenset(idx[v] for v in b))
     l1, l2 = (frozenset(edge(idx[u], idx[v]) for (u, v) in m) for m in (m1, m2))
     seq = (transform_with_B_edge if c1 else _via_free_b_vertex)(sub, part, l1, l2)
     return _map_moves(seq.moves, vmap)
@@ -637,39 +762,42 @@ def _anchored(g: Graph, node: CotreeNode, c1: bool, m1, m2) -> list[Move]:
 def _solve_tree(g: Graph, tree: CotreeNode, m1: frozenset[Edge], m2: frozenset[Edge]):
     """Moves from m1 to m2 (None on NO) over the cotree, depth first: a
     union solves its components in order, a join where C1 or C2 holds is
-    anchored, any other join solves side A, then lifts ``out[start:]``."""
+    anchored, any other join solves side A, then lifts ``out[start:]``.
+    A piece's vertices and matchings are sets handed down and cut in
+    place; only a join's smaller side and a union's smaller parts are
+    listed."""
+    partners = partner_map(m1), partner_map(m2)
     out: list[Move] = []
-    todo: list = [(tree, m1, m2)]
+    todo: list = [(tree, set(range(g.n)), set(m1), set(m2))]
     while todo:
         item = todo.pop()
-        if len(item) == 4:  # a pending lift
-            part, m1, m2, start = item
-            out[start:] = _lift_from_a(g, part, m1, m2, out[start:])
+        if isinstance(item[0], frozenset):  # a pending lift
+            b, m1, m2, start = item
+            out[start:] = _lift_from_a(g, b, m1, m2, out[start:])
             continue
-        node, m1, m2 = item
+        node, vs, m1, m2 = item
         if len(m1) != len(m2):
             return None
         if node.kind == "union":
-            for t in reversed(node.parts()):
-                vs = t.leaves()
-                todo.append((t, _restrict(m1, vs), _restrict(m2, vs)))
+            todo += reversed(_union_pieces(node, vs, (m1, m2), partners))
             continue
         if node.kind == "leaf" or not m1:
-            if m1 != m2:
-                return None
-            continue
+            continue  # no edges on either side
         cond = _node_conditions(node, len(m1))
+        a, small = node.sides()
+        b = small.leaves()
         if cond.c1 or cond.c2:
-            out += _anchored(g, node, cond.c1, m1, m2)
+            out += _anchored(g, vs, b, cond.c1, m1, m2)
             continue
-        a, b = node.sides()
-        part = RootPartition(a.leaves(), b.leaves())
-        todo.append((part, m1, m2, len(out)))
-        todo.append((a, _restrict(m1, part.a), _restrict(m2, part.a)))
+        todo.append((b, frozenset(m1), frozenset(m2), len(out)))
+        vs -= b
+        for m, p in zip((m1, m2), partners):
+            _take(m, p, b)
+        todo.append((a, vs, m1, m2))
     return out
 
 
-def _lift_from_a(g: Graph, part: RootPartition, m1, m2, a_moves) -> list[Move]:
+def _lift_from_a(g: Graph, b: frozenset[int], m1, m2, a_moves) -> list[Move]:
     """Replay A-side moves on the full graph (blocked slides become flips
     with the B-partner), then align which A-vertices serve B and repair
     the A-B assignment by transposition flips."""
@@ -687,14 +815,15 @@ def _lift_from_a(g: Graph, part: RootPartition, m1, m2, a_moves) -> list[Move]:
             other = mv.removed[0] if mv.removed[1] == piv else mv.removed[1]
             s.flip((other, piv, far, x))
     tar = partner_map(m2)
-    cur_a = {a for a in part.a if a in s.partner and s.partner[a] in part.b}
-    tar_a = {a for a in part.a if a in tar and tar[a] in part.b}
+    # the A-vertices matched into B, read from B's side
+    cur_a = {s.partner[v] for v in b if v in s.partner and s.partner[v] not in b}
+    tar_a = {tar[v] for v in b if v in tar and tar[v] not in b}
     for a in sorted(cur_a - tar_a):
         a2 = min(tar_a - cur_a)
         bpart = s.partner[a]
         s.slide(edge(a, bpart), edge(bpart, a2))
         cur_a ^= {a, a2}
-    for bvert in sorted(part.b):
+    for bvert in sorted(b):
         want = tar.get(bvert)
         have = s.partner.get(bvert)
         if want is None or have is None:
@@ -728,21 +857,25 @@ def reachability_class(g: Graph, m) -> tuple:
     union of c component classes, ``"l", k`` a size-k join whose class
     is that of side A, and ``"k", k`` ends a size-k piece."""
     m = frozenset(edge(*x) for x in m)
+    partners = (partner_map(m),)
     out: list = [] if g.n else ["k", 0]
-    todo = [(build_cotree(g), m)] if g.n else []
+    todo = [(build_cotree(g), set(range(g.n)), set(m))] if g.n else []
     while todo:
-        node, mm = todo.pop()
+        node, vs, mm = todo.pop()
         k = len(mm)
         if node.kind == "union":
-            parts = node.parts()
-            out += ("u", len(parts))
-            todo += ((t, _restrict(mm, t.leaves())) for t in reversed(parts))
+            pieces = _union_pieces(node, vs, (mm,), partners)
+            out += ("u", len(pieces))
+            todo += reversed(pieces)
             continue
         cond = _node_conditions(node, k) if node.kind == "join" and k else None
         if cond is None or cond.c1 or cond.c2:
             out += ("k", k)
         else:
-            a = node.sides()[0]
+            a, small = node.sides()
             out += ("l", k)
-            todo.append((a, _restrict(mm, a.leaves())))
+            b = small.leaves()
+            vs -= b
+            _take(mm, partners[0], b)
+            todo.append((a, vs, mm))
     return tuple(out)

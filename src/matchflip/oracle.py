@@ -358,8 +358,8 @@ def reachable(
 
     Returns a shortest sequence when ``want_path``; raises
     :class:`SizeMismatchError` on unequal sizes and
-    :class:`BudgetExceededError` when the explored state space exceeds
-    ``budget``.
+    :class:`BudgetExceededError` when the search would hold more than
+    ``budget`` matchings, the start and the goal included.
     """
     for m in (m1, m2):
         st = matching_status(g, m)
@@ -370,6 +370,8 @@ def reachable(
     space = MaskSpace(g)
     start, goal = space.to_mask(m1), space.to_mask(m2)
     parent = {start: start}
+    if len(parent) > budget:
+        raise BudgetExceededError("reachability state space exceeds budget")
     q = deque([start])
     while q and goal not in parent:
         cur = q.popleft()
@@ -377,11 +379,11 @@ def reachable(
             if nb in parent:
                 continue
             parent[nb] = cur
+            if len(parent) > budget:
+                raise BudgetExceededError("reachability state space exceeds budget")
             if nb == goal:
                 break
             q.append(nb)
-            if len(parent) > budget:
-                raise BudgetExceededError("reachability state space exceeds budget")
     if goal not in parent:
         return ReachResult(False)
     path = [goal]

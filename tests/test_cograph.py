@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -11,6 +12,7 @@ from matchflip.cograph import (
     Conditions,
     RootPartition,
     _node_conditions,
+    _sides,
     build_cotree,
     check_conditions,
     is_cograph,
@@ -26,9 +28,16 @@ from matchflip.errors import (
     CycleInDifferenceError,
     NotACographError,
 )
-from matchflip.generators import random_cotree_graph, random_matching_pair
-from matchflip.graph import Graph, Slide, edge_set, induced_subgraph, verify_sequence
-from matchflip.io import instance_to_dict, load_sequence
+from matchflip.generators import random_cograph_instance, random_cotree_graph, random_matching_pair
+from matchflip.graph import (
+    Graph,
+    Slide,
+    edge_set,
+    induced_subgraph,
+    symmetric_difference_components,
+    verify_sequence,
+)
+from matchflip.io import instance_to_dict, load_instance, load_sequence, sequence_to_dict
 from matchflip.oracle import FLIP_SLIDE, enumerate_matchings, reachable, reconfiguration_components
 from hypothesis import given, settings, strategies as st
 
@@ -154,8 +163,6 @@ def test_transform_cycle_free_random():
             continue
         k = rng.choice(sizes)
         a, b = rng.choice(ms[k]), rng.choice(ms[k])
-        from matchflip.graph import symmetric_difference_components
-
         if any(c.kind == "even_cycle" for c in symmetric_difference_components(a, b)):
             continue
         seq = transform_cycle_free(g, a, b)
@@ -414,3 +421,86 @@ def test_deep_threshold_cograph(tmp_path, capsys):
     assert main(["solve", "--class", "auto", str(ipath), "--emit-sequence", str(spath)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "YES"
     assert verify_sequence(g, pm, load_sequence(str(spath)), pm).ok
+
+
+def test_solver_output_pinned():
+    # The emitted sequences, hashed.  The cases run C1 anchors with every
+    # claim fix (cycles inside A in 30/65 and 60/20, W-patterns in 20/47
+    # and 120/2), a C2 anchor with a lift (40/1) and lone-edge pairs on a
+    # threshold graph; any change to a choice rule changes the hash.
+    cases = []
+    for n, seed in ((20, 47), (30, 65), (40, 1), (60, 20), (120, 2)):
+        inst = load_instance(random_cograph_instance(n, seed))
+        cases.append((inst.graph, inst.m_ini, inst.m_tar))
+    n = 80
+    g = Graph(n, [(u, v) for v in range(1, n, 2) for u in range(v)])
+    cases.append((g, edge_set((v - 1, v) for v in range(3, n, 4)),
+                  edge_set((v - 3, v) for v in range(3, n, 4))))
+    h = hashlib.sha256()
+    for g, a, b in cases:
+        seq = solve_cograph(g, a, b).sequence
+        h.update(json.dumps(sequence_to_dict(seq), sort_keys=True).encode())
+    assert h.hexdigest() == "5c5efa9bc067b377a3031a0a23e6f5d135e1f6f44a507b0932ca449f208dee62"
+
+
+def _random_move(g: Graph, side, rng: random.Random) -> bool:
+    """Apply a random valid slide or 4-cycle flip to ``side``, if any."""
+    moves = []
+    for x, y in sorted(side.m):
+        for piv, other in ((x, y), (y, x)):
+            moves += [("slide", (x, y), (piv, w)) for w in sorted(g.adj[piv])
+                      if w != other and w not in side.partner]
+        for c, d in sorted(side.m):
+            if (x, y) < (c, d):
+                if c in g.adj[x] and d in g.adj[y]:
+                    moves.append(("flip", (x, y, d, c)))
+                if d in g.adj[x] and c in g.adj[y]:
+                    moves.append(("flip", (x, y, c, d)))
+    if not moves:
+        return False
+    kind, *args = rng.choice(moves)
+    getattr(side, kind)(*args)
+    return True
+
+
+def test_shared_difference_map_follows_moves():
+    # random flip and slide streams on both sides of a pair: after every
+    # move the neighbour map the sides keep must be the one read off the
+    # difference's components
+    def components(s1, s2):
+        comps = symmetric_difference_components(frozenset(s1.m), frozenset(s2.m))
+        nbr: dict[int, set[int]] = {}
+        for c in comps:
+            vs = c.vertices
+            pairs = zip(vs, vs[1:] + vs[:1]) if c.kind == "even_cycle" else zip(vs, vs[1:])
+            for u, w in pairs:
+                nbr.setdefault(u, set()).add(w)
+                nbr.setdefault(w, set()).add(u)
+        paths = [frozenset(c.vertices) for c in comps if c.kind != "even_cycle"]
+        cycles = {frozenset(c.vertices) for c in comps if c.kind == "even_cycle"}
+        return nbr, paths, cycles
+
+    def spans(parts, others):
+        # whether some part meets two of the others
+        return any(sum(1 for o in others if p & o) > 1 for p in parts)
+
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(40):
+        g = random_cotree_graph(rng.randint(4, 12), rng)
+        sides = _sides(g, *random_matching_pair(g, rng))
+        _, paths, cycles = components(*sides)
+        assert sides[0].diff is sides[1].diff
+        for _ in range(30):
+            if not _random_move(g, rng.choice(sides), rng):
+                continue
+            nbr, new_paths, new_cycles = components(*sides)
+            assert sides[0].diff == nbr
+            seen.update(name for name, hit in (
+                ("merge", spans(new_paths, paths)),
+                ("split", spans(paths, new_paths)),
+                ("cycle made", new_cycles - cycles),
+                ("cycle undone", cycles - new_cycles),
+            ) if hit)
+            paths, cycles = new_paths, new_cycles
+    assert seen == {"merge", "split", "cycle made", "cycle undone"}

@@ -278,6 +278,11 @@ def test_cli_budget_zero_is_a_budget(tmp_path, capsys, monkeypatch):
     })
     assert main(["stats", path]) == 0
     assert main(["stats", path, "--budget", "0"]) == 3
+    # the oracle counts the start and the goal against its budget too
+    assert main(["oracle", path, "--budget", "0"]) == 3
+    capsys.readouterr()
+    assert main(["oracle", path, "--budget", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "YES"
     monkeypatch.setenv("MATCHFLIP_BUDGET", "1000")
     assert main(["stats", path, "--budget", "0"]) == 3
     monkeypatch.setenv("MATCHFLIP_BUDGET", "0")

@@ -160,6 +160,10 @@ def test_budget_exceeded_reachability():
     # force an unreachable pair so BFS must exhaust the (capped) space
     with pytest.raises(BudgetExceededError):
         reachable(C6_CHORD, C6_PM1, C6_PM2, FLIP_SLIDE, budget=1)
+    # the start alone is one state held
+    with pytest.raises(BudgetExceededError):
+        reachable(C4, C4_PM1, C4_PM1, budget=0)
+    assert reachable(C4, C4_PM1, C4_PM1, budget=1).distance == 0
 
 
 def test_budget_exceeded_stats():
