@@ -3,12 +3,15 @@
 Everything downstream (solvers, oracle, generators) works on the types in
 this module.  Vertices are dense integers ``0..n-1``; an edge is an ordered
 pair ``(u, v)`` with ``u < v``; a matching is a frozenset of such pairs.
-All values are immutable after construction and all functions are pure.
+All values are immutable after construction and all public functions are
+pure.  ``_step`` alone checks and applies a move, on a vertex -> partner
+map in O(move size); :func:`verify_sequence` and :func:`apply_move` use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Literal, Optional, Sequence, Union
 
 from .errors import (
@@ -30,14 +33,15 @@ def edge(u: int, v: int) -> Edge:
 
 
 def edge_set(pairs: Iterable[Sequence[int]]) -> frozenset[Edge]:
-    return frozenset(edge(u, v) for u, v in pairs)
+    return frozenset((u, v) if u < v else (v, u) for u, v in pairs)
 
 
 class Graph:
     """A simple undirected graph on vertices ``0..n-1``.
 
-    Construction validates simplicity: self-loops, duplicate edges and
-    out-of-range endpoints are rejected.
+    Construction validates simplicity in one pass: self-loops, duplicate
+    edges (found through the adjacency) and out-of-range endpoints are
+    rejected.
     """
 
     __slots__ = ("n", "edges", "adj", "__weakref__")
@@ -45,23 +49,21 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
         if n < 0:
             raise VertexOutOfRangeError(f"negative vertex count {n}")
-        seen: set[Edge] = set()
         adj: list[set[int]] = [set() for _ in range(n)]
-        for pair in edges:
-            u, v = pair
+        es: set[Edge] = set()  # grown edge by edge: solvers see its iteration order
+        for u, v in edges:
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
-            e = edge(u, v)
-            if e in seen:
-                raise DuplicateEdgeError(f"duplicate edge {e}")
-            seen.add(e)
+            if v in adj[u]:
+                raise DuplicateEdgeError(f"duplicate edge {edge(u, v)}")
             adj[u].add(v)
             adj[v].add(u)
+            es.add((u, v) if u < v else (v, u))
         self.n = n
-        self.edges: frozenset[Edge] = frozenset(seen)
-        self.adj: tuple[frozenset[int], ...] = tuple(frozenset(a) for a in adj)
+        self.edges: frozenset[Edge] = frozenset(es)
+        self.adj: tuple[frozenset[int], ...] = tuple(map(frozenset, adj))
 
     @property
     def m(self) -> int:
@@ -99,18 +101,15 @@ def matching_status(g: Graph, edges: Iterable[Sequence[int]]) -> MatchingStatus:
     Raises :class:`EdgeNotInGraphError` if some edge is absent from ``g``.
     """
     es = edge_set(edges)
-    covered: set[int] = set()
-    independent = True
+    adj = g.adj
     for u, v in es:
-        if not g.has_edge(u, v):
+        if not (0 <= u < g.n and v in adj[u]):
             raise EdgeNotInGraphError(f"edge ({u}, {v}) not in graph")
-        if u in covered or v in covered:
-            independent = False
-        covered.add(u)
-        covered.add(v)
-    if not independent:
+    # distinct edges are disjoint iff they cover twice as many vertices
+    covered = len(set(chain.from_iterable(es)))
+    if covered < 2 * len(es):
         return MatchingStatus("not_matching", len(es))
-    if len(covered) == g.n:
+    if covered == g.n:
         return MatchingStatus("perfect", len(es))
     return MatchingStatus("matching", len(es))
 
@@ -122,14 +121,6 @@ def partner_map(matching: Iterable[Edge]) -> dict[int, int]:
         p[u] = v
         p[v] = u
     return p
-
-
-def covered_vertices(matching: Iterable[Edge]) -> set[int]:
-    c: set[int] = set()
-    for u, v in matching:
-        c.add(u)
-        c.add(v)
-    return c
 
 
 # ---------------------------------------------------------------------------
@@ -213,49 +204,49 @@ def _meet(fwd: list[Move], bwd: list[Move]) -> list[Move]:
     return fwd + [invert_move(mv) for mv in reversed(bwd)]
 
 
-def apply_move(g: Graph, matching: frozenset[Edge], move: Move) -> frozenset[Edge]:
-    """Apply a flip or slide, validating all preconditions.
-
-    Raises :class:`InvalidFlipError` / :class:`InvalidSlideError` when the
-    move does not apply to ``matching`` in ``g``.
-    """
+def _step(g: Graph, partner: dict[int, int], move: Move) -> None:
+    """Check ``move`` against the matching held as a vertex -> partner map
+    and apply it in place; :class:`InvalidFlipError` /
+    :class:`InvalidSlideError` when it does not apply."""
     if isinstance(move, Flip):
-        cyc_edges = move.cycle_edges()
-        for e in cyc_edges:
-            if e[1] not in g.adj[e[0]]:
-                raise InvalidFlipError(f"cycle edge {e} not in graph")
-        even = frozenset(cyc_edges[0::2])
-        odd = frozenset(cyc_edges[1::2])
-        if even <= matching and not (odd & matching):
-            inside = even
-        elif odd <= matching and not (even & matching):
-            inside = odd
+        c = move.cycle
+        if not all(g.has_edge(u, v) for u, v in zip(c, c[1:] + c[:1])):
+            raise InvalidFlipError(f"cycle {c} leaves the graph")
+        # A matched edge per cycle vertex inside the cycle leaves no room
+        # for another matched edge at it, so one parity matched suffices.
+        if all(partner.get(c[t]) == c[t + 1] for t in range(0, len(c), 2)):
+            new = c[1:] + c[:1]
+        elif all(partner.get(c[t - 1]) == c[t] for t in range(0, len(c), 2)):
+            new = c
         else:
-            raise InvalidFlipError(
-                f"cycle {move.cycle} is not alternating for this matching"
-            )
-        # Endpoints of the cycle are covered only by the cycle's own matched
-        # edges, so the exchange stays a valid matching of equal size.
-        outside = (even | odd) - inside
-        return (matching - inside) | outside
-
-    if isinstance(move, Slide):
+            raise InvalidFlipError(f"cycle {c} is not alternating for this matching")
+        partner.update(zip(new[0::2], new[1::2]))
+        partner.update(zip(new[1::2], new[0::2]))
+    elif isinstance(move, Slide):
         rem, add = move.removed, move.added
-        if rem not in matching:
+        if partner.get(rem[0]) != rem[1]:
             raise InvalidSlideError(f"removed edge {rem} not in matching")
-        if add[1] not in g.adj[add[0]]:
+        if not g.has_edge(*add):
             raise InvalidSlideError(f"added edge {add} not in graph")
         pivot = move.pivot
         far = add[0] if add[1] == pivot else add[1]
         other = rem[0] if rem[1] == pivot else rem[1]
         if far == other:
             raise InvalidSlideError("slide does not move")
-        covered = covered_vertices(matching)
-        if far in covered:
+        if far in partner:
             raise InvalidSlideError(f"target vertex {far} already matched")
-        return (matching - {rem}) | {add}
+        del partner[other]
+        partner[pivot], partner[far] = far, pivot
+    else:
+        raise TypeError(f"unknown move {move!r}")
 
-    raise TypeError(f"unknown move {move!r}")
+
+def apply_move(g: Graph, matching: frozenset[Edge], move: Move) -> frozenset[Edge]:
+    """Apply a flip or slide to ``matching`` in ``g``, validating all
+    preconditions as :func:`_step` does."""
+    partner = partner_map(matching)
+    _step(g, partner, move)
+    return frozenset((u, v) for u, v in partner.items() if u < v)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +391,9 @@ def verify_sequence(
 
     Accepts iff every move applies validly in order, respects the mode,
     and the final matching equals ``m_tar``.  Problems are reported in the
-    verdict, never raised.
+    verdict, never raised.  The moves are replayed on one partner map
+    built from ``m_ini``, in O(size) each, and the final map is compared
+    with ``m_tar``'s.
     """
     for m in (m_ini, m_tar):
         try:
@@ -408,21 +401,20 @@ def verify_sequence(
                 return Verdict(False, None, REASON_INPUT)
         except EdgeNotInGraphError:
             return Verdict(False, None, REASON_INPUT)
-    cur = frozenset(m_ini)
+    partner = partner_map(m_ini)
+    want = seq.k if seq.mode == MODE_KFLIP else 4
     for i, move in enumerate(seq.moves):
         if isinstance(move, Slide) and seq.mode != MODE_FLIP_SLIDE:
             return Verdict(False, i, REASON_MODE)
-        if isinstance(move, Flip):
-            want = seq.k if seq.mode == MODE_KFLIP else 4
-            if len(move.cycle) != want:
-                return Verdict(False, i, REASON_MODE)
+        if isinstance(move, Flip) and len(move.cycle) != want:
+            return Verdict(False, i, REASON_MODE)
         try:
-            cur = apply_move(g, cur, move)
+            _step(g, partner, move)
         except InvalidFlipError:
             return Verdict(False, i, REASON_FLIP)
         except InvalidSlideError:
             return Verdict(False, i, REASON_SLIDE)
-    if cur != frozenset(m_tar):
+    if partner != partner_map(m_tar):
         return Verdict(False, len(seq.moves), REASON_FINAL)
     return Verdict(True)
 

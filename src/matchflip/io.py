@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Union
 
 from .errors import MalformedInputError, MatchFlipError
@@ -37,6 +38,7 @@ from .graph import (
     Slide,
     canonical_flip,
     edge,
+    edge_set,
 )
 from .hardness import NclMachine, validate_machine
 
@@ -79,37 +81,41 @@ def _label_map(n: int, labels: set) -> dict:
 
 
 def load_instance(source: Union[str, dict]) -> Instance:
+    """Read an instance.  When the labels are ints in 0..n-1 the edge list
+    goes to :class:`Graph` as parsed, and its one validating pass checks
+    them; any other input takes the relabelling path, which reports faults."""
     data = _load_json(source)
     try:
-        n = int(data["n"])
-        raw_edges = [tuple(e) for e in data["edges"]]
-        raw_ini = [tuple(e) for e in data.get("m_ini", [])]
-        raw_tar = [tuple(e) for e in data.get("m_tar", [])]
+        n, edges = int(data["n"]), data["edges"]
+        ini, tar = data.get("m_ini", []), data.get("m_tar", [])
         hints = data.get("hints", {}) or {}
-        labels = set()
-        for u, v in raw_edges + raw_ini + raw_tar:
+        orders = {k: list(hints[k]) for k in ("strong_order", "boundary_order")
+                  if hints.get(k) is not None}
+        ends = [x for u, v in chain(ini, tar) for x in (u, v)] + list(chain(*orders.values()))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise MalformedInputError(f"bad instance structure: {exc}") from exc
+    # ints only: a bool, or a float equal to an int label, takes the mapping
+    if edges and (not ends or set(map(type, ends)) == {int} and 0 <= min(ends) and max(ends) < n):
+        try:
+            return Instance(Graph(n, edges), edge_set(ini), edge_set(tar), orders, tuple(range(n)))
+        except (MatchFlipError, TypeError, ValueError):
+            pass  # the relabelling path below reports the fault
+    labels = set()  # in reading order: of equal labels the first is kept
+    try:
+        for u, v in chain(edges, ini, tar):
             labels.add(u)
             labels.add(v)
-        for key in ("strong_order", "boundary_order"):
-            for v in hints.get(key, []) or []:
-                labels.add(v)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        labels.update(*orders.values())
+    except (TypeError, ValueError) as exc:
         raise MalformedInputError(f"bad instance structure: {exc}") from exc
     mapping = _label_map(n, labels)
     try:
-        g = Graph(n, [(mapping[u], mapping[v]) for u, v in raw_edges])
+        g = Graph(n, [(mapping[u], mapping[v]) for u, v in edges])
     except MatchFlipError as exc:
         raise MalformedInputError(f"bad graph: {exc}") from exc
-    m_ini = frozenset(edge(mapping[u], mapping[v]) for u, v in raw_ini)
-    m_tar = frozenset(edge(mapping[u], mapping[v]) for u, v in raw_tar)
-    mapped_hints = {}
-    for key in ("strong_order", "boundary_order"):
-        if key in hints and hints[key] is not None:
-            mapped_hints[key] = [mapping[v] for v in hints[key]]
-    inv = [0] * n
-    for lab, i in mapping.items():
-        inv[i] = lab
-    return Instance(g, m_ini, m_tar, mapped_hints, tuple(inv))
+    m_ini, m_tar = (edge_set((mapping[u], mapping[v]) for u, v in m) for m in (ini, tar))
+    orders = {key: [mapping[v] for v in order] for key, order in orders.items()}
+    return Instance(g, m_ini, m_tar, orders, tuple(sorted(mapping)))
 
 
 def instance_to_dict(

@@ -5,7 +5,22 @@ from __future__ import annotations
 import itertools
 import random
 
-from matchflip.graph import Graph, edge, edge_set
+from matchflip.errors import InvalidFlipError, InvalidSlideError
+from matchflip.graph import (
+    MODE_FLIP_SLIDE,
+    MODE_KFLIP,
+    REASON_FINAL,
+    REASON_FLIP,
+    REASON_INPUT,
+    REASON_MODE,
+    REASON_SLIDE,
+    Flip,
+    Graph,
+    Slide,
+    Verdict,
+    edge,
+    edge_set,
+)
 
 
 def cycle_graph(n: int) -> Graph:
@@ -168,3 +183,100 @@ def random_outerplanar(rng: random.Random, n: int, p: float) -> Graph:
 
     tri(0, n - 1)
     return Graph(n, set(edge(u, v) for u, v in edges))
+
+
+# ---------------------------------------------------------------------------
+# reference implementations the fast checks in src/ are compared against
+
+
+def reference_apply_move(g: Graph, matching: frozenset, move) -> frozenset:
+    """Apply a flip or slide to a whole frozenset matching, validating all
+    preconditions (InvalidFlipError / InvalidSlideError otherwise)."""
+    if isinstance(move, Flip):
+        cyc_edges = move.cycle_edges()
+        for e in cyc_edges:
+            if e[1] not in g.adj[e[0]]:
+                raise InvalidFlipError(f"cycle edge {e} not in graph")
+        even = frozenset(cyc_edges[0::2])
+        odd = frozenset(cyc_edges[1::2])
+        if even <= matching and not (odd & matching):
+            inside = even
+        elif odd <= matching and not (even & matching):
+            inside = odd
+        else:
+            raise InvalidFlipError(f"cycle {move.cycle} is not alternating for this matching")
+        outside = (even | odd) - inside
+        return (matching - inside) | outside
+
+    if isinstance(move, Slide):
+        rem, add = move.removed, move.added
+        if rem not in matching:
+            raise InvalidSlideError(f"removed edge {rem} not in matching")
+        if add[1] not in g.adj[add[0]]:
+            raise InvalidSlideError(f"added edge {add} not in graph")
+        pivot = move.pivot
+        far = add[0] if add[1] == pivot else add[1]
+        other = rem[0] if rem[1] == pivot else rem[1]
+        if far == other:
+            raise InvalidSlideError("slide does not move")
+        if any(far in e for e in matching):
+            raise InvalidSlideError(f"target vertex {far} already matched")
+        return (matching - {rem}) | {add}
+
+    raise TypeError(f"unknown move {move!r}")
+
+
+def reference_verify(g: Graph, m_ini: frozenset, seq, m_tar: frozenset) -> Verdict:
+    """Replay ``seq`` with :func:`reference_apply_move`, frozenset by frozenset."""
+    for m in (m_ini, m_tar):
+        es = {edge(*e) for e in m}
+        ends = [v for e in es for v in e]
+        if not all(g.has_edge(*e) for e in es) or len(ends) != len(set(ends)):
+            return Verdict(False, None, REASON_INPUT)
+    cur = frozenset(m_ini)
+    for i, move in enumerate(seq.moves):
+        if isinstance(move, Slide) and seq.mode != MODE_FLIP_SLIDE:
+            return Verdict(False, i, REASON_MODE)
+        if isinstance(move, Flip):
+            want = seq.k if seq.mode == MODE_KFLIP else 4
+            if len(move.cycle) != want:
+                return Verdict(False, i, REASON_MODE)
+        try:
+            cur = reference_apply_move(g, cur, move)
+        except InvalidFlipError:
+            return Verdict(False, i, REASON_FLIP)
+        except InvalidSlideError:
+            return Verdict(False, i, REASON_SLIDE)
+    if cur != frozenset(m_tar):
+        return Verdict(False, len(seq.moves), REASON_FINAL)
+    return Verdict(True)
+
+
+def reference_strong_order_violation(g: Graph, order):
+    """First violating quadruple (i, j, k, l) of positions, or None, found
+    by shifting position bitmasks over every candidate pair."""
+    n = g.n
+    pos = {v: i for i, v in enumerate(order)}
+    rows = [0] * n
+    for i, v in enumerate(order):
+        for w in g.adj[v]:
+            rows[i] |= 1 << pos[w]
+    for i in range(n):
+        row_i = rows[i]
+        r = row_i
+        while r:
+            kbit = r & -r
+            r ^= kbit
+            k = kbit.bit_length() - 1
+            lmask = row_i >> (k + 1) << (k + 1)
+            if not lmask:
+                continue
+            jmask = rows[k] >> (i + 1) << (i + 1)
+            while jmask:
+                jbit = jmask & -jmask
+                jmask ^= jbit
+                j = jbit.bit_length() - 1
+                bad = lmask & ~rows[j] & ~jbit
+                if bad:
+                    return i, j, k, (bad & -bad).bit_length() - 1
+    return None

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchflip.errors import (
     DuplicateEdgeError,
@@ -17,6 +18,7 @@ from matchflip.graph import (
     Graph,
     MODE_FLIP,
     MODE_FLIP_SLIDE,
+    MODE_KFLIP,
     ReconfigSequence,
     Slide,
     apply_move,
@@ -24,12 +26,25 @@ from matchflip.graph import (
     edge_set,
     four_cycles,
     matching_status,
+    partner_map,
     symmetric_difference_components,
     verify_sequence,
 )
 from matchflip.oracle import enumerate_matchings
 
-from helpers import C4, C4_PM1, C4_PM2, C6, C6_PM1, C6_PM2, path_graph, random_graph
+from helpers import (
+    C4,
+    C4_PM1,
+    C4_PM2,
+    C6,
+    C6_PM1,
+    C6_PM2,
+    path_graph,
+    random_graph,
+    random_matching_of,
+    reference_apply_move,
+    reference_verify,
+)
 
 
 def test_validate_graph_c4():
@@ -213,3 +228,79 @@ def test_empty_graph_through_all_solvers():
     assert solve_outerplanar(g, empty, empty).yes
     assert solve_cograph(g, empty, empty).yes
     assert len(solve_strongly_orderable(g, (), empty, empty)) == 0
+
+
+def _valid_moves(g: Graph, m: frozenset, mode: str, k: int) -> list:
+    """Every flip of the mode's cycle length (and, under flip_slide, every
+    slide) that applies to ``m``; cycles are lists of matched edges joined
+    by graph edges."""
+    partner = partner_map(m)
+    length = k if mode == MODE_KFLIP else 4
+    moves = []
+
+    def grow(cycle):
+        if len(cycle) == length:
+            if cycle[0] in g.adj[cycle[-1]]:
+                moves.append(canonical_flip(cycle))
+            return
+        for w in g.adj[cycle[-1]]:
+            if w in partner and w not in cycle and partner[w] not in cycle:
+                grow(cycle + [w, partner[w]])
+
+    for a, b in m:
+        grow([a, b])
+    if mode == MODE_FLIP_SLIDE:
+        for a, b in m:
+            for pivot, other in ((a, b), (b, a)):
+                moves += [Slide((pivot, other), (pivot, w)) for w in g.adj[pivot] if w not in partner]
+    return sorted(set(moves), key=repr)
+
+
+def _noise_move(rng: random.Random, n: int, k: int):
+    """An arbitrary well-formed move on 0..n-1 (n >= 4), valid or not."""
+    if rng.random() < 0.5:
+        p, a, b = rng.sample(range(n), 3)
+        return Slide((p, a), (p, b))
+    return Flip(tuple(rng.sample(range(n), min(n, rng.choice([4, 6, k or 4])) // 2 * 2)))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(
+    st.integers(4, 9),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([MODE_FLIP, MODE_FLIP_SLIDE, MODE_KFLIP]),
+    st.sampled_from(["intact", "replace", "insert", "drop", "swap", "target", "truncate"]),
+)
+def test_verifier_matches_reference_replay(n, seed, mode, mutation):
+    """The partner-map verifier gives the same Verdict (ok, step, reason)
+    as replaying frozensets move by move, on walks and their mutations;
+    along the walk, apply_move agrees with the frozenset step."""
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.uniform(0.4, 0.95))
+    k = 6 if mode == MODE_KFLIP else None
+    m_ini = random_matching_of(g, rng)
+    cur, moves = m_ini, []
+    for _ in range(rng.randint(0, 8)):
+        options = _valid_moves(g, cur, mode, k)
+        if not options:
+            break
+        mv = rng.choice(options)
+        nxt = reference_apply_move(g, cur, mv)
+        assert apply_move(g, cur, mv) == nxt
+        cur = nxt
+        moves.append(mv)
+    m_tar = cur
+    at = rng.randrange(len(moves) + 1)
+    if mutation in ("replace", "insert"):
+        moves[at:at + (mutation == "replace")] = [_noise_move(rng, n, k)]
+    elif mutation == "drop" and moves:
+        del moves[min(at, len(moves) - 1)]
+    elif mutation == "swap" and len(moves) >= 2:
+        i, j = rng.sample(range(len(moves)), 2)
+        moves[i], moves[j] = moves[j], moves[i]
+    elif mutation == "target":
+        m_tar = random_matching_of(g, rng) if rng.random() < 0.7 else m_tar | {rng.choice(sorted(g.edges))}
+    elif mutation == "truncate":
+        moves = moves[:at]
+    seq = ReconfigSequence(mode, tuple(moves), k)
+    assert verify_sequence(g, m_ini, seq, m_tar) == reference_verify(g, m_ini, seq, m_tar)

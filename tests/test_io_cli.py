@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -216,7 +220,29 @@ def test_cli_auto_detection_fails_cleanly(tmp_path, capsys):
     }
     path = _write(tmp_path, "petersen.json", inst)
     assert main(["solve", path]) == 2
-    capsys.readouterr()
+    assert "no solver applies" in capsys.readouterr().err
+
+
+def test_cli_bad_strong_order_hint_names_a_real_violation(tmp_path, capsys):
+    # Petersen again: auto-detection falls through to the hint, which is
+    # checked before any solve
+    outer = [[i, (i + 1) % 5] for i in range(5)]
+    inner = [[5 + i, 5 + (i + 2) % 5] for i in range(5)]
+    spokes = [[i, i + 5] for i in range(5)]
+    edges = {frozenset(e) for e in outer + inner + spokes}
+    order = [3, 8, 0, 6, 1, 9, 4, 5, 2, 7]
+    path = _write(tmp_path, "petersen_hint.json", {
+        "n": 10, "edges": outer + inner + spokes,
+        "m_ini": spokes, "m_tar": spokes, "hints": {"strong_order": order},
+    })
+    assert main(["solve", path]) == 2
+    err = capsys.readouterr().err
+    assert "strong_order hint is not a strong ordering" in err
+    i, j, k, l = map(int, re.search(r"witness \((\d+), (\d+), (\d+), (\d+)\)", err).groups())
+    vi, vj, vk, vl = (order[x] for x in (i, j, k, l))
+    assert i < j and k < l and j != l
+    assert {frozenset((vi, vk)), frozenset((vi, vl)), frozenset((vj, vk))} <= edges
+    assert frozenset((vj, vl)) not in edges
 
 
 def test_cli_malformed_input(tmp_path, capsys):
@@ -230,13 +256,32 @@ def test_cli_malformed_input(tmp_path, capsys):
     base = {"n": 2, "edges": [[0, 1]], "m_ini": [[0, 1]], "m_tar": [[0, 1]]}
     shapes = [
         {"edges": [[0, 1, 2]]},
+        {"edges": [0, 1]},
+        {"edges": 7},
+        {"m_ini": [[0]]},
+        {"m_tar": None},
         {"hints": [1]},
         {"hints": {"strong_order": 5}},
+        {"hints": {"strong_order": 0}},
     ]
     for i, shape in enumerate(shapes):
         path3 = _write(tmp_path, f"shape{i}.json", {**base, **shape})
         assert main(["solve", path3]) == 2, shape
-        assert capsys.readouterr().err.startswith("error: bad instance structure")
+        assert capsys.readouterr().err.startswith("error: bad instance structure"), shape
+    faults = [
+        ({"edges": [[0, 0]]}, "self-loop"),
+        ({"n": 3, "edges": [[0, 1], [1, 2], [2, 1]]}, "duplicate edge"),
+        ({"edges": [[0, 1.0]]}, "labels must be integers"),
+        ({"edges": [["a", "b"]]}, "labels must be integers"),
+        ({"edges": [[0, 5]]}, "distinct labels"),
+        ({"m_ini": [[0, 9]]}, "distinct labels"),
+        ({"hints": {"strong_order": [0, 1, 7]}}, "distinct labels"),
+        ({"n": -1}, "distinct labels"),
+    ]
+    for i, (shape, message) in enumerate(faults):
+        path4 = _write(tmp_path, f"fault{i}.json", {**base, **shape})
+        assert main(["solve", path4]) == 2, shape
+        assert message in capsys.readouterr().err, shape
 
 
 def test_cli_budget_exit_code(tmp_path, capsys):
@@ -378,3 +423,15 @@ def test_cli_unwritable_emit_path_exits_2(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_traced_entry_points_resolve():
+    # perfbench wraps these names where the CLI looks them up; a rename or
+    # a moved import must fail here rather than in a traced benchmark run
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for name, (module, attr, _) in spans.TARGETS.items():
+        assert callable(getattr(importlib.import_module(module), attr, None)), name

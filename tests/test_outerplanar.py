@@ -187,7 +187,7 @@ def test_random_sweep_against_oracle():
                 if res.yes:
                     v = verify_sequence(g, a, res.sequence, b)
                     assert v.ok
-                    assert len(res.sequence) <= 2 * g.n
+                    assert len(res.sequence) <= g.n
                     assert orc.distance <= len(res.sequence)
                 pairs += 1
     assert pairs > 500

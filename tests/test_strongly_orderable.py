@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchflip.errors import (
     NoPerfectMatchingError,
@@ -20,7 +21,16 @@ from matchflip.strongly_orderable import (
     verify_strong_ordering,
 )
 
-from helpers import C4, C6, C6_PM1, C6_PM2, K4, path_graph
+from helpers import (
+    C4,
+    C6,
+    C6_PM1,
+    C6_PM2,
+    K4,
+    path_graph,
+    random_graph,
+    reference_strong_order_violation,
+)
 
 
 def test_verify_c4_orders():
@@ -48,13 +58,48 @@ def test_c6_has_no_strong_ordering():
         assert i < j and k < l
 
 
+def _assert_violation(g, order, witness):
+    i, j, k, l = witness
+    vi, vj, vk, vl = (order[x] for x in witness)
+    assert i < j and k < l and j != l
+    assert g.has_edge(vi, vk) and g.has_edge(vi, vl) and g.has_edge(vj, vk)
+    assert not g.has_edge(vj, vl)
+
+
 def test_witness_is_a_real_violation():
-    chk = verify_strong_ordering(C6, tuple(range(6)))
-    i, j, k, l = chk.witness
     order = tuple(range(6))
-    vi, vj, vk, vl = order[i], order[j], order[k], order[l]
-    assert C6.has_edge(vi, vk) and C6.has_edge(vi, vl) and C6.has_edge(vj, vk)
-    assert not C6.has_edge(vj, vl)
+    _assert_violation(C6, order, verify_strong_ordering(C6, order).witness)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.integers(4, 9), st.floats(0.1, 0.9), st.integers(0, 2**32 - 1))
+def test_next_one_rule_matches_exhaustive_check(n, p, seed):
+    """The next-one rule accepts exactly the orders the exhaustive bitmask
+    check accepts, and every witness it reports is a genuine violation."""
+    rng = random.Random(seed)
+    g = random_graph(rng, n, p)
+    for _ in range(40):
+        order = rng.sample(range(n), n)
+        chk = verify_strong_ordering(g, order)
+        assert chk.valid == (reference_strong_order_violation(g, order) is None)
+        if not chk.valid:
+            _assert_violation(g, order, chk.witness)
+
+
+def test_next_one_rule_on_interval_orders():
+    rng = random.Random(404)
+    for _ in range(150):
+        n = rng.choice([8, 16, 40, 90])
+        g, order = random_interval_graph(n, rng, rng.uniform(0.3, 3.0))
+        assert verify_strong_ordering(g, order).valid
+        bad = list(order)
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.sample(range(n), 2)
+            bad[a], bad[b] = bad[b], bad[a]
+        chk = verify_strong_ordering(g, bad)
+        assert chk.valid == (reference_strong_order_violation(g, bad) is None)
+        if not chk.valid:
+            _assert_violation(g, bad, chk.witness)
 
 
 def test_canonical_matching_examples():
