@@ -73,21 +73,30 @@ def _emit_sequence(path: Optional[str], seq) -> None:
         dump_json(path, sequence_to_dict(seq))
 
 
-def _detect_class(inst: Instance) -> Optional[str]:
+def _check_boundary_hint(inst: Instance) -> Optional[bool]:
+    """Whether the boundary_order hint is valid; None without one."""
+    hint = inst.hints.get("boundary_order")
+    return None if hint is None else verify_boundary_order(inst.graph, hint)
+
+
+def _detect_class(inst: Instance) -> tuple[Optional[str], Optional[bool]]:
+    """The class to solve as, and the boundary hint's check if it ran: a
+    valid hint certifies outerplanarity, so recognition runs without one."""
     if is_cograph(inst.graph):
-        return "cograph"
-    if is_outerplanar(inst.graph):
-        return "outerplanar"
+        return "cograph", None
+    hint_ok = _check_boundary_hint(inst)
+    if hint_ok or is_outerplanar(inst.graph):
+        return "outerplanar", hint_ok
     if "strong_order" in inst.hints:
-        return "strongly_orderable"
-    return None
+        return "strongly_orderable", hint_ok
+    return None, hint_ok
 
 
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
-    cls = args.cls
+    cls, hint_ok = args.cls, None
     if cls == "auto":
-        cls = _detect_class(inst)
+        cls, hint_ok = _detect_class(inst)
         if cls is None:
             raise MalformedInputError(
                 "no solver applies: not a cograph, not outerplanar, no strong_order hint"
@@ -104,8 +113,9 @@ def _cmd_solve(args) -> int:
         seq = solve_strongly_orderable(inst.graph, order, inst.m_ini, inst.m_tar)
         yes = True
     elif cls == "outerplanar":
-        hint = inst.hints.get("boundary_order")
-        if hint is not None and not verify_boundary_order(inst.graph, hint):
+        if hint_ok is None:
+            hint_ok = _check_boundary_hint(inst)
+        if hint_ok is False:
             raise MalformedInputError("boundary_order hint is not a valid boundary cycle")
         res = solve_outerplanar(inst.graph, inst.m_ini, inst.m_tar)
         yes, seq = res.yes, res.sequence

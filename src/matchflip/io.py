@@ -55,21 +55,25 @@ class Instance:
         return self.label_of[v] if self.label_of else v
 
 
-def _load_json(source: Union[str, dict]) -> dict:
+def _load_json(source: Union[str, dict]) -> tuple[dict, bool]:
+    """The object, and whether it may hold a JSON boolean: a dict may, a
+    file only when its text spells one."""
     if isinstance(source, dict):
-        return source
+        return source, True
     try:
         with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read()
+        data = json.loads(text)
     except (OSError, json.JSONDecodeError) as exc:
         raise MalformedInputError(f"cannot read JSON from {source}: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedInputError("top-level JSON value must be an object")
-    return data
+    return data, "true" in text or "false" in text
 
 
-def _label_map(n: int, labels: set) -> dict:
-    if not all(isinstance(x, int) for x in labels):
+def _label_map(n: int, labels: set, kinds: set) -> dict:
+    # kinds: the types of the labels as read; bool is an int but no label
+    if not kinds <= {int}:
         raise MalformedInputError("vertex labels must be integers")
     if labels and min(labels) >= 0 and max(labels) < n:
         return {x: x for x in range(n)}
@@ -84,7 +88,7 @@ def load_instance(source: Union[str, dict]) -> Instance:
     """Read an instance.  When the labels are ints in 0..n-1 the edge list
     goes to :class:`Graph` as parsed, and its one validating pass checks
     them; any other input takes the relabelling path, which reports faults."""
-    data = _load_json(source)
+    data, maybe_bool = _load_json(source)
     try:
         n, edges = int(data["n"]), data["edges"]
         ini, tar = data.get("m_ini", []), data.get("m_tar", [])
@@ -94,10 +98,12 @@ def load_instance(source: Union[str, dict]) -> Instance:
         ends = [x for u, v in chain(ini, tar) for x in (u, v)] + list(chain(*orders.values()))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise MalformedInputError(f"bad instance structure: {exc}") from exc
-    # ints only: a bool, or a float equal to an int label, takes the mapping
+    # ints only: a bool or a float label takes the relabelling path, which
+    # refuses it; edge label types are read only where a bool may be
     if edges and (not ends or set(map(type, ends)) == {int} and 0 <= min(ends) and max(ends) < n):
         try:
-            return Instance(Graph(n, edges), edge_set(ini), edge_set(tar), orders, tuple(range(n)))
+            if not maybe_bool or bool not in set(map(type, chain.from_iterable(edges))):
+                return Instance(Graph(n, edges), edge_set(ini), edge_set(tar), orders, tuple(range(n)))
         except (MatchFlipError, TypeError, ValueError):
             pass  # the relabelling path below reports the fault
     labels = set()  # in reading order: of equal labels the first is kept
@@ -108,7 +114,7 @@ def load_instance(source: Union[str, dict]) -> Instance:
         labels.update(*orders.values())
     except (TypeError, ValueError) as exc:
         raise MalformedInputError(f"bad instance structure: {exc}") from exc
-    mapping = _label_map(n, labels)
+    mapping = _label_map(n, labels, set(map(type, chain(chain.from_iterable(edges), ends))))
     try:
         g = Graph(n, [(mapping[u], mapping[v]) for u, v in edges])
     except MatchFlipError as exc:
@@ -158,7 +164,7 @@ def sequence_to_dict(seq: ReconfigSequence) -> dict:
 
 
 def load_sequence(source: Union[str, dict]) -> ReconfigSequence:
-    data = _load_json(source)
+    data = _load_json(source)[0]
     try:
         mode = data["mode"]
         k = data.get("k")
@@ -180,7 +186,7 @@ def load_sequence(source: Union[str, dict]) -> ReconfigSequence:
 
 def load_ncl(source: Union[str, dict]):
     """Returns (machine, c_ini, c_tar); configurations may be None."""
-    data = _load_json(source)
+    data = _load_json(source)[0]
     try:
         vmeta = data["vertices"]
         ids = [int(v["id"]) for v in vmeta]

@@ -19,6 +19,17 @@ perfect matching nor in any flip, so they are purged whenever a block is
 re-scanned; after purging, a block always offers an adjacent degree-two
 pair, which keeps the reduction moving.
 
+Each graph has one certified structure, cached while it lives: every
+vertex's position on the boundary cycle of each block holding it.
+Recognition builds it (one ear-contracted, checked cycle per block), or a
+valid boundary hint is it, a checked Hamiltonian cycle with non-crossing
+chords being a certificate.  The solver reads it: its graph only loses
+vertices and edges (a pair contracts onto an existing chord), so a
+2-connected piece lies in one block, and drawn with the block's vertices
+on a circle in cycle order the piece is crossing-free with all vertices
+on its outer face, which being 2-connected is a cycle in circle order:
+the block's cycle restricted to the piece.
+
 Sequence construction exploits that a pair contraction lifts with at most
 one extra flip on each side: flipping the square (x, u, w, y) toggles
 between "e matched" and "boundary edges matched", after which the reduced
@@ -29,6 +40,7 @@ target-side square flips in reverse order.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
@@ -188,7 +200,7 @@ def biconnected_blocks(
                     cuts.add(u)
         if root_children >= 2:
             cuts.add(root)
-        if root_children == 0 and len([w for w in adj[root] if w in verts]) == 0:
+        if root_children == 0:  # no live neighbour
             blocks.append({root})
     return blocks, cuts
 
@@ -197,84 +209,57 @@ def biconnected_blocks(
 # boundary cycle by ear contraction
 
 
-def _boundary_cycle(adj: dict[int, set[int]], vertices: set[int]) -> list[int]:
-    """Hamiltonian boundary of a 2-connected outerplanar vertex set.
+def _boundary_cycle(adj, vertices: set[int]) -> Optional[dict[int, int]]:
+    """Checked Hamiltonian boundary of a 2-connected outerplanar vertex
+    set, as its vertex -> position map in cycle order, or None when it has
+    none.
 
     Repeatedly contracts a degree-two ear, adding a virtual edge between
     its neighbors, then unwinds the contractions to rebuild the cycle.
-    Raises :class:`NotOuterplanarError` on structural failure.
     """
     n = len(vertices)
-    if n < 3:
-        raise NotTwoConnectedError("boundary cycle needs at least 3 vertices")
-    work: dict[int, set[int]] = {v: set(adj[v]) & vertices for v in vertices}
-    m = sum(len(s) for s in work.values()) // 2
-    if m > 2 * n - 3:
-        raise NotOuterplanarError(f"too many edges for outerplanar: {m} > {2 * n - 3}")
-    alive = set(vertices)
-    stack2 = [v for v in alive if len(work[v]) == 2]
+    work = {v: set(adj[v]) & vertices for v in vertices}
+    if n < 3 or sum(map(len, work.values())) > 2 * (2 * n - 3):
+        return None
+    stack2 = [v for v in work if len(work[v]) == 2]
     insertions: list[tuple[int, int, int]] = []
-    while len(alive) > 3:
-        v = None
-        while stack2:
-            c = stack2.pop()
-            if c in alive and len(work[c]) == 2:
-                v = c
-                break
-        if v is None:
-            raise NotOuterplanarError("no degree-two vertex during ear contraction")
-        a, b = work[v]
-        alive.discard(v)
+    while len(work) > 3:
+        while stack2 and (stack2[-1] not in work or len(work[stack2[-1]]) != 2):
+            stack2.pop()
+        if not stack2:
+            return None  # no degree-two vertex left to contract
+        v = stack2.pop()
+        a, b = work.pop(v)
         work[a].discard(v)
         work[b].discard(v)
-        del work[v]
-        if b not in work[a]:
-            work[a].add(b)
-            work[b].add(a)
+        work[a].add(b)
+        work[b].add(a)
         insertions.append((v, a, b))
-        for t in (a, b):
-            if len(work[t]) == 2:
-                stack2.append(t)
-    tri = sorted(alive)
-    if any(len(work[v]) != 2 for v in tri):
-        raise NotOuterplanarError("contraction base is not a triangle")
-    x, y, z = tri
+        stack2.extend(t for t in (a, b) if len(work[t]) == 2)
+    x, y, z = sorted(work)
     if y not in work[x] or z not in work[x] or z not in work[y]:
-        raise NotOuterplanarError("contraction base is not a triangle")
-    cycle = [x, y, z]
+        return None  # the contraction base is no triangle
     nxt = {x: y, y: z, z: x}
-    prv = {y: x, z: y, x: z}
     for v, a, b in reversed(insertions):
-        if nxt.get(a) == b:
-            left, right = a, b
-        elif nxt.get(b) == a:
-            left, right = b, a
-        else:
-            raise NotOuterplanarError("ear endpoints not adjacent at unwind")
-        nxt[left] = v
-        nxt[v] = right
-        prv[right] = v
-        prv[v] = left
-    start = cycle[0]
-    out = [start]
-    cur = nxt[start]
-    while cur != start:
-        out.append(cur)
-        cur = nxt[cur]
-    if len(out) != n:
-        raise NotOuterplanarError("rebuilt boundary does not cover all vertices")
-    for i, v in enumerate(out):
-        w = out[(i + 1) % n]
-        if w not in adj[v]:
-            raise NotOuterplanarError(f"boundary neighbors ({v}, {w}) not adjacent")
-    _check_noncrossing(adj, out)
-    return out
+        if nxt[b] == a:
+            a, b = b, a
+        elif nxt[a] != b:
+            return None  # ear endpoints not adjacent at unwind
+        nxt[a], nxt[v] = v, b
+    out = [x]
+    while nxt[out[-1]] != x:
+        out.append(nxt[out[-1]])
+    return _positions(adj, out)
 
 
-def _check_noncrossing(adj, order: list[int]) -> None:
-    """Chords must nest: no chords (a, c), (b, d) with a < b < c < d."""
+def _positions(adj, order: list[int]) -> Optional[dict[int, int]]:
+    """The vertex -> position map of ``order`` if it is a boundary cycle:
+    consecutive vertices adjacent, and chords nested (no chords (a, c),
+    (b, d) with a < b < c < d); else None."""
     n = len(order)
-    pos = {v: i for i, v in enumerate(order)}
+    if any(order[i - 1] not in adj[v] for i, v in enumerate(order)):
+        return None
+    pos = dict(zip(order, range(n)))
     open_at: list[list[int]] = [[] for _ in range(n)]
     close_at: list[list[int]] = [[] for _ in range(n)]
     for v in order:
@@ -289,61 +274,76 @@ def _check_noncrossing(adj, order: list[int]) -> None:
     for p in range(n):
         for _ in close_at[p]:
             if not stack or stack[-1] != p:
-                raise NotOuterplanarError("crossing chords on the boundary cycle")
+                return None
             stack.pop()
         for j in sorted(open_at[p], reverse=True):
             stack.append(j)
-    if stack:
-        raise NotOuterplanarError("crossing chords on the boundary cycle")
+    return None if stack else pos
+
+
+_structures = weakref.WeakKeyDictionary()  # graphs are immutable and hash by identity
+
+
+def _by_vertex(n: int, maps: list[dict[int, int]]) -> list[list[dict[int, int]]]:
+    """Per vertex, the position maps of the block cycles through it."""
+    if len(maps) == 1 and len(maps[0]) == n:  # one block: one shared list
+        return [maps] * n
+    found: list[list[dict[int, int]]] = [[] for _ in range(n)]
+    for pos in maps:
+        for v in pos:
+            found[v].append(pos)
+    return found
+
+
+def _structure(g: Graph) -> Optional[list[list[dict[int, int]]]]:
+    """The graph's cached structure, or None when it is not outerplanar.
+    A bridge or a lone vertex is its block's own cycle."""
+    if g not in _structures:
+        found = None
+        if g.m <= max(0, 2 * g.n - 3):
+            # a block holds every edge between its vertices
+            maps = [_boundary_cycle(g.adj, blk) if len(blk) > 2 else dict(zip(blk, range(2)))
+                    for blk in biconnected_blocks(g.adj, range(g.n))[0]]
+            if None not in maps:
+                found = _by_vertex(g.n, maps)
+        _structures[g] = found
+    return _structures[g]
 
 
 def boundary_order(g: Graph) -> BoundaryOrder:
     """The unique Hamiltonian boundary cycle of a 2-connected outerplanar
     graph, certified (consecutive adjacency and non-crossing chords)."""
-    verts = set(range(g.n))
     if g.n < 3:
         raise NotTwoConnectedError("need at least 3 vertices")
-    comps = connected_components(g)
-    if len(comps) != 1:
+    found = _structure(g)
+    if found is None:
+        raise NotOuterplanarError("graph is not outerplanar")
+    blocks = len({id(pos) for maps in found for pos in maps})
+    # blocks and cut vertices form a forest with one tree per component
+    if blocks - sum(len(maps) - 1 for maps in found) != 1:
         raise NotTwoConnectedError("graph is disconnected")
-    if biconnected_blocks(g.adj, verts)[1]:
+    if blocks != 1:
         raise NotTwoConnectedError("graph has a cut vertex")
-    adj = {v: set(g.adj[v]) for v in verts}
-    return BoundaryOrder(tuple(_boundary_cycle(adj, verts)))
+    return BoundaryOrder(tuple(found[0][0]))
 
 
 def verify_boundary_order(g: Graph, order) -> bool:
     """Check a claimed boundary cycle: Hamiltonian, consecutive vertices
-    adjacent, chords non-crossing."""
+    adjacent, chords non-crossing.  A valid one certifies ``g`` as
+    2-connected outerplanar and becomes its structure."""
     if isinstance(order, BoundaryOrder):
         order = order.order
     order = list(order)
-    if sorted(order) != list(range(g.n)) or g.n < 3:
+    pos = _positions(g.adj, order) if g.n >= 3 and sorted(order) == list(range(g.n)) else None
+    if pos is None:
         return False
-    for i, v in enumerate(order):
-        if order[(i + 1) % g.n] not in g.adj[v]:
-            return False
-    try:
-        _check_noncrossing({v: g.adj[v] for v in range(g.n)}, order)
-    except NotOuterplanarError:
-        return False
+    _structures[g] = _by_vertex(g.n, [pos])
     return True
 
 
 def is_outerplanar(g: Graph) -> bool:
     """Every biconnected block admits a certified boundary cycle."""
-    if g.m > max(0, 2 * g.n - 3):
-        return False
-    blocks, _ = biconnected_blocks(g.adj, range(g.n))
-    for blk in blocks:
-        if len(blk) <= 2:
-            continue
-        adj = {v: set(g.adj[v]) & blk for v in blk}
-        try:
-            _boundary_cycle(adj, set(blk))
-        except (NotOuterplanarError, NotTwoConnectedError):
-            return False
-    return True
+    return _structure(g) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +420,15 @@ def solve_outerplanar(
     g: Graph, m_ini: frozenset[Edge], m_tar: frozenset[Edge]
 ) -> OuterplanarResult:
     """Decide flip reachability of two perfect matchings and, on YES,
-    produce a verified flip sequence of length at most n."""
+    produce a verified flip sequence of length at most n.  Raises
+    :class:`NotOuterplanarError` up front unless ``g`` is outerplanar; the
+    boundary cycles of the pieces it meets are read off ``g``'s structure."""
     for m in (m_ini, m_tar):
         if matching_status(g, m).kind != "perfect":
             raise NotPerfectError("both input matchings must be perfect")
+    found = _structure(g)
+    if found is None:
+        raise NotOuterplanarError("graph is not outerplanar")
     trace = ReductionTrace()
     if g.n == 0:
         return OuterplanarResult(True, ReconfigSequence(MODE_FLIP, ()), trace)
@@ -587,8 +592,12 @@ def solve_outerplanar(
                             drop_edge(v, t)
                 progressed = True
                 continue
-            # 2-connected block: purge even chords of its boundary cycle
-            order = _boundary_cycle(adj, set(comp))
+            # 2-connected piece: purge even chords of its boundary cycle,
+            # the cycle of g's block holding it restricted to the piece
+            # (see the module docstring; the piece has even size, so a
+            # rotated or reflected cycle gives every chord the same parity)
+            v, w = comp[0], next(iter(adj[comp[0]]))
+            order = sorted(comp, key=next(pos for pos in found[v] if w in pos).__getitem__)
             pos = {v: i for i, v in enumerate(order)}
             removed = False
             for v in comp:

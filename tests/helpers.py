@@ -280,3 +280,18 @@ def reference_strong_order_violation(g: Graph, order):
                 if bad:
                     return i, j, k, (bad & -bad).bit_length() - 1
     return None
+
+
+def reference_verify_boundary_order(g: Graph, order) -> bool:
+    """The boundary-cycle check without the cached structure: Hamiltonian,
+    consecutive vertices adjacent, and no two edges crossing, tried pair by
+    pair on the cycle's positions."""
+    order = list(order)
+    n = g.n
+    if sorted(order) != list(range(n)) or n < 3:
+        return False
+    if any(order[(i + 1) % n] not in g.adj[v] for i, v in enumerate(order)):
+        return False
+    pos = {v: i for i, v in enumerate(order)}
+    spans = [tuple(sorted((pos[u], pos[v]))) for u, v in g.edges]
+    return not any(a < c < b < d for a, b in spans for c, d in spans)

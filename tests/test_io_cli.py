@@ -10,6 +10,7 @@ import pytest
 
 from matchflip.cli import main
 from matchflip.errors import MalformedInputError
+from matchflip.generators import random_outerplanar_instance
 from matchflip.graph import Flip, Slide, edge_set
 from matchflip.io import (
     dumps_canonical,
@@ -277,6 +278,12 @@ def test_cli_malformed_input(tmp_path, capsys):
         ({"m_ini": [[0, 9]]}, "distinct labels"),
         ({"hints": {"strong_order": [0, 1, 7]}}, "distinct labels"),
         ({"n": -1}, "distinct labels"),
+        # bool is an int, but no label: both loader paths refuse it
+        ({"edges": [[0, True]]}, "labels must be integers"),
+        ({"edges": [[False, 1]], "m_ini": [[0, 1]]}, "labels must be integers"),
+        ({"m_ini": [[0, True]]}, "labels must be integers"),
+        ({"edges": [[5, True]], "m_ini": [[5, 1]], "m_tar": [[5, 1]]}, "labels must be integers"),
+        ({"hints": {"strong_order": [False, 1]}}, "labels must be integers"),
     ]
     for i, (shape, message) in enumerate(faults):
         path4 = _write(tmp_path, f"fault{i}.json", {**base, **shape})
@@ -350,6 +357,40 @@ def test_cli_boundary_hint_verified(tmp_path, capsys):
     path = _write(tmp_path, "c4ok.json", inst)
     assert main(["solve", "--class", "outerplanar", path]) == 0
     capsys.readouterr()
+
+
+def test_cli_boundary_hint_checked_before_recognition(tmp_path, capsys):
+    bad = {"boundary_order": [0, 2, 1, 3, 4, 5]}
+    # outerplanar, not a cograph: a bad hint falls back to recognition and
+    # is reported as before
+    path = _write(tmp_path, "c6bad.json", {**C6_INSTANCE, "hints": bad})
+    assert main(["solve", path]) == 2
+    assert "boundary_order hint is not a valid boundary cycle" in capsys.readouterr().err
+    # K4 with a pendant path: an interval graph, neither a cograph nor
+    # outerplanar; the bad boundary hint yields to the strong order
+    path = _write(tmp_path, "k4path.json", {
+        "n": 6, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3], [3, 4], [4, 5]],
+        "m_ini": [[0, 1], [2, 3], [4, 5]], "m_tar": [[0, 2], [1, 3], [4, 5]],
+        "hints": {"strong_order": [0, 1, 2, 3, 4, 5], **bad}})
+    assert main(["solve", path]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "YES"
+    # a valid hint replaces recognition without changing a byte of output
+    inst = random_outerplanar_instance(120, 5)
+    outs = []
+    for name, payload in (("hinted", inst), ("plain", {k: v for k, v in inst.items() if k != "hints"})):
+        spath = str(tmp_path / f"{name}.seq.json")
+        assert main(["solve", _write(tmp_path, f"{name}.json", payload), "--emit-sequence", spath]) == 0
+        outs.append((capsys.readouterr(), Path(spath).read_bytes()))
+    assert outs[0] == outs[1]
+    # the solver refuses a graph that is not outerplanar before reducing:
+    # C6 (matchings frozen apart) beside K4 is an error, not NO
+    path = _write(tmp_path, "c6k4.json", {
+        "n": 10, "edges": C6_INSTANCE["edges"] + [[u, v] for u in range(6, 10) for v in range(u + 1, 10)],
+        "m_ini": C6_INSTANCE["m_ini"] + [[6, 7], [8, 9]],
+        "m_tar": C6_INSTANCE["m_tar"] + [[6, 7], [8, 9]]})
+    assert main(["solve", "--class", "outerplanar", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not outerplanar" in captured.err
 
 
 def test_cli_mode_mismatch(tmp_path, capsys):

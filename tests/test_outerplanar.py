@@ -1,16 +1,28 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchflip.errors import NotOuterplanarError, NotPerfectError, NotTwoConnectedError
+from matchflip.generators import (
+    random_outerplanar_graph,
+    random_outerplanar_instance,
+    random_perfect_matching,
+)
 from matchflip.graph import Graph, edge, edge_set, verify_sequence
+from matchflip.io import load_instance, sequence_to_dict
 from matchflip.oracle import enumerate_matchings, reachable
 from matchflip.outerplanar import (
     Case1DropStep,
     Case1RemoveStep,
     Case2Step,
+    _boundary_cycle,
+    _structure,
+    biconnected_blocks,
     boundary_order,
     is_outerplanar,
     solve_outerplanar,
@@ -29,6 +41,7 @@ from helpers import (
     K4,
     path_graph,
     random_outerplanar,
+    reference_verify_boundary_order,
 )
 
 
@@ -224,3 +237,134 @@ def test_trace_replay_reaches_reduced_instance():
                 m2.discard(step.edge)
                 alive -= set(step.edge)
     assert not alive and not m1 and not m2
+
+
+def test_outerplanar_output_pinned():
+    # Emitted sequences and the sorted trace steps, hashed: chord_drop 0,
+    # 0.3, 0.6 and 0.9, two blocks joined by a bridge (cut vertices at both
+    # ends), a NO pair and scrambled labels; any change to a reduction rule
+    # changes the hash.  The order of trace steps is not pinned.
+    cases = []
+    for n, seed, drop in ((40, 3, 0.0), (60, 8, 0.3), (80, 5, 0.6), (120, 2, 0.9), (300, 11, 0.3)):
+        inst = load_instance(random_outerplanar_instance(n, seed, drop))
+        cases.append((inst.graph, inst.m_ini, inst.m_tar))
+    left, right = (load_instance(random_outerplanar_instance(n, seed)) for n, seed in ((30, 4), (20, 9)))
+    shift = lambda es: {(u + 30, v + 30) for u, v in es}  # noqa: E731
+    cases.append((Graph(50, sorted(left.graph.edges | shift(right.graph.edges) | {(0, 30)})),
+                  left.m_ini | shift(right.m_ini), left.m_tar | shift(right.m_tar)))
+    rng = random.Random(3)
+    g = random_outerplanar_graph(24, rng, 0.3)
+    cases.append((g, random_perfect_matching(g, rng), random_perfect_matching(g, rng)))
+    # the generator's boundary is 0..n-1; scramble the labels
+    perm = random.Random(7).sample(range(100), 100)
+    inst = load_instance(random_outerplanar_instance(100, 7))
+    es, a, b = (edge_set((perm[u], perm[v]) for u, v in m) for m in (inst.graph.edges, inst.m_ini, inst.m_tar))
+    cases.append((Graph(100, sorted(es)), a, b))
+    h = hashlib.sha256()
+    answers = []
+    for g, a, b in cases:
+        res = solve_outerplanar(g, a, b)
+        answers.append(res.yes)
+        h.update(json.dumps(sequence_to_dict(res.sequence) if res.yes else None).encode())
+        h.update(json.dumps(sorted(map(repr, res.trace.steps))).encode())
+    assert answers == [True] * 6 + [False, True]
+    assert h.hexdigest() == "80bb29913cb5798c734092c1736b21b008a1b3ddaf04d25c3c08a16ebbf1e9e6"
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.integers(3, 40), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.data())
+def test_inherited_order_matches_ear_contraction(n, seed, drop, data):
+    # delete vertices and edges of an outerplanar graph: each 2-connected
+    # piece left, sorted by its positions on the original block, is the
+    # piece's own boundary cycle up to rotation and reflection
+    rng = random.Random(seed)
+    base = random_outerplanar_graph(n, rng, drop)
+    perm = rng.sample(range(n), n)  # the generator's boundary is 0..n-1
+    g = Graph(n, [(perm[u], perm[v]) for u, v in base.edges])
+    found = _structure(g)
+    gone = data.draw(st.sets(st.integers(0, n - 1), max_size=n // 3))
+    cut = data.draw(st.sets(st.sampled_from(sorted(g.edges)), max_size=g.m // 3))
+    alive = set(range(n)) - gone
+    adj = {v: {w for w in g.adj[v] if w in alive and edge(v, w) not in cut} for v in alive}
+    for blk in biconnected_blocks(adj, alive)[0]:
+        if len(blk) < 3:
+            continue
+        v = min(blk)
+        w = next(iter(adj[v]))
+        inherited = sorted(blk, key=next(pos for pos in found[v] if w in pos).__getitem__)
+        assert _same_cycle(inherited, _boundary_cycle(adj, blk))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(range(15)), st.integers(0, 2**32 - 1), st.sampled_from(
+    ["cycle", "rotated", "reversed", "swapped", "not_permutation", "random"]), st.data())
+def test_verify_boundary_order_matches_reference(n, seed, kind, data):
+    # true cycles and their rotations and reversals, swaps, non-permutations,
+    # random orders on random and outerplanar graphs, n < 3 included; each
+    # checked with the structure cache cold, warmed by recognition and
+    # warmed by a valid hint
+    rng = random.Random(seed)
+    outer = n >= 3 and data.draw(st.booleans())
+    if outer:
+        g = random_outerplanar_graph(n, rng, rng.random())
+        order = list(range(n))
+    else:
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+        order = rng.sample(range(n), n)
+    if kind == "rotated" and n:
+        k = rng.randrange(n)
+        order = order[k:] + order[:k]
+    elif kind == "reversed":
+        order.reverse()
+    elif kind == "swapped" and n >= 2:
+        i, j = rng.sample(range(n), 2)
+        order[i], order[j] = order[j], order[i]
+    elif kind == "not_permutation":
+        order = order[:-1] + [rng.choice(order[:-1] + [n, -1])] if order else [0]
+    elif kind == "random":
+        rng.shuffle(order)
+    want = reference_verify_boundary_order(g, order)
+    outer_ref = is_outerplanar(Graph(g.n, g.edges))
+    for warm in ("cold", "recognised", "hinted"):
+        h = Graph(g.n, g.edges)
+        if warm == "recognised":
+            is_outerplanar(h)
+        elif warm == "hinted" and outer:
+            assert verify_boundary_order(h, range(n))
+        assert verify_boundary_order(h, order) == want, warm
+        # a rejected order never reaches the cache, a valid one certifies
+        assert is_outerplanar(h) == outer_ref
+        if want:
+            assert _same_cycle(boundary_order(h).order, order)
+
+
+def test_glued_blocks_against_oracle():
+    # blocks glued at shared vertices, labels scrambled: the pieces the
+    # solver meets start at cut vertices of the input, so it must find
+    # each piece's cycle through the block that holds it
+    rng = random.Random(99)
+    pairs = 0
+    for _ in range(80):
+        sizes = [rng.randint(3, 6) for _ in range(rng.randint(2, 3))]
+        n = sum(sizes) - len(sizes) + 1
+        if n % 2:
+            sizes[0] += 1
+            n += 1
+        perm = rng.sample(range(n), n)
+        edges, top = set(), 0
+        for k in sizes:
+            base = rng.randrange(top + 1)  # the vertex this block shares
+            labels = [base] + list(range(top + 1, top + k))
+            top += k - 1
+            for u, v in random_outerplanar_graph(k, rng, rng.random()).edges:
+                edges.add(edge(perm[labels[u]], perm[labels[v]]))
+        g = Graph(n, sorted(edges))
+        pms = enumerate_matchings(g, "perfect")
+        for a in pms:
+            for b in pms:
+                res = solve_outerplanar(g, a, b)
+                assert res.yes == reachable(g, a, b).reachable
+                if res.yes:
+                    assert verify_sequence(g, a, res.sequence, b).ok
+                pairs += 1
+    assert pairs > 100
