@@ -24,9 +24,11 @@ from matchflip.hardness import configuration_components, is_bipartite
 
 for kind in ("edge", "and", "or"):
     rep = gadget_selftest(kind)
+    # sorted by printed label: frozensets have no hash-independent order
+    labels = sorted((k if isinstance(k, str) else "+".join(sorted(k)), v)
+                    for k, v in rep.class_counts.items())
     print(f"{kind:5s} gadget ok={rep.ok} classes={{" +
-          ", ".join(f"{k if isinstance(k, str) else '+'.join(sorted(k))}: {v}"
-                    for k, v in sorted(rep.class_counts.items(), key=str)) + "}")
+          ", ".join(f"{k}: {v}" for k, v in labels) + "}")
 
 # --- reduce a machine and compare both reachability relations ---
 

@@ -53,19 +53,14 @@ from .outerplanar import (
     split_at_cut_vertices,
 )
 from .cograph import (
-    Conditions,
     CographResult,
     CotreeNode,
-    RootPartition,
     build_cotree,
     check_conditions,
     is_cograph,
     reachability_class,
     root_partition,
     solve_cograph,
-    transform_cycle_free,
-    transform_with_B_edge,
-    transform_with_free_B_vertex,
 )
 from .hardness import (
     GadgetInstance,

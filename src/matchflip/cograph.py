@@ -256,23 +256,16 @@ def _b_edges(g: Graph, b: frozenset[int]):
         yield from ((u, w) for w in sorted(g.adj[u] & b) if u < w)
 
 
-def _nu_without(g: Graph, removed) -> int:
-    return len(max_matching(g, set(range(g.n)).difference(removed)))
-
-
 def check_conditions(g: Graph, part: RootPartition, k: int) -> Conditions:
     """C1: some size-k matching has an edge inside B.  C2: some size-k
-    matching misses a B-vertex.  In closed form when ``part`` completely
-    joins a larger side A to a nonempty B (as from :func:`root_partition`);
-    any other partition by the definition, one blossom per candidate."""
+    matching misses a B-vertex.  In closed form; ``part`` must completely
+    join a larger side A to a nonempty B covering ``g`` (as from
+    :func:`root_partition`), else :class:`ValueError`."""
     a, b = part.a, part.b
-    if b and len(a) >= len(b) and a | b == set(range(g.n)) and all(b <= g.adj[v] for v in a):
-        nu_a = len(max_matching(g, a))
-        return _conditions(g.n, len(b), nu_a, next(_b_edges(g, b), None) is not None, k)
-    return Conditions(
-        k >= 1 and any(_nu_without(g, e) >= k - 1 for e in _b_edges(g, b)),
-        any(_nu_without(g, {v}) >= k for v in sorted(b)),
-    )
+    if not (b and len(a) >= len(b) and a | b == set(range(g.n)) and all(b <= g.adj[v] for v in a)):
+        raise ValueError("conditions need a larger side completely joined to a nonempty one")
+    nu_a = len(max_matching(g, a))
+    return _conditions(g.n, len(b), nu_a, next(_b_edges(g, b), None) is not None, k)
 
 
 class _Side:

@@ -24,7 +24,6 @@ from .errors import (
 )
 
 Edge = tuple[int, int]
-EdgeSet = frozenset  # of Edge
 
 
 def edge(u: int, v: int) -> Edge:
@@ -71,9 +70,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and v in self.adj[u]
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -459,23 +455,23 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return graph_from_adjacency([frozenset(idx[w] for w in g.adj[v] & keep) for v in vmap]), vmap
 
 
-def connected_components(g: Graph, vertices: Optional[Iterable[int]] = None) -> list[list[int]]:
-    """Connected components (sorted vertex lists) of the induced subgraph."""
-    verts = set(range(g.n)) if vertices is None else set(vertices)
+def connected_components(adj, vertices, seeds: Optional[Iterable[int]] = None) -> list[list[int]]:
+    """Connected components (sorted vertex lists, by least vertex) of the
+    subgraph of ``adj`` induced by ``vertices``, any container with O(1)
+    membership (a range, a set, a dict's keys); with ``seeds``, only the
+    components that hold a seed."""
     comps: list[list[int]] = []
-    left = set(verts)
-    while left:
-        start = min(left)
-        stack = [start]
-        comp = {start}
-        left.discard(start)
-        while stack:
-            v = stack.pop()
-            for w in g.adj[v]:
-                if w in left:
-                    left.discard(w)
-                    comp.add(w)
-                    stack.append(w)
+    seen: set[int] = set()
+    for s in sorted(vertices if seeds is None else seeds):
+        if s in seen or s not in vertices:
+            continue
+        comp = [s]
+        seen.add(s)
+        for v in comp:  # grows while scanned
+            for w in adj[v]:
+                if w not in seen and w in vertices:
+                    seen.add(w)
+                    comp.append(w)
         comps.append(sorted(comp))
     comps.sort(key=lambda c: c[0])
     return comps

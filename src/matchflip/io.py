@@ -51,9 +51,6 @@ class Instance:
     hints: dict = field(default_factory=dict)
     label_of: tuple = ()  # internal index -> original label
 
-    def to_label(self, v: int):
-        return self.label_of[v] if self.label_of else v
-
 
 def _load_json(source: Union[str, dict]) -> tuple[dict, bool]:
     """The object, and whether it may hold a JSON boolean: a dict may, a

@@ -386,7 +386,7 @@ def split_at_cut_vertices(
     p_ini, p_tar = partner_map(m_ini), partner_map(m_tar)
     adj = {v: set(g.adj[v]) for v in range(g.n)}
     pieces: list[list[int]] = []
-    work = connected_components(g)
+    work = connected_components(g.adj, range(g.n))
     while work:
         comp = work.pop()
         blocks, cuts = biconnected_blocks(adj, comp)
@@ -397,7 +397,7 @@ def split_at_cut_vertices(
             for t in adj[v] - keep:
                 adj[v].discard(t)
                 adj[t].discard(v)
-        work.extend(_components_from(adj, set(comp), set(comp)))
+        work.extend(connected_components(adj, set(comp)))
     out = []
     for piece in sorted(pieces):
         sub, vmap = induced_subgraph(g, piece)
@@ -433,8 +433,7 @@ def solve_outerplanar(
     if g.n == 0:
         return OuterplanarResult(True, ReconfigSequence(MODE_FLIP, ()), trace)
 
-    adj: dict[int, set[int]] = {v: set(g.adj[v]) for v in range(g.n)}
-    alive: set[int] = set(range(g.n))
+    adj: dict[int, set[int]] = {v: set(g.adj[v]) for v in range(g.n)}  # live vertices only
     p1 = partner_map(m_ini)
     p2 = partner_map(m_tar)
     pre: list[Move] = []
@@ -442,42 +441,34 @@ def solve_outerplanar(
 
     low: list[int] = []   # vertices whose degree may have dropped to <= 1
     cand: list[int] = []  # vertices whose degree may be exactly 2
-    dirty: set[int] = set(alive)  # regions structural scans must revisit
-    ops = 0  # reduction counter for O(1) stall detection
+    dirty: set[int] = set()  # regions structural scans must revisit
+
+    def touch(t: int) -> None:
+        dirty.add(t)
+        d = len(adj[t])
+        if d <= 1:
+            low.append(t)
+        elif d == 2:
+            cand.append(t)
 
     def kill_pair(u: int, w: int) -> None:
-        """Remove two matched-together vertices and their incident edges."""
-        nonlocal ops
-        ops += 1
+        """Remove a forced or contracted pair and its incident edges."""
         for v in (u, w):
-            alive.discard(v)
             dirty.discard(v)
             p1.pop(v, None)
             p2.pop(v, None)
-        for v in (u, w):
-            for t in adj[v]:
-                if t in alive:
+        # both leave the live graph before either's neighbours are touched
+        for v, nbrs in [(u, adj.pop(u)), (w, adj.pop(w))]:
+            for t in nbrs:
+                if t in adj:
                     adj[t].discard(v)
-                    dirty.add(t)
-                    d = len(adj[t])
-                    if d <= 1:
-                        low.append(t)
-                    elif d == 2:
-                        cand.append(t)
-            adj[v] = set()
+                    touch(t)
 
     def drop_edge(u: int, w: int) -> None:
-        nonlocal ops
-        ops += 1
         adj[u].discard(w)
         adj[w].discard(u)
-        for t in (u, w):
-            dirty.add(t)
-            d = len(adj[t])
-            if d <= 1:
-                low.append(t)
-            elif d == 2:
-                cand.append(t)
+        touch(u)
+        touch(w)
 
     def fire_pair(u: int, w: int) -> None:
         e = edge(u, w)
@@ -493,25 +484,16 @@ def solve_outerplanar(
             kill_pair(u, w)
             return
         if y in adj[x]:
-            # contract the pair onto the chord xy
-            if not e1 and (p1.get(u) != x or p1.get(w) != y):
-                raise RuntimeError("internal: degree-two pair not matched as forced")
-            if not e2 and (p2.get(u) != x or p2.get(w) != y):
-                raise RuntimeError("internal: degree-two pair not matched as forced")
-            if e1:
-                del p1[u], p1[w]
-            else:
-                p1[x], p1[y] = y, x
-                del p1[u], p1[w]
-                pre.append(canonical_flip((x, u, w, y)))
-            if e2:
-                del p2[u], p2[w]
-            else:
-                p2[x], p2[y] = y, x
-                del p2[u], p2[w]
-                post.append(canonical_flip((x, u, w, y)))
+            # contract the pair onto the chord xy: a side matching ux and wy
+            # matches xy instead, lifted back by the square flip (x, u, w, y)
+            for p, on, moves in ((p1, e1, pre), (p2, e2, post)):
+                if not on:
+                    if p.get(u) != x or p.get(w) != y:
+                        raise RuntimeError("internal: degree-two pair not matched as forced")
+                    p[x], p[y] = y, x
+                    moves.append(canonical_flip((x, u, w, y)))
             trace.steps.append(Case2Step((u, w), x, y, e1, e2))
-            case2_mark(u, w, x, y)
+            kill_pair(u, w)
             return
         # e lies on no 4-cycle: its matched status never changes
         if e1 != e2:
@@ -523,27 +505,11 @@ def solve_outerplanar(
             trace.steps.append(Case1DropStep(e))
             drop_edge(u, w)
 
-    def case2_mark(u: int, w: int, x: int, y: int) -> None:
-        nonlocal ops
-        ops += 1
-        for v in (u, w):
-            alive.discard(v)
-            dirty.discard(v)
-        for v, t in ((u, x), (w, y)):
-            adj[t].discard(v)
-            adj[v] = set()
-            dirty.add(t)
-            d = len(adj[t])
-            if d <= 1:
-                low.append(t)
-            elif d == 2:
-                cand.append(t)
-
     def drain() -> None:
         while low or cand:
             while low:
                 v = low.pop()
-                if v not in alive:
+                if v not in adj:
                     continue
                 d = len(adj[v])
                 if d == 0:
@@ -556,7 +522,7 @@ def solve_outerplanar(
                     kill_pair(v, t)
             while cand:
                 v = cand.pop()
-                if v not in alive or len(adj[v]) != 2:
+                if v not in adj or len(adj[v]) != 2:
                     continue
                 mate = None
                 for w in adj[v]:
@@ -567,20 +533,15 @@ def solve_outerplanar(
                     fire_pair(v, mate)
                     break  # re-check low before more pairs
 
-    def structural() -> bool:
-        progressed = False
+    def structural() -> None:
         # components untouched since their last scan were already purged,
-        # split and seeded; only revisit regions with recent reductions
+        # split and seeded; only revisit regions with recent reductions.
+        # After drain() every live vertex has degree >= 2.
         seeds = set(dirty)
         dirty.clear()
-        for comp in _components_from(adj, alive, seeds):
+        for comp in connected_components(adj, adj, seeds):
             if len(comp) % 2 == 1:
                 raise RuntimeError("internal: odd component with perfect matchings")
-            if len(comp) <= 2:
-                for v in comp:
-                    low.append(v)
-                progressed = True
-                continue
             blocks, cuts = biconnected_blocks(adj, comp)
             if cuts:
                 for v, keep in _kept_blocks(blocks, cuts, p1, p2):
@@ -590,7 +551,6 @@ def solve_outerplanar(
                     for t in list(adj[v]):
                         if t not in keep:
                             drop_edge(v, t)
-                progressed = True
                 continue
             # 2-connected piece: purge even chords of its boundary cycle,
             # the cycle of g's block holding it restricted to the piece
@@ -599,7 +559,6 @@ def solve_outerplanar(
             v, w = comp[0], next(iter(adj[comp[0]]))
             order = sorted(comp, key=next(pos for pos in found[v] if w in pos).__getitem__)
             pos = {v: i for i, v in enumerate(order)}
-            removed = False
             for v in comp:
                 for w in [w for w in adj[v] if pos[v] < pos.get(w, -1)]:
                     gap = pos[w] - pos[v]
@@ -608,56 +567,24 @@ def solve_outerplanar(
                             raise RuntimeError("internal: even chord inside a matching")
                         trace.steps.append(RemoveEvenChordStep(edge(v, w)))
                         drop_edge(v, w)
-                        removed = True
-            if removed:
-                progressed = True
             for v in comp:
-                if v in alive and len(adj[v]) == 2:
+                if len(adj[v]) == 2:
                     cand.append(v)
-        return progressed
 
+    # every reduction appends its step before it edits the graph, and
+    # every step is followed by an edit: a round without steps stalled
     try:
-        for v in list(alive):
-            d = len(adj[v])
-            if d <= 1:
-                low.append(v)
-            elif d == 2:
-                cand.append(v)
-        while True:
+        for v in adj:
+            touch(v)
+        drain()
+        while adj:
+            before = len(trace.steps)
+            structural()
             drain()
-            if not alive:
-                break
-            before = ops
-            progressed = structural()
-            drain()
-            if alive and not progressed and ops == before:
+            if adj and len(trace.steps) == before:
                 raise RuntimeError("internal: reduction stalled (no degree-two pair)")
     except _No:
         return OuterplanarResult(False, None, trace)
 
     moves = tuple(pre + post[::-1])
     return OuterplanarResult(True, ReconfigSequence(MODE_FLIP, moves), trace)
-
-
-def _components_from(
-    adj: dict[int, set[int]], alive: set[int], seeds: set[int]
-) -> list[list[int]]:
-    """Connected components of the live graph that contain a seed."""
-    comps: list[list[int]] = []
-    seen: set[int] = set()
-    for s in sorted(seeds):
-        if s in seen or s not in alive:
-            continue
-        comp = [s]
-        seen.add(s)
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w in alive and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    comps.sort(key=lambda c: c[0])
-    return comps

@@ -292,7 +292,7 @@ def test_lift_equivalence_when_conditions_fail():
         g = random_cotree_graph(rng.randint(2, 7), rng)
         from matchflip.graph import connected_components
 
-        if len(connected_components(g)) != 1 or g.n < 2:
+        if len(connected_components(g.adj, range(g.n))) != 1 or g.n < 2:
             continue
         part = root_partition(g)
         by_size = all_matchings_by_size(g)
@@ -377,17 +377,23 @@ def test_closed_form_conditions_match_brute_force():
 
 
 def test_check_conditions_any_partition():
-    # a partition other than a root join (sides swapped, B a subset, a
-    # graph that is not a cograph) is answered by the definition as well
-    cases = []
+    # a partition other than a root join (smaller side first, B a subset,
+    # a graph that is not a cograph) is refused; swapping equal sides
+    # gives a root join again, answered as the definition answers
+    cases, swapped_joins = [], []
     for g in connected_cographs(6):
         if g.n >= 2:
             part = root_partition(g)
-            cases += [(g, RootPartition(part.b, part.a)),
-                      (g, RootPartition(part.a, part.b - {min(part.b)}))]
+            swapped = (g, RootPartition(part.b, part.a))
+            (cases if len(part.a) > len(part.b) else swapped_joins).append(swapped)
+            cases.append((g, RootPartition(part.a, part.b - {min(part.b)})))
     cases += [(path_graph(5), RootPartition(frozenset({0, 2, 4}), frozenset({1, 3}))),
               (petersen_graph(), RootPartition(frozenset(range(5)), frozenset(range(5, 10))))]
+    assert len(cases) > 100 and swapped_joins
     for g, part in cases:
+        with pytest.raises(ValueError):
+            check_conditions(g, part, g.n // 2)
+    for g, part in swapped_joins:
         by_size = all_matchings_by_size(g)
         for k in range(g.n // 2 + 2):
             want = _conditions_by_definition(by_size, part.b, k)

@@ -20,6 +20,7 @@ from matchflip.outerplanar import (
     Case1DropStep,
     Case1RemoveStep,
     Case2Step,
+    ForcedPairStep,
     _boundary_cycle,
     _structure,
     biconnected_blocks,
@@ -183,6 +184,40 @@ def test_pendant_blocks():
             assert res.yes == orc.reachable
             if res.yes:
                 assert verify_sequence(g, a, res.sequence, b).ok
+
+
+def test_pendant_vertices_start_with_forced_pairs():
+    # a degree-one vertex at the start takes the solver's forced-edge path
+    # before any other reduction; pendants hang off a random outerplanar
+    # graph either as a two-vertex tail or as a single leaf
+    rng = random.Random(909)
+    pairs = 0
+    for _ in range(150):
+        base = rng.choice([4, 6, 8])
+        edges = set(random_outerplanar(rng, base, rng.random()).edges)
+        n = base
+        for _ in range(rng.randint(1, 3)):
+            x = rng.randrange(n)
+            if rng.random() < 0.5:
+                edges |= {(x, n), (n, n + 1)}
+                n += 2
+            else:
+                edges.add((x, n))
+                n += 1
+        g = Graph(n, edges)
+        assert is_outerplanar(g)
+        pms = enumerate_matchings(g, "perfect")
+        for a in pms:
+            for b in pms:
+                res = solve_outerplanar(g, a, b)
+                assert isinstance(res.trace.steps[0], ForcedPairStep)
+                orc = reachable(g, a, b)
+                assert res.yes == orc.reachable, (sorted(g.edges), sorted(a), sorted(b))
+                if res.yes:
+                    assert verify_sequence(g, a, res.sequence, b).ok
+                    assert len(res.sequence) <= g.n
+                pairs += 1
+    assert pairs > 200
 
 
 def test_random_sweep_against_oracle():
