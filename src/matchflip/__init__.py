@@ -20,6 +20,7 @@ from .graph import (
     canonical_flip,
     edge,
     edge_set,
+    matching_partners,
     matching_status,
     symmetric_difference_components,
     verify_sequence,

@@ -11,6 +11,7 @@ environment variable when set, else oracle.DEFAULT_BUDGET.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -281,9 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser = functools.cache(build_parser)  # built once per process
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceededError as exc:

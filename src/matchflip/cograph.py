@@ -63,11 +63,12 @@ from .graph import (
     Slide,
     _meet,
     canonical_flip,
+    connected_components,
     edge,
     graph_from_adjacency,
     induced_subgraph,
-    matching_status,
     partner_map,
+    partner_maps,
 )
 
 _CLAIM_CAP_FACTOR = 10
@@ -415,7 +416,7 @@ def _make_equal_cycle_free(g: Graph, s1: _Side, s2: _Side) -> None:
     lone1 = [f for f in lone if f in s1.m]
     lone2 = [f for f in lone if f not in s1.m]
     if lone1:
-        comps = _split(g.adj, set(range(g.n)), False)
+        comps = connected_components(g.adj, range(g.n))
         comp_id = {v: i for i, comp in enumerate(comps) for v in comp}
     for e1 in lone1:
         i = next(i for i, f in enumerate(lone2) if comp_id[f[0]] == comp_id[e1[0]])
@@ -752,14 +753,13 @@ def _anchored(g: Graph, vs: set[int], b: frozenset[int], c1: bool, m1, m2) -> li
     return _map_moves(seq.moves, vmap)
 
 
-def _solve_tree(g: Graph, tree: CotreeNode, m1: frozenset[Edge], m2: frozenset[Edge]):
+def _solve_tree(g: Graph, tree: CotreeNode, m1: frozenset[Edge], m2: frozenset[Edge], partners):
     """Moves from m1 to m2 (None on NO) over the cotree, depth first: a
     union solves its components in order, a join where C1 or C2 holds is
     anchored, any other join solves side A, then lifts ``out[start:]``.
     A piece's vertices and matchings are sets handed down and cut in
-    place; only a join's smaller side and a union's smaller parts are
-    listed."""
-    partners = partner_map(m1), partner_map(m2)
+    place, found through ``partners``, the partner maps of m1 and m2;
+    only a join's smaller side and a union's smaller parts are listed."""
     out: list[Move] = []
     todo: list = [(tree, set(range(g.n)), set(m1), set(m2))]
     while todo:
@@ -832,12 +832,10 @@ def solve_cograph(g: Graph, m_ini, m_tar) -> CographResult:
     """Decide flip+slide reachability between two matchings of a cograph
     and produce a verified sequence on YES."""
     m_ini, m_tar = (frozenset(edge(*x) for x in m) for m in (m_ini, m_tar))
-    for m in (m_ini, m_tar):
-        if matching_status(g, m).kind == "not_matching":
-            raise SizeMismatchError("input is not a matching")
+    partners = partner_maps(g, m_ini, m_tar, perfect=False)
     if len(m_ini) != len(m_tar):
         return CographResult(False, None)
-    moves = _solve_tree(g, build_cotree(g), m_ini, m_tar) if g.n else []
+    moves = _solve_tree(g, build_cotree(g), m_ini, m_tar, partners) if g.n else []
     if moves is None:
         return CographResult(False, None)
     return CographResult(True, ReconfigSequence(MODE_FLIP_SLIDE, tuple(moves)))

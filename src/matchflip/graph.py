@@ -3,15 +3,16 @@
 Everything downstream (solvers, oracle, generators) works on the types in
 this module.  Vertices are dense integers ``0..n-1``; an edge is an ordered
 pair ``(u, v)`` with ``u < v``; a matching is a frozenset of such pairs.
+A :class:`Graph` holds its adjacency; its edge set is built on first use.
 All values are immutable after construction and all public functions are
-pure.  ``_step`` alone checks and applies a move, on a vertex -> partner
-map in O(move size); :func:`verify_sequence` and :func:`apply_move` use it.
+pure.  :func:`matching_partners` checks a matching into its vertex ->
+partner map; ``_step`` alone checks and applies a move on such a map in
+O(move size); :func:`verify_sequence` and :func:`apply_move` use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator, Literal, Optional, Sequence, Union
 
 from .errors import (
@@ -19,7 +20,9 @@ from .errors import (
     EdgeNotInGraphError,
     InvalidFlipError,
     InvalidSlideError,
+    NotPerfectError,
     SelfLoopError,
+    SizeMismatchError,
     VertexOutOfRangeError,
 )
 
@@ -38,19 +41,19 @@ def edge_set(pairs: Iterable[Sequence[int]]) -> frozenset[Edge]:
 class Graph:
     """A simple undirected graph on vertices ``0..n-1``.
 
-    Construction validates simplicity in one pass: self-loops, duplicate
-    edges (found through the adjacency) and out-of-range endpoints are
-    rejected.
+    Construction validates simplicity in one pass that builds ``adj``:
+    self-loops, duplicate edges (found through the adjacency) and
+    out-of-range endpoints are rejected.  ``edges`` is built on first use.
     """
 
-    __slots__ = ("n", "edges", "adj", "__weakref__")
+    __slots__ = ("n", "m", "adj", "_pairs", "_edges", "__weakref__")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
         if n < 0:
             raise VertexOutOfRangeError(f"negative vertex count {n}")
+        pairs = list(edges)  # a copy: later edits to the caller's list stay out
         adj: list[set[int]] = [set() for _ in range(n)]
-        es: set[Edge] = set()  # grown edge by edge: solvers see its iteration order
-        for u, v in edges:
+        for u, v in pairs:
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -59,14 +62,19 @@ class Graph:
                 raise DuplicateEdgeError(f"duplicate edge {edge(u, v)}")
             adj[u].add(v)
             adj[v].add(u)
-            es.add((u, v) if u < v else (v, u))
         self.n = n
-        self.edges: frozenset[Edge] = frozenset(es)
+        self.m = len(pairs)
         self.adj: tuple[frozenset[int], ...] = tuple(map(frozenset, adj))
+        self._pairs, self._edges = pairs, None  # edges: built on first use
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
+    def edges(self) -> frozenset[Edge]:
+        if self._edges is None:
+            es: set[Edge] = set()  # grown edge by edge: callers see its iteration order
+            for u, v in self._pairs:
+                es.add((u, v) if u < v else (v, u))
+            self._edges, self._pairs = frozenset(es), None
+        return self._edges
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and v in self.adj[u]
@@ -91,23 +99,47 @@ class MatchingStatus:
     size: int
 
 
+def matching_partners(g: Graph, matching: Iterable[Sequence[int]]) -> Optional[dict[int, int]]:
+    """Vertex -> partner map of ``matching`` in one pass, or None when two
+    of its edges share a vertex (a repeated edge counts once); raises
+    :class:`EdgeNotInGraphError` if any edge is absent from ``g``."""
+    adj, n = g.adj, g.n
+    p: dict[int, int] = {}
+    clash = False
+    for u, v in matching:
+        if not (0 <= u < n and v in adj[u]):
+            raise EdgeNotInGraphError(f"edge {edge(u, v)} not in graph")
+        if p.get(u, v) != v or p.get(v, u) != u:
+            clash = True
+        p[u] = v
+        p[v] = u
+    return None if clash else p
+
+
+def partner_maps(g: Graph, m1, m2, perfect: bool = True) -> tuple[dict[int, int], dict[int, int]]:
+    """The partner maps of two matchings of ``g``, checked in order:
+    :class:`NotPerfectError` (``perfect``) or :class:`SizeMismatchError`
+    when one is not a (perfect) matching."""
+    maps = []
+    for m in (m1, m2):
+        p = matching_partners(g, m)
+        if p is None or perfect and len(p) != g.n:
+            raise (NotPerfectError("both input matchings must be perfect") if perfect
+                   else SizeMismatchError("input is not a matching"))
+        maps.append(p)
+    return maps[0], maps[1]
+
+
 def matching_status(g: Graph, edges: Iterable[Sequence[int]]) -> MatchingStatus:
     """Classify an edge set as a (perfect) matching or not.
 
     Raises :class:`EdgeNotInGraphError` if some edge is absent from ``g``.
     """
     es = edge_set(edges)
-    adj = g.adj
-    for u, v in es:
-        if not (0 <= u < g.n and v in adj[u]):
-            raise EdgeNotInGraphError(f"edge ({u}, {v}) not in graph")
-    # distinct edges are disjoint iff they cover twice as many vertices
-    covered = len(set(chain.from_iterable(es)))
-    if covered < 2 * len(es):
+    p = matching_partners(g, es)
+    if p is None:
         return MatchingStatus("not_matching", len(es))
-    if covered == g.n:
-        return MatchingStatus("perfect", len(es))
-    return MatchingStatus("matching", len(es))
+    return MatchingStatus("perfect" if len(p) == g.n else "matching", len(es))
 
 
 def partner_map(matching: Iterable[Edge]) -> dict[int, int]:
@@ -387,17 +419,16 @@ def verify_sequence(
 
     Accepts iff every move applies validly in order, respects the mode,
     and the final matching equals ``m_tar``.  Problems are reported in the
-    verdict, never raised.  The moves are replayed on one partner map
-    built from ``m_ini``, in O(size) each, and the final map is compared
-    with ``m_tar``'s.
+    verdict, never raised.  Both matchings are checked as they are turned
+    into partner maps; the moves are replayed on ``m_ini``'s, in O(size)
+    each, and the final map is compared with ``m_tar``'s.
     """
-    for m in (m_ini, m_tar):
-        try:
-            if matching_status(g, m).kind == "not_matching":
-                return Verdict(False, None, REASON_INPUT)
-        except EdgeNotInGraphError:
-            return Verdict(False, None, REASON_INPUT)
-    partner = partner_map(m_ini)
+    try:
+        partner, final = matching_partners(g, m_ini), matching_partners(g, m_tar)
+    except EdgeNotInGraphError:
+        return Verdict(False, None, REASON_INPUT)
+    if partner is None or final is None:
+        return Verdict(False, None, REASON_INPUT)
     want = seq.k if seq.mode == MODE_KFLIP else 4
     for i, move in enumerate(seq.moves):
         if isinstance(move, Slide) and seq.mode != MODE_FLIP_SLIDE:
@@ -410,7 +441,7 @@ def verify_sequence(
             return Verdict(False, i, REASON_FLIP)
         except InvalidSlideError:
             return Verdict(False, i, REASON_SLIDE)
-    if partner != partner_map(m_tar):
+    if partner != final:
         return Verdict(False, len(seq.moves), REASON_FINAL)
     return Verdict(True)
 
@@ -440,7 +471,9 @@ def graph_from_adjacency(adj: Sequence[frozenset[int]]) -> Graph:
     g = object.__new__(Graph)
     g.n = len(adj)
     g.adj = tuple(adj)
-    g.edges = frozenset((u, w) for u, ws in enumerate(g.adj) for w in ws if u < w)
+    g._pairs = None
+    g._edges = frozenset((u, w) for u, ws in enumerate(g.adj) for w in ws if u < w)
+    g.m = len(g._edges)
     return g
 
 
@@ -458,8 +491,8 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
 def connected_components(adj, vertices, seeds: Optional[Iterable[int]] = None) -> list[list[int]]:
     """Connected components (sorted vertex lists, by least vertex) of the
     subgraph of ``adj`` induced by ``vertices``, any container with O(1)
-    membership (a range, a set, a dict's keys); with ``seeds``, only the
-    components that hold a seed."""
+    membership (a range, a set, a dict's keys), where each ``adj[v]`` is a
+    set; with ``seeds``, only the components that hold a seed."""
     comps: list[list[int]] = []
     seen: set[int] = set()
     for s in sorted(vertices if seeds is None else seeds):
@@ -468,8 +501,8 @@ def connected_components(adj, vertices, seeds: Optional[Iterable[int]] = None) -
         comp = [s]
         seen.add(s)
         for v in comp:  # grows while scanned
-            for w in adj[v]:
-                if w not in seen and w in vertices:
+            for w in adj[v] - seen:  # in C: a dense graph's seen neighbours cost little
+                if w in vertices:
                     seen.add(w)
                     comp.append(w)
         comps.append(sorted(comp))

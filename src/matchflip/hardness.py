@@ -31,10 +31,9 @@ from .errors import (
     KTooSmallError,
     MalformedMachineError,
     NotBipartiteError,
-    NotPerfectError,
     UnbalancedSidesError,
 )
-from .graph import Edge, Graph, edge, matching_status
+from .graph import Edge, Graph, edge, matching_status, partner_maps
 from .oracle import (
     DEFAULT_BUDGET,
     FLIP_ONLY,
@@ -715,9 +714,7 @@ def k_factor_instance(
     matching edge, and no 4-cycle through a gadget ever alternates."""
     if k < 2:
         raise KTooSmallError("k-factor lift needs k >= 2")
-    for m in (m_ini, m_tar):
-        if matching_status(g, m).kind != "perfect":
-            raise NotPerfectError("both matchings must be perfect")
+    partner_maps(g, m_ini, m_tar)
     pairs = [(2 * i, 2 * i + 1) for i in range(g.n // 2)]
     edges = list(g.edges)
     nxt = g.n

@@ -160,6 +160,13 @@ def sequence_to_dict(seq: ReconfigSequence) -> dict:
     return out
 
 
+def _ints(labels) -> tuple[int, ...]:
+    out = tuple(labels)
+    if set(map(type, out)) - {int}:  # a bool is an int but no label
+        raise ValueError(f"vertex labels must be integers, got {list(out)}")
+    return out
+
+
 def load_sequence(source: Union[str, dict]) -> ReconfigSequence:
     data = _load_json(source)[0]
     try:
@@ -168,10 +175,10 @@ def load_sequence(source: Union[str, dict]) -> ReconfigSequence:
         moves: list[Move] = []
         for item in data["moves"]:
             if "flip" in item:
-                moves.append(canonical_flip(tuple(item["flip"])))
+                moves.append(canonical_flip(_ints(item["flip"])))
             elif "slide" in item:
                 s = item["slide"]
-                moves.append(Slide(tuple(s["remove"]), tuple(s["add"])))
+                moves.append(Slide(_ints(s["remove"]), _ints(s["add"])))
             else:
                 raise MalformedInputError(f"unknown move {item!r}")
         return ReconfigSequence(mode, tuple(moves), k)

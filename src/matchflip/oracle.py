@@ -27,7 +27,7 @@ from .graph import (
     canonical_flip,
     edge,
     four_cycles,
-    matching_status,
+    partner_maps,
     symmetric_difference_components,
 )
 
@@ -361,10 +361,7 @@ def reachable(
     :class:`BudgetExceededError` when the search would hold more than
     ``budget`` matchings, the start and the goal included.
     """
-    for m in (m1, m2):
-        st = matching_status(g, m)
-        if st.kind == "not_matching":
-            raise SizeMismatchError("input is not a matching")
+    partner_maps(g, m1, m2, perfect=False)
     if len(m1) != len(m2):
         raise SizeMismatchError(f"matching sizes differ: {len(m1)} vs {len(m2)}")
     space = MaskSpace(g)

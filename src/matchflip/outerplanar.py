@@ -44,11 +44,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import (
-    NotOuterplanarError,
-    NotPerfectError,
-    NotTwoConnectedError,
-)
+from .errors import NotOuterplanarError, NotTwoConnectedError
 from .graph import (
     Edge,
     Graph,
@@ -59,8 +55,7 @@ from .graph import (
     connected_components,
     edge,
     induced_subgraph,
-    matching_status,
-    partner_map,
+    partner_maps,
 )
 
 
@@ -184,14 +179,11 @@ def biconnected_blocks(
                 low[u] = low[v]
             if low[v] >= disc[u]:
                 blk: set[int] = set()
-                while estack and estack[-1] != (u, v):
+                while estack:  # pop down to the tree edge (u, v)
                     a, b = estack.pop()
-                    blk.add(a)
-                    blk.add(b)
-                if estack:
-                    a, b = estack.pop()
-                    blk.add(a)
-                    blk.add(b)
+                    blk.update((a, b))
+                    if (a, b) == (u, v):
+                        break
                 if blk:
                     blocks.append(blk)
                 if u == root:
@@ -380,10 +372,7 @@ def split_at_cut_vertices(
     component keeps only the block holding its matched edge, as in
     :func:`solve_outerplanar`; the components this leaves are split again
     until none has a cut vertex."""
-    for m in (m_ini, m_tar):
-        if matching_status(g, m).kind != "perfect":
-            raise NotPerfectError("matchings must be perfect")
-    p_ini, p_tar = partner_map(m_ini), partner_map(m_tar)
+    p_ini, p_tar = partner_maps(g, m_ini, m_tar)
     adj = {v: set(g.adj[v]) for v in range(g.n)}
     pieces: list[list[int]] = []
     work = connected_components(g.adj, range(g.n))
@@ -423,9 +412,7 @@ def solve_outerplanar(
     produce a verified flip sequence of length at most n.  Raises
     :class:`NotOuterplanarError` up front unless ``g`` is outerplanar; the
     boundary cycles of the pieces it meets are read off ``g``'s structure."""
-    for m in (m_ini, m_tar):
-        if matching_status(g, m).kind != "perfect":
-            raise NotPerfectError("both input matchings must be perfect")
+    p1, p2 = partner_maps(g, m_ini, m_tar)
     found = _structure(g)
     if found is None:
         raise NotOuterplanarError("graph is not outerplanar")
@@ -434,8 +421,6 @@ def solve_outerplanar(
         return OuterplanarResult(True, ReconfigSequence(MODE_FLIP, ()), trace)
 
     adj: dict[int, set[int]] = {v: set(g.adj[v]) for v in range(g.n)}  # live vertices only
-    p1 = partner_map(m_ini)
-    p2 = partner_map(m_tar)
     pre: list[Move] = []
     post: list[Move] = []
 
@@ -524,11 +509,7 @@ def solve_outerplanar(
                 v = cand.pop()
                 if v not in adj or len(adj[v]) != 2:
                     continue
-                mate = None
-                for w in adj[v]:
-                    if len(adj[w]) == 2:
-                        mate = w
-                        break
+                mate = next((w for w in adj[v] if len(adj[w]) == 2), None)
                 if mate is not None:
                     fire_pair(v, mate)
                     break  # re-check low before more pairs

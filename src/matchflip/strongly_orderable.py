@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 from .errors import (
     NoPerfectMatchingError,
     NotAPermutationError,
-    NotPerfectError,
     OrderInvalidError,
 )
 from .graph import (
@@ -29,8 +28,8 @@ from .graph import (
     _meet,
     canonical_flip,
     edge,
-    matching_status,
     partner_map,
+    partner_maps,
 )
 
 
@@ -121,9 +120,11 @@ def _route_to_canonical(
     g: Graph,
     order: tuple[int, ...],
     canonical: frozenset[Edge],
-    start: frozenset[Edge],
+    npart: dict[int, int],
 ) -> list:
-    """Flips turning ``start`` into ``canonical``, one greedy pair at a time.
+    """Flips turning the perfect matching held as the partner map
+    ``npart`` (updated in place) into ``canonical``, one greedy pair at a
+    time.
 
     At each step the earliest live vertex v1 is matched to v_p in the
     canonical matching and to v_q in the current one.  If they differ, the
@@ -131,7 +132,6 @@ def _route_to_canonical(
     current partner of v_p), and flipping it aligns the pair.
     """
     cpart = partner_map(canonical)
-    npart = partner_map(start)
     moves = []
     done = [False] * g.n
     for v1 in order:
@@ -168,10 +168,8 @@ def solve_strongly_orderable(
     raises :class:`OrderInvalidError`.
     """
     order = _check_permutation(g, order)
-    for m in (m_ini, m_tar):
-        if matching_status(g, m).kind != "perfect":
-            raise NotPerfectError("both input matchings must be perfect")
+    p_ini, p_tar = partner_maps(g, m_ini, m_tar)
     canon = canonical_matching(g, order)
-    fwd = _route_to_canonical(g, order, canon, frozenset(m_ini))
-    bwd = _route_to_canonical(g, order, canon, frozenset(m_tar))
+    fwd = _route_to_canonical(g, order, canon, p_ini)
+    bwd = _route_to_canonical(g, order, canon, p_tar)
     return ReconfigSequence(MODE_FLIP, tuple(_meet(fwd, bwd)))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -25,6 +27,8 @@ from matchflip.graph import (
     canonical_flip,
     edge_set,
     four_cycles,
+    graph_from_adjacency,
+    matching_partners,
     matching_status,
     partner_map,
     symmetric_difference_components,
@@ -60,6 +64,41 @@ def test_validate_graph_rejections():
         Graph(3, [[0, 1], [1, 0]])
     with pytest.raises(VertexOutOfRangeError):
         Graph(2, [[0, 2]])
+
+
+def test_graph_edges_built_on_first_use():
+    pairs = [[0, 1], [2, 1], (3, 2), [0, 3], [1, 3]]
+    for given_edges in (pairs, set(edge_set(pairs)), (p for p in pairs)):
+        g = Graph(4, given_edges)
+        assert g.edges == edge_set(pairs) and g.m == len(g.edges) == 5
+        assert g.adj == (frozenset({1, 3}), frozenset({0, 2, 3}), frozenset({1, 3}), frozenset({0, 1, 2}))
+    mine = [list(p) for p in pairs]
+    g = Graph(4, mine)
+    mine.append([0, 2])
+    del mine[0]
+    assert g.edges == edge_set(pairs) and g.m == 5
+    h = graph_from_adjacency(g.adj)
+    assert (h.n, h.m, h.adj, h.edges) == (g.n, g.m, g.adj, g.edges)
+    assert graph_from_adjacency([]).m == 0 and Graph(3, []).edges == frozenset()
+
+
+def test_duplicate_edge_error_names_the_first_duplicate():
+    with pytest.raises(DuplicateEdgeError, match=r"duplicate edge \(1, 2\)$"):
+        Graph(4, [[0, 1], [2, 1], [3, 0], [1, 2], [0, 3]])
+
+
+def test_matching_partners():
+    assert matching_partners(C4, [(0, 1), (2, 3)]) == {0: 1, 1: 0, 2: 3, 3: 2}
+    assert matching_partners(C4, [(0, 1), (1, 0), (0, 1)]) == {0: 1, 1: 0}
+    assert matching_partners(C4, []) == {}
+    assert matching_partners(C4, [(0, 1), (1, 2)]) is None
+    assert matching_partners(C4, [(1, 2), (0, 1)]) is None
+    # every edge is checked, also after a shared vertex
+    with pytest.raises(EdgeNotInGraphError, match=r"edge \(0, 2\) not in graph"):
+        matching_partners(C4, [(0, 1), (1, 2), (2, 0)])
+    for bad in ([(0, 4)], [(-1, 0)], [(1, 1)]):
+        with pytest.raises(EdgeNotInGraphError):
+            matching_partners(C4, bad)
 
 
 def test_matching_status():
@@ -210,6 +249,67 @@ def test_kflip_mode_verification():
     wrong = ReconfigSequence("kflip", (Flip((0, 1, 2, 3)),), k=6)
     v = verify_sequence(C6, C6_PM1, wrong, C6_PM2)
     assert not v.ok and v.reason == "mode_violation"
+
+
+def test_generator_outputs_pinned():
+    # The canonical instance files of each family at a few sizes, seeds
+    # 0-4, hashed: a change in the iteration order of ``Graph.adj`` or
+    # ``Graph.edges`` changes what the generators emit.
+    from matchflip.generators import (
+        random_cograph_instance,
+        random_interval_instance,
+        random_outerplanar_instance,
+    )
+    from matchflip.io import dumps_canonical
+
+    want = {
+        "interval": "f46790f934d6999cd15db8316cb51b4f8487293bae0b3470f86dd598800bf84d",
+        "outerplanar": "af2afa28c1b7e05e7cf7eb787932dd5140f2348b22cbe628171c970a09292c99",
+        "cograph": "10223e8f7804549c242c57fca28e03dd0290f6cf835f3da198768e2411286056",
+    }
+    families = (("interval", random_interval_instance, (12, 90, 500)),
+                ("outerplanar", random_outerplanar_instance, (10, 64, 300)),
+                ("cograph", random_cograph_instance, (9, 40, 120)))
+    for name, make, sizes in families:
+        h = hashlib.sha256()
+        for n in sizes:
+            for seed in range(5):
+                h.update(dumps_canonical(make(n, seed)).encode())
+        assert h.hexdigest() == want[name], name
+
+
+def test_load_solve_verify_never_build_the_edge_set(tmp_path, capsys, monkeypatch):
+    from matchflip.cli import main
+    from matchflip.cograph import solve_cograph
+    from matchflip.generators import (
+        random_cograph_instance,
+        random_interval_instance,
+        random_outerplanar_instance,
+    )
+    from matchflip.io import load_instance
+    from matchflip.outerplanar import solve_outerplanar
+    from matchflip.strongly_orderable import solve_strongly_orderable
+
+    data = [random_interval_instance(60, 1), random_outerplanar_instance(60, 2),
+            random_cograph_instance(30, 3)]
+
+    def refuse(g):
+        raise AssertionError("Graph.edges was built")
+
+    monkeypatch.setattr(Graph, "edges", property(refuse))
+    for i, d in enumerate(data):
+        path, seq_path = tmp_path / f"inst{i}.json", str(tmp_path / f"seq{i}.json")
+        path.write_text(json.dumps(d))
+        assert main(["solve", str(path), "--emit-sequence", seq_path]) == 0, capsys.readouterr()
+        assert main(["verify", str(path), seq_path]) == 0, capsys.readouterr()
+        inst = load_instance(d)
+        g, a, b = inst.graph, inst.m_ini, inst.m_tar
+        if i == 0:
+            seq = solve_strongly_orderable(g, inst.hints["strong_order"], a, b)
+        else:
+            seq = (solve_outerplanar if i == 1 else solve_cograph)(g, a, b).sequence
+        assert verify_sequence(g, a, seq, b).ok
+        assert matching_status(g, a).kind != "not_matching"
 
 
 def test_empty_graph_identity():

@@ -289,6 +289,22 @@ def test_cli_malformed_input(tmp_path, capsys):
         path4 = _write(tmp_path, f"fault{i}.json", {**base, **shape})
         assert main(["solve", path4]) == 2, shape
         assert message in capsys.readouterr().err, shape
+    # sequence labels follow the instance rule: ints only
+    c4 = _write(tmp_path, "c4.json", {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]],
+                                      "m_ini": [[0, 1], [2, 3]], "m_tar": [[1, 2], [3, 0]]})
+    seqs = [
+        {"mode": "flip", "moves": [{"flip": [0, 1, 2, 3.0]}]},
+        {"mode": "flip", "moves": [{"flip": [0, 1, 2.5, 3]}]},
+        {"mode": "flip", "moves": [{"flip": [0, True, 2, 3]}]},
+        {"mode": "flip_slide", "moves": [{"slide": {"remove": [0, 1], "add": [1, 2.0]}}]},
+    ]
+    for i, seq in enumerate(seqs):
+        path5 = _write(tmp_path, f"seq{i}.json", seq)
+        assert main(["verify", c4, path5]) == 2, seq
+        assert capsys.readouterr().err.startswith("error: bad sequence structure"), seq
+    path5 = _write(tmp_path, "seq_ok.json", {"mode": "flip", "moves": [{"flip": [0, 1, 2, 3]}]})
+    assert main(["verify", c4, path5]) == 0
+    capsys.readouterr()
 
 
 def test_cli_budget_exit_code(tmp_path, capsys):
