@@ -69,7 +69,9 @@ class Graph:
 
     @property
     def edges(self) -> frozenset[Edge]:
-        if self._edges is None:
+        if self._edges is None and self._pairs is None:  # from graph_from_adjacency
+            self._edges = frozenset((u, w) for u, ws in enumerate(self.adj) for w in ws if u < w)
+        elif self._edges is None:
             es: set[Edge] = set()  # grown edge by edge: callers see its iteration order
             for u, v in self._pairs:
                 es.add((u, v) if u < v else (v, u))
@@ -471,9 +473,8 @@ def graph_from_adjacency(adj: Sequence[frozenset[int]]) -> Graph:
     g = object.__new__(Graph)
     g.n = len(adj)
     g.adj = tuple(adj)
-    g._pairs = None
-    g._edges = frozenset((u, w) for u, ws in enumerate(g.adj) for w in ws if u < w)
-    g.m = len(g._edges)
+    g._pairs = g._edges = None  # edges: built on first use
+    g.m = sum(map(len, g.adj)) // 2
     return g
 
 
@@ -488,15 +489,15 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return graph_from_adjacency([frozenset(idx[w] for w in g.adj[v] & keep) for v in vmap]), vmap
 
 
-def connected_components(adj, vertices, seeds: Optional[Iterable[int]] = None) -> list[list[int]]:
+def connected_components(adj, vertices) -> list[list[int]]:
     """Connected components (sorted vertex lists, by least vertex) of the
     subgraph of ``adj`` induced by ``vertices``, any container with O(1)
     membership (a range, a set, a dict's keys), where each ``adj[v]`` is a
-    set; with ``seeds``, only the components that hold a seed."""
+    set."""
     comps: list[list[int]] = []
     seen: set[int] = set()
-    for s in sorted(vertices if seeds is None else seeds):
-        if s in seen or s not in vertices:
+    for s in vertices:
+        if s in seen:
             continue
         comp = [s]
         seen.add(s)

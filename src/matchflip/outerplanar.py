@@ -52,7 +52,6 @@ from .graph import (
     Move,
     ReconfigSequence,
     canonical_flip,
-    connected_components,
     edge,
     induced_subgraph,
     partner_maps,
@@ -134,67 +133,65 @@ class OuterplanarResult:
 
 
 def biconnected_blocks(
-    adj: Sequence[Iterable[int]] | dict, vertices: Iterable[int]
-) -> tuple[list[set[int]], set[int]]:
-    """Blocks (2-connected components, bridges as 2-sets) and cut vertices
-    of the subgraph induced by ``vertices``.  Iterative Tarjan."""
-    verts = set(vertices)
+    adj: Sequence[Iterable[int]] | dict, roots: Iterable[int]
+) -> tuple[list[set[int]], set[int], list[int]]:
+    """Blocks (2-connected components, bridges as 2-sets, a lone vertex as
+    a 1-set), cut vertices and reached vertices (in discovery order) of
+    the components of ``adj`` that hold a root.
+
+    ``adj`` must be closed over the vertices it reaches (a union of whole
+    components): each ``adj[v]`` is walked as given, unfiltered.  Blocks
+    are listed in no promised order.  One iterative vertex-stack Tarjan
+    walk (Hopcroft and Tarjan): a finished child v of u closes the block
+    of u and the vertices stacked since v when nothing below v climbs
+    above u.  In a simple graph the parent edge only lowers ``low[v]`` to
+    ``disc[u]``, which changes no such test, so it needs no special case;
+    the root is a cut vertex when it has two or more children."""
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
     blocks: list[set[int]] = []
     cuts: set[int] = set()
-    counter = 0
-    for root in sorted(verts):
+    for root in roots:
         if root in disc:
             continue
-        disc[root] = low[root] = counter
-        counter += 1
-        estack: list[Edge] = []
-        root_children = 0
-        it_stack = [(root, None, iter([w for w in adj[root] if w in verts]))]
-        while it_stack:
-            v, parent, it = it_stack[-1]
-            advanced = False
+        disc[root] = low[root] = len(disc)
+        vstack = [root]
+        children = 0
+        frames = [(root, iter(adj[root]), 0)]  # vertex, its walk, its vstack slot
+        while frames:
+            v, it, at = frames[-1]
+            lv = low[v]
             for w in it:
-                if w == parent:
-                    continue
-                if w not in disc:
-                    estack.append((v, w))
-                    disc[w] = low[w] = counter
-                    counter += 1
-                    it_stack.append((w, v, iter([x for x in adj[w] if x in verts])))
-                    advanced = True
+                d = disc.get(w)
+                if d is None:
+                    low[v] = lv
+                    disc[w] = low[w] = len(disc)
+                    frames.append((w, iter(adj[w]), len(vstack)))
+                    vstack.append(w)
                     break
-                elif disc[w] < disc[v]:
-                    estack.append((v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            if advanced:
-                continue
-            it_stack.pop()
-            if not it_stack:
-                break
-            u = it_stack[-1][0]
-            if low[v] < low[u]:
-                low[u] = low[v]
-            if low[v] >= disc[u]:
-                blk: set[int] = set()
-                while estack:  # pop down to the tree edge (u, v)
-                    a, b = estack.pop()
-                    blk.update((a, b))
-                    if (a, b) == (u, v):
-                        break
-                if blk:
+                if d < lv:
+                    lv = d
+            else:
+                frames.pop()
+                if not frames:
+                    break
+                u = frames[-1][0]
+                if lv < low[u]:
+                    low[u] = lv
+                elif lv >= disc[u]:  # u separates v's subtree: a block closes
+                    blk = set(vstack[at:])
+                    blk.add(u)
+                    del vstack[at:]
                     blocks.append(blk)
-                if u == root:
-                    root_children += 1
-                else:
-                    cuts.add(u)
-        if root_children >= 2:
+                    if u == root:
+                        children += 1
+                    else:
+                        cuts.add(u)
+        if children >= 2:
             cuts.add(root)
-        if root_children == 0:  # no live neighbour
+        elif children == 0:  # no neighbour
             blocks.append({root})
-    return blocks, cuts
+    return blocks, cuts, list(disc)
 
 
 # ---------------------------------------------------------------------------
@@ -374,21 +371,16 @@ def split_at_cut_vertices(
     until none has a cut vertex."""
     p_ini, p_tar = partner_maps(g, m_ini, m_tar)
     adj = {v: set(g.adj[v]) for v in range(g.n)}
-    pieces: list[list[int]] = []
-    work = connected_components(g.adj, range(g.n))
-    while work:
-        comp = work.pop()
-        blocks, cuts = biconnected_blocks(adj, comp)
-        if not cuts:
-            pieces.append(comp)
-            continue
+    blocks, cuts, _ = biconnected_blocks(adj, range(g.n))
+    while cuts:
         for v, keep in _kept_blocks(blocks, cuts, p_ini, p_tar):
             for t in adj[v] - keep:
                 adj[v].discard(t)
                 adj[t].discard(v)
-        work.extend(connected_components(adj, set(comp)))
+        blocks, cuts, _ = biconnected_blocks(adj, range(g.n))
     out = []
-    for piece in sorted(pieces):
+    # without cut vertices, each component is one block
+    for piece in sorted(map(sorted, blocks)):
         sub, vmap = induced_subgraph(g, piece)
         idx = {v: i for i, v in enumerate(vmap)}
         # no cut vertex severs its matched edges, so partners share a piece
@@ -518,12 +510,18 @@ def solve_outerplanar(
         # components untouched since their last scan were already purged,
         # split and seeded; only revisit regions with recent reductions.
         # After drain() every live vertex has degree >= 2.
-        seeds = set(dirty)
+        pieces = []
+        seen: set[int] = set()
+        for s in dirty:  # one block search per dirty component
+            if s not in seen:
+                blocks, cuts, comp = biconnected_blocks(adj, (s,))
+                seen.update(comp)
+                pieces.append((sorted(comp), blocks, cuts))
         dirty.clear()
-        for comp in connected_components(adj, adj, seeds):
+        pieces.sort(key=lambda piece: piece[0][0])
+        for comp, blocks, cuts in pieces:
             if len(comp) % 2 == 1:
                 raise RuntimeError("internal: odd component with perfect matchings")
-            blocks, cuts = biconnected_blocks(adj, comp)
             if cuts:
                 for v, keep in _kept_blocks(blocks, cuts, p1, p2):
                     trace.steps.append(

@@ -28,6 +28,7 @@ from matchflip.graph import (
     edge_set,
     four_cycles,
     graph_from_adjacency,
+    induced_subgraph,
     matching_partners,
     matching_status,
     partner_map,
@@ -80,6 +81,17 @@ def test_graph_edges_built_on_first_use():
     h = graph_from_adjacency(g.adj)
     assert (h.n, h.m, h.adj, h.edges) == (g.n, g.m, g.adj, g.edges)
     assert graph_from_adjacency([]).m == 0 and Graph(3, []).edges == frozenset()
+    # induced subgraphs: m from the degree sum, edges built on first use in
+    # the order of the eager frozenset
+    rng = random.Random(5)
+    g = random_graph(rng, 40, 0.3)
+    for keep in (range(0, 40, 2), rng.sample(range(40), 25), [3], []):
+        sub, vmap = induced_subgraph(g, keep)
+        want = frozenset((u, w) for u, ws in enumerate(sub.adj) for w in ws if u < w)
+        assert sub._edges is None
+        assert sub.m == len(want) == sum(u in keep and v in keep for u, v in g.edges)
+        assert sub.edges == want and list(sub.edges) == list(want)
+        assert {(vmap[u], vmap[v]) for u, v in sub.edges} == {e for e in g.edges if set(e) <= set(keep)}
 
 
 def test_duplicate_edge_error_names_the_first_duplicate():

@@ -1,6 +1,7 @@
 """Differential tests against networkx (a test-only dependency): the
 component search, the block decomposition and the maximum matching on
-random graphs that hold isolated vertices and bridges; and cograph
+random graphs that hold isolated vertices and bridges; outerplanarity
+against planarity of the graph plus an apex vertex; and cograph
 recognition against a brute-force search for an induced P4."""
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from matchflip.blossom import max_matching
 from matchflip.cograph import is_cograph
-from matchflip.generators import random_cotree_graph
+from matchflip.generators import random_cotree_graph, random_outerplanar_graph
 from matchflip.graph import Graph, connected_components, edge, matching_partners
-from matchflip.outerplanar import biconnected_blocks
+from matchflip.outerplanar import biconnected_blocks, is_outerplanar, verify_boundary_order
 
 nx = pytest.importorskip("networkx")
 
@@ -42,9 +43,7 @@ graphs = st.builds(_graph, st.integers(1, 12), st.floats(0.0, 0.6), st.integers(
 @given(graphs, st.data())
 def test_connected_components_match_networkx(g, data):
     keep = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1)) | {0, g.n - 2, g.n - 1}
-    seeds = data.draw(st.sets(st.integers(0, g.n - 1), max_size=4))
     want = sorted(sorted(c) for c in nx.connected_components(_nx(g, keep)))
-    want_seeded = [c for c in want if seeds & set(c)]
     adjs = (g.adj, {v: set(g.adj[v]) for v in range(g.n)})
     containers = [set(keep), dict.fromkeys(keep).keys()]
     if len(keep) == g.n:
@@ -52,7 +51,6 @@ def test_connected_components_match_networkx(g, data):
     for adj in adjs:
         for vertices in containers:
             assert connected_components(adj, vertices) == want
-            assert connected_components(adj, vertices, seeds) == want_seeded
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -60,7 +58,9 @@ def test_connected_components_match_networkx(g, data):
 def test_biconnected_blocks_match_networkx(g, data):
     keep = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1)) | {0, g.n - 2, g.n - 1}
     h = _nx(g, keep)
-    blocks, cuts = biconnected_blocks(g.adj, keep)
+    # the search walks an adjacency closed over the vertices it reaches
+    blocks, cuts, reached = biconnected_blocks({v: g.adj[v] & keep for v in keep}, keep)
+    assert sorted(reached) == sorted(keep)
     # a vertex without a live neighbour is a block of its own
     lone = sorted(v for v in keep if not h[v])
     assert sorted(sorted(b) for b in blocks if len(b) > 1) == sorted(
@@ -80,6 +80,36 @@ def test_max_matching_size_matches_networkx(g, data):
     assert len(m) == len(nx.max_weight_matching(_nx(g, keep), maxcardinality=True))
     if len(keep) == g.n:
         assert len(max_matching(g)) == len(m)
+
+
+def _near_outerplanar(n: int, seed: int, cut: float, extra: int) -> tuple[Graph, list[int]]:
+    """A generator outerplanar graph with boundary edges cut at random (so
+    it may have cut vertices and several components) and ``extra`` random
+    edges added, labels scrambled; with the generator's boundary order."""
+    rng = random.Random(seed)
+    base = random_outerplanar_graph(n, rng, rng.random())
+    es = {e for e in base.edges if e[1] - e[0] not in (1, n - 1) or rng.random() >= cut}
+    while extra and len(es) < n * (n - 1) // 2:
+        e = edge(*rng.sample(range(n), 2))
+        if e not in es:
+            es.add(e)
+            extra -= 1
+    perm = rng.sample(range(n), n)
+    return Graph(n, [(perm[u], perm[v]) for u, v in es]), perm
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.builds(_near_outerplanar, st.integers(3, 24), st.integers(0, 2**32 - 1),
+                 st.sampled_from([0.0, 0.1, 0.4]), st.integers(0, 3)), st.booleans())
+def test_is_outerplanar_matches_apex_planarity(case, hinted):
+    # G is outerplanar iff G plus a vertex joined to all of G is planar
+    g, order = case
+    h = _nx(g, range(g.n))
+    h.add_edges_from((g.n, v) for v in range(g.n))
+    planar = nx.check_planarity(h)[0]
+    if hinted and verify_boundary_order(g, order):  # a valid hint is the structure
+        assert planar
+    assert is_outerplanar(g) == planar
 
 
 def _has_induced_p4(g: Graph) -> bool:

@@ -373,13 +373,10 @@ def test_verify_boundary_order_matches_reference(n, seed, kind, data):
             assert _same_cycle(boundary_order(h).order, order)
 
 
-def test_glued_blocks_against_oracle():
-    # blocks glued at shared vertices, labels scrambled: the pieces the
-    # solver meets start at cut vertices of the input, so it must find
-    # each piece's cycle through the block that holds it
-    rng = random.Random(99)
-    pairs = 0
-    for _ in range(80):
+def _glued_blocks(rng: random.Random, count: int):
+    """``count`` graphs of two or three random outerplanar blocks glued at
+    shared vertices, with an even vertex count and scrambled labels."""
+    for _ in range(count):
         sizes = [rng.randint(3, 6) for _ in range(rng.randint(2, 3))]
         n = sum(sizes) - len(sizes) + 1
         if n % 2:
@@ -393,7 +390,14 @@ def test_glued_blocks_against_oracle():
             top += k - 1
             for u, v in random_outerplanar_graph(k, rng, rng.random()).edges:
                 edges.add(edge(perm[labels[u]], perm[labels[v]]))
-        g = Graph(n, sorted(edges))
+        yield Graph(n, sorted(edges))
+
+
+def test_glued_blocks_against_oracle():
+    # the pieces the solver meets start at cut vertices of the input, so it
+    # must find each piece's cycle through the block that holds it
+    pairs = 0
+    for g in _glued_blocks(random.Random(99), 80):
         pms = enumerate_matchings(g, "perfect")
         for a in pms:
             for b in pms:
@@ -403,3 +407,55 @@ def test_glued_blocks_against_oracle():
                     assert verify_sequence(g, a, res.sequence, b).ok
                 pairs += 1
     assert pairs > 100
+
+
+def test_solver_walks_each_dirty_piece_once(monkeypatch):
+    # the block search reports the component it walked, so neither
+    # recognition, the solver nor the splitter runs a component search
+    import matchflip.graph
+    import matchflip.outerplanar
+
+    cases = [(g, enumerate_matchings(g, "perfect")) for g in _glued_blocks(random.Random(7), 30)]
+    inst = load_instance(random_outerplanar_instance(300, 11, walk=60))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("connected_components was called")
+
+    monkeypatch.setattr(matchflip.graph, "connected_components", refuse)
+    monkeypatch.setattr(matchflip.outerplanar, "connected_components", refuse, raising=False)
+    res = solve_outerplanar(inst.graph, inst.m_ini, inst.m_tar)  # no hint: recognition runs
+    assert res.yes and verify_sequence(inst.graph, inst.m_ini, res.sequence, inst.m_tar).ok
+    solved = 0
+    for g, pms in cases:
+        for a, b in zip(pms, pms[::-1]):
+            res = solve_outerplanar(g, a, b)
+            if res.yes:
+                assert verify_sequence(g, a, res.sequence, b).ok
+                solved += 1
+            assert split_at_cut_vertices(g, a, b)
+    assert solved > 10
+
+
+def test_biconnected_blocks_fixed_cases():
+    def search(g, roots):
+        blocks, cuts, reached = biconnected_blocks(g.adj, roots)
+        return sorted(map(sorted, blocks)), cuts, sorted(reached)
+
+    bowtie = Graph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
+    # the DFS root is the cut vertex: it has two children
+    assert search(bowtie, [0]) == ([[0, 1, 2], [0, 3, 4]], {0}, [0, 1, 2, 3, 4])
+    assert search(bowtie, [3]) == ([[0, 1, 2], [0, 3, 4]], {0}, [0, 1, 2, 3, 4])
+    assert search(Graph(2, [(0, 1)]), [1]) == ([[0, 1]], set(), [0, 1])
+    # a lone vertex is a block of its own; only the roots' components are walked
+    lone = Graph(5, [(1, 2), (2, 3), (3, 1)])
+    assert search(lone, range(5)) == ([[0], [1, 2, 3], [4]], set(), [0, 1, 2, 3, 4])
+    assert search(lone, [4, 2]) == ([[1, 2, 3], [4]], set(), [1, 2, 3, 4])
+    # 10^5 vertices, far past the recursion limit
+    n = 100_000
+    path = path_graph(n)
+    assert search(path, [0]) == ([[i, i + 1] for i in range(n - 1)], set(range(1, n - 1)),
+                                 list(range(n)))
+    blocks, cuts, _ = biconnected_blocks(path.adj, [n // 2])
+    assert len(blocks) == n - 1 and cuts == set(range(1, n - 1))
+    ladder = Graph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)] + [(i, i + 2) for i in range(n - 2)])
+    assert search(ladder, [n - 1]) == ([list(range(n))], set(), list(range(n)))
