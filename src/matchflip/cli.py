@@ -61,7 +61,10 @@ def _mode(args) -> oracle.Mode:
     if name == MODE_KFLIP:
         if not getattr(args, "k", None):
             raise MalformedInputError("kflip mode needs --k")
-        return oracle.kflip(args.k)
+        try:
+            return oracle.kflip(args.k)
+        except ValueError as exc:  # odd, or above the oracle's cap
+            raise MalformedInputError(str(exc)) from None
     if name == MODE_FLIP_SLIDE:
         return oracle.FLIP_SLIDE
     if name == MODE_FLIP:
@@ -174,7 +177,10 @@ def _cmd_oracle(args) -> int:
 def _cmd_stats(args) -> int:
     inst = load_instance(args.instance)
     mode = _mode(args)
-    target = "perfect" if args.target == "perfect" else int(args.target)
+    try:
+        target = "perfect" if args.target == "perfect" else int(args.target)
+    except ValueError:
+        raise MalformedInputError(f'--target is "perfect" or a size, not {args.target!r}') from None
     source = inst.m_ini if inst.m_ini else None
     st = oracle.reconfiguration_stats(
         inst.graph, target, mode, source=source, budget=_budget(args)
@@ -208,14 +214,17 @@ def _cmd_gen_ncl(args) -> int:
 def _cmd_gen_random(args) -> int:
     from . import generators
 
-    fns = {
-        "interval": generators.random_interval_instance,
-        "outerplanar": generators.random_outerplanar_instance,
-        "cograph": generators.random_cograph_instance,
+    fns = {  # each generator and the least n it builds from
+        "interval": (generators.random_interval_instance, 0),
+        "outerplanar": (generators.random_outerplanar_instance, 3),
+        "cograph": (generators.random_cograph_instance, 1),
     }
     if args.cls not in fns:
         raise MalformedInputError(f"unknown class {args.cls!r}")
-    payload = fns[args.cls](args.n, args.seed)
+    fn, least = fns[args.cls]
+    if args.n < least:
+        raise MalformedInputError(f"--n must be at least {least} for {args.cls}, got {args.n}")
+    payload = fn(args.n, args.seed)
     _write_payload(args.out, payload)
     return EXIT_YES
 

@@ -28,13 +28,14 @@ handing each piece's vertex and edge sets down and cutting them in place,
 so only a join's smaller side and a union's smaller parts are listed.
 
 Within one transformation the two matchings share the neighbour map of
-their symmetric difference, and each move updates it in O(1).  A choice
-reads the map only near the vertices the last move touched: a path
-retraction or a forbidden-pattern fix costs O(log d) heap work per move
-(d the size of the difference), a check for cycles inside A walks the
-components through the touched vertices, and the cycles routed through
-a free B-vertex are listed once.  Only pushing the input's B-edges out,
-at the start, still scans that matching once per push.
+their symmetric difference, kept and walked only by ``graph``'s difference
+helpers; each move updates it in O(1).  A choice reads the map only near
+the vertices the last move touched: a path retraction or a
+forbidden-pattern fix costs O(log d) heap work per move (d the size of
+the difference), a check for cycles inside A walks the components
+through the touched vertices, and the cycles routed through a free
+B-vertex are listed once.  Only pushing the input's B-edges out, at the
+start, still scans that matching once per push.
 """
 
 from __future__ import annotations
@@ -61,9 +62,11 @@ from .graph import (
     Move,
     ReconfigSequence,
     Slide,
+    _hop,
     _meet,
+    _toggle,
+    _walk,
     canonical_flip,
-    connected_components,
     edge,
     graph_from_adjacency,
     induced_subgraph,
@@ -317,15 +320,6 @@ class _Side:
         self.moves.append(mv)
 
 
-def _toggle(nbr: dict[int, set[int]], e: Edge) -> None:
-    """An edge entering or leaving one side leaves or enters the difference."""
-    for x, y in (e, e[::-1]):
-        ws = nbr.setdefault(x, set())
-        ws ^= {y}
-        if not ws:
-            del nbr[x]
-
-
 def _sides(g: Graph, m1, m2) -> tuple[_Side, _Side]:
     """Two sides sharing the neighbour map of their symmetric difference."""
     s1, s2 = _Side(g, m1), _Side(g, m2)
@@ -342,31 +336,16 @@ def _pair(m1, m2) -> tuple[frozenset[Edge], frozenset[Edge]]:
     return m1, m2
 
 
-def _step(nbr: dict[int, set[int]], frm: int, hop: int) -> Optional[int]:
-    """The difference neighbour of ``hop`` other than ``frm``, if any."""
-    return next((t for t in nbr.get(hop, ()) if t != frm), None)
-
-
 def _cycles_through(nbr: dict[int, set[int]], vertices) -> list[tuple[int, ...]]:
     """The difference cycles through ``vertices``, each once, by least
-    vertex.  A cycle is listed from its least vertex toward that vertex's
-    lesser neighbour, the order of ``symmetric_difference_components``."""
+    vertex, in the order of ``symmetric_difference_components``."""
     out, seen = [], set()
     for v in vertices:
-        if v not in nbr or v in seen:
-            continue
-        walk = [v]
-        for start in sorted(nbr[v]):  # a path is walked both ways from v
-            prev, cur = v, start
-            while cur is not None and cur != v:
-                walk.append(cur)
-                prev, cur = cur, _step(nbr, prev, cur)
-            if cur == v:
-                i = walk.index(min(walk))
-                cyc = walk[i:] + walk[:i]
-                out.append(tuple(cyc if cyc[1] < cyc[-1] else cyc[:1] + cyc[:0:-1]))
-                break
-        seen.update(walk)
+        if v in nbr and v not in seen:
+            cycle, walk = _walk(nbr, v)
+            seen.update(walk)
+            if cycle:
+                out.append(walk)
     return sorted(out)
 
 
@@ -405,7 +384,7 @@ def _make_equal_cycle_free(g: Graph, s1: _Side, s2: _Side) -> None:
         v = heappop(ends)
         if len(nbr.get(v, ())) != 1 or len(nbr[u := min(nbr[v])]) != 2:
             continue  # gone, or a lone edge
-        w = _step(nbr, v, u)
+        w = _hop(nbr, v, u)
         first, second = edge(v, u), edge(u, w)
         # the path's end vertex is unmatched on the side missing its end
         # edge, so that side absorbs it with one slide
@@ -416,7 +395,7 @@ def _make_equal_cycle_free(g: Graph, s1: _Side, s2: _Side) -> None:
     lone1 = [f for f in lone if f in s1.m]
     lone2 = [f for f in lone if f not in s1.m]
     if lone1:
-        comps = connected_components(g.adj, range(g.n))
+        comps = _split(g.adj, set(range(g.n)), False)
         comp_id = {v: i for i, comp in enumerate(comps) for v in comp}
     for e1 in lone1:
         i = next(i for i, f in enumerate(lone2) if comp_id[f[0]] == comp_id[e1[0]])
@@ -576,7 +555,7 @@ def _fix_short_pattern(part, sm: _Side, si: _Side, heap: list[Edge], moved: set[
         v, w = heap[0]
         # a site whose edge left the difference matches nothing
         for vv, ww in ((v, w), (w, v)) if w in nbr.get(v, ()) else ():
-            u, x = _step(nbr, ww, vv), _step(nbr, vv, ww)
+            u, x = _hop(nbr, ww, vv), _hop(nbr, vv, ww)
             if u is None or x is None or u == x:
                 continue
             in_a = [t in part.a for t in (u, vv, ww, x)]
@@ -600,7 +579,7 @@ def _fix_w_pattern(part, e, sm: _Side, heap: list[Edge], moved: set[int]) -> boo
         u, v = heap[0]
         # a site whose edge left the difference matches nothing
         for walk in ([u, v], [v, u]) if v in nbr.get(u, ()) else ():
-            while len(walk) < 6 and (t := _step(nbr, walk[-2], walk[-1])) is not None:
+            while len(walk) < 6 and (t := _hop(nbr, walk[-2], walk[-1])) is not None:
                 walk.append(t)
             if len(walk) < 6:
                 continue

@@ -8,6 +8,10 @@ All values are immutable after construction and all public functions are
 pure.  :func:`matching_partners` checks a matching into its vertex ->
 partner map; ``_step`` alone checks and applies a move on such a map in
 O(move size); :func:`verify_sequence` and :func:`apply_move` use it.
+The difference M1 (triangle) M2 of two matchings is one vertex -> neighbours
+map that ``_toggle`` updates, ``_hop`` steps along and ``_walk`` lists a
+component of; :func:`symmetric_difference_components` and the cograph
+solver read it only through these.
 """
 
 from __future__ import annotations
@@ -302,55 +306,62 @@ class DiffComponent:
         return len(self.vertices) - 1
 
 
+def _toggle(nbr: dict[int, set[int]], e: Edge) -> None:
+    """An edge entering or leaving one matching leaves or enters the
+    difference held as the neighbour map ``nbr``."""
+    for x, y in (e, e[::-1]):
+        ws = nbr.setdefault(x, set())
+        ws ^= {y}
+        if not ws:
+            del nbr[x]
+
+
+def _hop(nbr: dict[int, set[int]], frm: int, at: int) -> Optional[int]:
+    """The difference neighbour of ``at`` other than ``frm``, if any."""
+    for t in nbr.get(at, ()):  # a loop, not next(generator): twice as fast per step
+        if t != frm:
+            return t
+    return None
+
+
+def _walk(nbr: dict[int, set[int]], v: int) -> tuple[bool, tuple[int, ...]]:
+    """Whether the difference component through ``v`` is a cycle, and its
+    vertices: a cycle from its least vertex toward that vertex's lesser
+    neighbour, a path from its lesser end."""
+    walk = [v]
+    for start in sorted(nbr[v]):  # a path is walked both ways from v
+        prev, cur = v, start
+        while cur is not None and cur != v:
+            walk.append(cur)
+            prev, cur = cur, _hop(nbr, prev, cur)
+        if cur == v:
+            return True, canonical_flip(walk).cycle
+        walk.reverse()  # v's other side is appended after it
+    return False, tuple(walk if walk[0] < walk[-1] else walk[::-1])
+
+
 def symmetric_difference_components(
     m1: frozenset[Edge], m2: frozenset[Edge]
 ) -> list[DiffComponent]:
-    """Decompose M1 (triangle) M2 into single edges, paths and even cycles.
+    """Decompose M1 (triangle) M2 into single edges, paths and even cycles,
+    by first vertex.
 
     Every vertex meets at most one edge of each matching, so components
     are paths or cycles whose edges alternate between the two matchings.
     """
-    diff = m1 ^ m2
-    nbr: dict[int, list[int]] = {}
-    for u, v in diff:
-        nbr.setdefault(u, []).append(v)
-        nbr.setdefault(v, []).append(u)
+    nbr: dict[int, set[int]] = {}
+    for u, v in m1 ^ m2:  # each edge enters once, so no toggling
+        nbr.setdefault(u, set()).add(v)
+        nbr.setdefault(v, set()).add(u)
     comps: list[DiffComponent] = []
     seen: set[int] = set()
-    for start in sorted(nbr):
-        if start in seen:
-            continue
-        if len(nbr[start]) == 2:
-            continue  # cycle or path interior; handled from an endpoint
-        # walk a path from this degree-1 endpoint
-        path = [start]
-        seen.add(start)
-        prev, cur = start, nbr[start][0]
-        while True:
-            path.append(cur)
-            seen.add(cur)
-            nxt = [w for w in nbr[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-        if path[-1] < path[0]:
-            path.reverse()
-        kind = "single_edge" if len(path) == 2 else "alternating_path"
-        comps.append(DiffComponent(kind, tuple(path)))
-    for start in sorted(nbr):
-        if start in seen:
-            continue
-        # remaining vertices all have degree 2: even cycles
-        cyc = [start]
-        seen.add(start)
-        prev, cur = start, min(nbr[start])
-        while cur != start:
-            cyc.append(cur)
-            seen.add(cur)
-            nxt = [w for w in nbr[cur] if w != prev]
-            prev, cur = cur, nxt[0]
-        comps.append(DiffComponent("even_cycle", tuple(cyc)))
-    comps.sort(key=lambda c: c.vertices[0])
+    for v in sorted(nbr):
+        if v not in seen:
+            cycle, vs = _walk(nbr, v)
+            seen.update(vs)
+            kind = "even_cycle" if cycle else "single_edge" if len(vs) == 2 else "alternating_path"
+            comps.append(DiffComponent(kind, vs))
+    comps.sort(key=lambda c: c.vertices[0])  # a path's lesser end may not be its least vertex
     return comps
 
 
@@ -487,25 +498,3 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     vmap = tuple(sorted(keep))
     idx = {v: i for i, v in enumerate(vmap)}
     return graph_from_adjacency([frozenset(idx[w] for w in g.adj[v] & keep) for v in vmap]), vmap
-
-
-def connected_components(adj, vertices) -> list[list[int]]:
-    """Connected components (sorted vertex lists, by least vertex) of the
-    subgraph of ``adj`` induced by ``vertices``, any container with O(1)
-    membership (a range, a set, a dict's keys), where each ``adj[v]`` is a
-    set."""
-    comps: list[list[int]] = []
-    seen: set[int] = set()
-    for s in vertices:
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        for v in comp:  # grows while scanned
-            for w in adj[v] - seen:  # in C: a dense graph's seen neighbours cost little
-                if w in vertices:
-                    seen.add(w)
-                    comp.append(w)
-        comps.append(sorted(comp))
-    comps.sort(key=lambda c: c[0])
-    return comps

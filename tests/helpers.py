@@ -14,6 +14,7 @@ from matchflip.graph import (
     REASON_INPUT,
     REASON_MODE,
     REASON_SLIDE,
+    DiffComponent,
     Flip,
     Graph,
     Slide,
@@ -224,6 +225,48 @@ def reference_apply_move(g: Graph, matching: frozenset, move) -> frozenset:
         return (matching - {rem}) | {add}
 
     raise TypeError(f"unknown move {move!r}")
+
+
+def reference_symmetric_difference_components(m1: frozenset, m2: frozenset) -> list[DiffComponent]:
+    """M1 (triangle) M2 in two passes over neighbour lists: paths walked
+    from their degree-1 ends first, then the remaining cycles."""
+    nbr: dict[int, list[int]] = {}
+    for u, v in m1 ^ m2:
+        nbr.setdefault(u, []).append(v)
+        nbr.setdefault(v, []).append(u)
+    comps: list[DiffComponent] = []
+    seen: set[int] = set()
+    for start in sorted(nbr):
+        if start in seen or len(nbr[start]) == 2:
+            continue  # cycle or path interior; handled from an endpoint
+        path = [start]
+        seen.add(start)
+        prev, cur = start, nbr[start][0]
+        while True:
+            path.append(cur)
+            seen.add(cur)
+            nxt = [w for w in nbr[cur] if w != prev]
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+        if path[-1] < path[0]:
+            path.reverse()
+        kind = "single_edge" if len(path) == 2 else "alternating_path"
+        comps.append(DiffComponent(kind, tuple(path)))
+    for start in sorted(nbr):
+        if start in seen:
+            continue
+        cyc = [start]
+        seen.add(start)
+        prev, cur = start, min(nbr[start])
+        while cur != start:
+            cyc.append(cur)
+            seen.add(cur)
+            nxt = [w for w in nbr[cur] if w != prev]
+            prev, cur = cur, nxt[0]
+        comps.append(DiffComponent("even_cycle", tuple(cyc)))
+    comps.sort(key=lambda c: c.vertices[0])
+    return comps
 
 
 def reference_verify(g: Graph, m_ini: frozenset, seq, m_tar: frozenset) -> Verdict:

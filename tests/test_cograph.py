@@ -152,6 +152,17 @@ def test_transform_cycle_free_rejects_cycles():
         transform_cycle_free(C4, C4_PM1, C4_PM2)
 
 
+def test_transform_cycle_free_pairs_lone_edges_within_components():
+    # two disjoint K4s: the sorted lone edges 01 < 23 < 45 < 67 alternate
+    # between the components, so 01 must travel to 67 and 23 to 45
+    k4s = [(0, 1, 6, 7), (2, 3, 4, 5)]
+    g = Graph(8, [(u, v) for q in k4s for i, u in enumerate(q) for v in q[i + 1:]])
+    m1, m2 = edge_set([(0, 1), (2, 3)]), edge_set([(4, 5), (6, 7)])
+    seq = transform_cycle_free(g, m1, m2)
+    assert verify_sequence(g, m1, seq, m2).ok
+    assert len(seq) <= 2 * len(m1 ^ m2)
+
+
 def test_transform_cycle_free_random():
     rng = random.Random(77)
     done = 0
@@ -290,9 +301,7 @@ def test_lift_equivalence_when_conditions_fail():
     seen = 0
     for _ in range(300):
         g = random_cotree_graph(rng.randint(2, 7), rng)
-        from matchflip.graph import connected_components
-
-        if len(connected_components(g.adj, range(g.n))) != 1 or g.n < 2:
+        if build_cotree(g).kind != "join":  # connected on >= 2 vertices
             continue
         part = root_partition(g)
         by_size = all_matchings_by_size(g)

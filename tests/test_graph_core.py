@@ -48,6 +48,7 @@ from helpers import (
     random_graph,
     random_matching_of,
     reference_apply_move,
+    reference_symmetric_difference_components,
     reference_verify,
 )
 
@@ -202,6 +203,29 @@ def test_symmetric_difference_structure_random():
             sides = [e in m1 for e in edges]
             for a, b in zip(sides, sides[1:]):
                 assert a != b
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(
+    st.integers(0, 14),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["other", "same", "empty", "part"]),
+)
+def test_symmetric_difference_matches_reference(n, seed, pair):
+    """One walk per component returns exactly the two-pass walk's list:
+    kinds, order and each component's vertex order, on matchings that
+    need not be perfect, and on empty and identical pairs."""
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.uniform(0.2, 0.9))
+    m1 = random_matching_of(g, rng)
+    m2 = {
+        "other": lambda: random_matching_of(g, rng),
+        "same": lambda: m1,
+        "empty": lambda: frozenset(),
+        "part": lambda: frozenset(e for e in m1 if rng.random() < 0.5),
+    }[pair]()
+    for a, b in ((m1, m2), (m2, m1)):
+        assert symmetric_difference_components(a, b) == reference_symmetric_difference_components(a, b)
 
 
 def test_flip_adjacency_iff_single_4cycle():

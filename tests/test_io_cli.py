@@ -450,6 +450,21 @@ def test_cli_bad_budget_env_exits_2(tmp_path, capsys, monkeypatch):
     assert "MATCHFLIP_BUDGET" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["stats", "{inst}", "--target", "abc"],
+    ["oracle", "{inst}", "--mode", "kflip", "--k", "5"],  # odd k
+    ["oracle", "{inst}", "--mode", "kflip", "--k", "14"],  # above the oracle's cap
+    ["gen-random", "--class", "cograph", "--n", "-3", "--seed", "1"],
+    ["gen-random", "--class", "outerplanar", "--n", "1", "--seed", "1"],
+])
+def test_cli_malformed_arguments_exit_2(tmp_path, capsys, argv):
+    path = _write(tmp_path, "k4.json", K4_INSTANCE)
+    assert main([path if a == "{inst}" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("fault", [RuntimeError("internal: boom"), RecursionError("too deep")])
 def test_cli_internal_fault_exits_4(tmp_path, capsys, monkeypatch, fault):
     # a fault inside the library must not read as NO (exit 1)

