@@ -181,6 +181,8 @@ def _cmd_stats(args) -> int:
         target = "perfect" if args.target == "perfect" else int(args.target)
     except ValueError:
         raise MalformedInputError(f'--target is "perfect" or a size, not {args.target!r}') from None
+    if target != "perfect" and not 0 <= target <= inst.graph.n // 2:
+        raise MalformedInputError(f"--target {target} is outside 0..{inst.graph.n // 2}")
     source = inst.m_ini if inst.m_ini else None
     st = oracle.reconfiguration_stats(
         inst.graph, target, mode, source=source, budget=_budget(args)

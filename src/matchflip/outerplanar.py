@@ -1,7 +1,7 @@
 """Perfect matching reconfiguration on outerplanar graphs.
 
-The decision procedure repeatedly applies three reductions, each of which
-preserves the answer exactly:
+The decision procedure applies three reductions, each of which preserves
+the answer exactly:
 
 * forced edges: a degree-<=1 vertex must use its only edge in every
   perfect matching, so both endpoints can be removed;
@@ -14,28 +14,35 @@ preserves the answer exactly:
   disagrees between the matchings, otherwise drop e or the pair); if xy
   is an edge, the pair contracts onto the chord xy.
 
-Even chords of a 2-connected block's boundary cycle cannot occur in any
-perfect matching nor in any flip, so they are purged whenever a block is
-re-scanned; after purging, a block always offers an adjacent degree-two
-pair, which keeps the reduction moving.
-
 Each graph has one certified structure, cached while it lives: every
-vertex's position on the boundary cycle of each block holding it.
-Recognition builds it (one ear-contracted, checked cycle per block), or a
-valid boundary hint is it, a checked Hamiltonian cycle with non-crossing
-chords being a certificate.  The solver reads it: its graph only loses
-vertices and edges (a pair contracts onto an existing chord), so a
-2-connected piece lies in one block, and drawn with the block's vertices
-on a circle in cycle order the piece is crossing-free with all vertices
-on its outer face, which being 2-connected is a cycle in circle order:
-the block's cycle restricted to the piece.
+block's boundary cycle as vertex positions.  Recognition builds it (one
+ear-contracted, checked cycle per block), or a valid boundary hint is it.
+The solver reads pieces off it and never searches for a block: its graph
+only loses vertices and edges, so each live vertex keeps a ring, the cycle
+of the block holding its matched edge restricted to the vertex's piece.
+Edges never cross on a ring; a ring whose neighbours are all adjacent is a
+2-connected piece.  A gap (ring neighbours not adjacent) opens where a
+vertex lives in another block or a pair or boundary edge is lost; the far
+end c of the gap end's longest edge is then a cut vertex, as nothing
+between them has an edge past c, and the ring is cut in two at c.
 
-Sequence construction exploits that a pair contraction lifts with at most
-one extra flip on each side: flipping the square (x, u, w, y) toggles
-between "e matched" and "boundary edges matched", after which the reduced
-sequence replays verbatim.  The emitted sequence is therefore the
-chronological list of initial-side square flips followed by the
-target-side square flips in reverse order.
+Even chords (an odd number of vertices on each side) of an even
+2-connected piece cannot occur in any perfect matching nor in any flip.
+They are purged once, when every ring has first closed.  From then on the
+vertices on either side of a chord only lose even numbers: a lost pair is
+adjacent, so it lies on one side, and a cut removes a perfectly matched
+stretch of ring from one side.  So a chord's parity never changes, also in
+odd input blocks and at cut vertices, where it is first measured after the
+first split.  After purging, an even 2-connected piece always offers an
+adjacent degree-two pair, which keeps the reduction moving.
+
+A pair contraction lifts with at most one extra flip on each side:
+flipping the square (x, u, w, y) toggles between "e matched" and
+"boundary edges matched", after which the reduced sequence replays
+verbatim.  The emitted sequence is the chronological list of initial-side
+square flips, then the target-side ones in reverse order, less a shared
+tail.  No work is ordered by a ring's start or direction, so the output
+depends on the graph and the matchings alone.
 """
 
 from __future__ import annotations
@@ -49,8 +56,8 @@ from .graph import (
     Edge,
     Graph,
     MODE_FLIP,
-    Move,
     ReconfigSequence,
+    _meet,
     canonical_flip,
     edge,
     induced_subgraph,
@@ -284,9 +291,10 @@ def _by_vertex(n: int, maps: list[dict[int, int]]) -> list[list[dict[int, int]]]
     return found
 
 
-def _structure(g: Graph) -> Optional[list[list[dict[int, int]]]]:
-    """The graph's cached structure, or None when it is not outerplanar.
-    A bridge or a lone vertex is its block's own cycle."""
+def _structure(g: Graph) -> Optional[tuple[list[dict[int, int]], list[list[dict[int, int]]]]]:
+    """The graph's cached structure, or None when it is not outerplanar:
+    its blocks' cycle position maps, and per vertex those through it.  A
+    bridge or a lone vertex is its block's own cycle."""
     if g not in _structures:
         found = None
         if g.m <= max(0, 2 * g.n - 3):
@@ -294,7 +302,7 @@ def _structure(g: Graph) -> Optional[list[list[dict[int, int]]]]:
             maps = [_boundary_cycle(g.adj, blk) if len(blk) > 2 else dict(zip(blk, range(2)))
                     for blk in biconnected_blocks(g.adj, range(g.n))[0]]
             if None not in maps:
-                found = _by_vertex(g.n, maps)
+                found = maps, _by_vertex(g.n, maps)
         _structures[g] = found
     return _structures[g]
 
@@ -304,16 +312,16 @@ def boundary_order(g: Graph) -> BoundaryOrder:
     graph, certified (consecutive adjacency and non-crossing chords)."""
     if g.n < 3:
         raise NotTwoConnectedError("need at least 3 vertices")
-    found = _structure(g)
-    if found is None:
+    struct = _structure(g)
+    if struct is None:
         raise NotOuterplanarError("graph is not outerplanar")
-    blocks = len({id(pos) for maps in found for pos in maps})
+    blocks, found = struct
     # blocks and cut vertices form a forest with one tree per component
-    if blocks - sum(len(maps) - 1 for maps in found) != 1:
+    if len(blocks) - sum(len(maps) - 1 for maps in found) != 1:
         raise NotTwoConnectedError("graph is disconnected")
-    if blocks != 1:
+    if len(blocks) != 1:
         raise NotTwoConnectedError("graph has a cut vertex")
-    return BoundaryOrder(tuple(found[0][0]))
+    return BoundaryOrder(tuple(blocks[0]))
 
 
 def verify_boundary_order(g: Graph, order) -> bool:
@@ -326,7 +334,7 @@ def verify_boundary_order(g: Graph, order) -> bool:
     pos = _positions(g.adj, order) if g.n >= 3 and sorted(order) == list(range(g.n)) else None
     if pos is None:
         return False
-    _structures[g] = _by_vertex(g.n, [pos])
+    _structures[g] = [pos], _by_vertex(g.n, [pos])
     return True
 
 
@@ -339,44 +347,28 @@ def is_outerplanar(g: Graph) -> bool:
 # cut-vertex splitting (public operation)
 
 
-def _kept_blocks(
-    blocks: list[set[int]], cuts: set[int], p1: dict[int, int], p2: dict[int, int]
-) -> list[tuple[int, set[int]]]:
-    """Each cut vertex, in order, with the one block it keeps.
-
-    Every perfect matching pairs a cut vertex into its unique odd side,
-    which is the branch through the block holding its matched edge; edges
-    into its other blocks can never be matched or flipped, so every cut
-    vertex of a component can be severed from them at once."""
-    blocks_of: dict[int, list[set[int]]] = {}
-    for blk in blocks:
-        for bv in blk:
-            blocks_of.setdefault(bv, []).append(blk)
-    out = []
-    for v in sorted(cuts):
-        keep = next((blk for blk in blocks_of[v] if p1[v] in blk), None)
-        if keep is None or p2[v] not in keep:
-            raise RuntimeError("internal: matched partners straddle blocks")
-        out.append((v, keep))
-    return out
-
-
 def split_at_cut_vertices(
     g: Graph, m_ini: frozenset[Edge], m_tar: frozenset[Edge]
 ) -> list[SubInstance]:
     """Split at cut vertices into 2-connected (or K2) sub-instances with
-    restricted matchings, listed by least vertex.  Each cut vertex of a
-    component keeps only the block holding its matched edge, as in
-    :func:`solve_outerplanar`; the components this leaves are split again
-    until none has a cut vertex."""
+    restricted matchings, listed by least vertex.  Every perfect matching
+    pairs a cut vertex into its unique odd side, the branch through the
+    block holding its matched edge; its edges into other blocks can never
+    be matched or flipped, so each cut vertex of a component is severed
+    from them at once, and the components left are split again until none
+    has a cut vertex."""
     p_ini, p_tar = partner_maps(g, m_ini, m_tar)
     adj = {v: set(g.adj[v]) for v in range(g.n)}
     blocks, cuts, _ = biconnected_blocks(adj, range(g.n))
     while cuts:
-        for v, keep in _kept_blocks(blocks, cuts, p_ini, p_tar):
-            for t in adj[v] - keep:
-                adj[v].discard(t)
-                adj[t].discard(v)
+        for blk in blocks:
+            for v in cuts.intersection(blk):
+                if (p_ini[v] in blk) != (p_tar[v] in blk):
+                    raise RuntimeError("internal: matched partners straddle blocks")
+                if p_ini[v] not in blk:
+                    for t in adj[v] & blk:
+                        adj[v].discard(t)
+                        adj[t].discard(v)
         blocks, cuts, _ = biconnected_blocks(adj, range(g.n))
     out = []
     # without cut vertices, each component is one block
@@ -403,167 +395,175 @@ def solve_outerplanar(
     """Decide flip reachability of two perfect matchings and, on YES,
     produce a verified flip sequence of length at most n.  Raises
     :class:`NotOuterplanarError` up front unless ``g`` is outerplanar; the
-    boundary cycles of the pieces it meets are read off ``g``'s structure."""
+    pieces it meets are read off ``g``'s structure, never searched for."""
     p1, p2 = partner_maps(g, m_ini, m_tar)
-    found = _structure(g)
-    if found is None:
+    struct = _structure(g)
+    if struct is None:
         raise NotOuterplanarError("graph is not outerplanar")
+    blocks, found = struct
     trace = ReductionTrace()
-    if g.n == 0:
-        return OuterplanarResult(True, ReconfigSequence(MODE_FLIP, ()), trace)
-
-    adj: dict[int, set[int]] = {v: set(g.adj[v]) for v in range(g.n)}  # live vertices only
-    pre: list[Move] = []
-    post: list[Move] = []
-
-    low: list[int] = []   # vertices whose degree may have dropped to <= 1
+    adj: dict[int, set[int]] = dict(enumerate(map(set, g.adj)))  # live vertices only
+    pre, post = [], []  # square flips on the initial and the target side
+    low = [v for v in adj if len(adj[v]) <= 1]  # vertices whose degree may have dropped to <= 1
     cand: list[int] = []  # vertices whose degree may be exactly 2
-    dirty: set[int] = set()  # regions structural scans must revisit
+    gaps: list[int] = []  # vertices whose ring neighbours may not be adjacent
 
-    def touch(t: int) -> None:
-        dirty.add(t)
-        d = len(adj[t])
-        if d <= 1:
-            low.append(t)
-        elif d == 2:
-            cand.append(t)
+    # a vertex lives in its block, a cut vertex (one in two blocks) in the
+    # one holding its matched edge; its ring is that block's cycle restricted
+    # to the live vertices living there, laid after the first split
+    home = [maps[0] for maps in found]
+    cuts = [v for v in range(g.n) if len(found[v]) > 1]
+    nxt, prv = dict(zip(adj, adj)), dict(zip(adj, adj))  # ring neighbours
+
+    def lose(t: int, v: int) -> None:
+        """t loses its edge to v; queue t by the degree left."""
+        nt = adj[t]
+        nt.discard(v)
+        if len(nt) <= 2:
+            (low if len(nt) < 2 else cand).append(t)
+
+    def gap(a: int, b: int) -> None:
+        """Queue the ring neighbours a and b if they are not adjacent."""
+        if b not in adj[a]:
+            gaps.extend((a, b) if a < b else (b, a))
 
     def kill_pair(u: int, w: int) -> None:
-        """Remove a forced or contracted pair and its incident edges."""
-        for v in (u, w):
-            dirty.discard(v)
-            p1.pop(v, None)
-            p2.pop(v, None)
+        """Remove a forced or contracted pair; their ring neighbours meet."""
+        a, b = prv[u], nxt[u]
+        nxt[a], prv[b] = b, a
+        c, d = prv[w], nxt[w]
+        nxt[c], prv[d] = d, c
         # both leave the live graph before either's neighbours are touched
         for v, nbrs in [(u, adj.pop(u)), (w, adj.pop(w))]:
             for t in nbrs:
                 if t in adj:
-                    adj[t].discard(v)
-                    touch(t)
+                    lose(t, v)
+        for a, b in ((a, b), (c, d)):
+            if a in adj and b in adj:  # else u and w were ring neighbours
+                gap(a, b)
 
-    def drop_edge(u: int, w: int) -> None:
-        adj[u].discard(w)
-        adj[w].discard(u)
-        touch(u)
-        touch(w)
+    def sever(c: int, keep: set[int]) -> None:
+        """Drop c's edges outside ``keep``, when c has any."""
+        if len(keep) < len(adj[c]):
+            trace.steps.append(SplitStep(c, tuple(sorted(keep))))
+            for t in adj[c] - keep:
+                lose(c, t)
+                lose(t, c)
 
     def fire_pair(u: int, w: int) -> None:
-        e = edge(u, w)
-        x = next(iter(adj[u] - {w}))
-        y = next(iter(adj[w] - {u}))
-        e1 = p1.get(u) == w
-        e2 = p2.get(u) == w
-        if x == y:
-            # triangle tip: e is forced into every perfect matching
-            if not (e1 and e2):
-                raise _No()
-            trace.steps.append(Case1RemoveStep(e))
-            kill_pair(u, w)
-            return
-        if y in adj[x]:
+        (x,) = adj[u] - {w}
+        (y,) = adj[w] - {u}
+        e1, e2 = p1[u] == w, p2[u] == w
+        if x != y and y in adj[x]:
             # contract the pair onto the chord xy: a side matching ux and wy
             # matches xy instead, lifted back by the square flip (x, u, w, y)
             for p, on, moves in ((p1, e1, pre), (p2, e2, post)):
                 if not on:
-                    if p.get(u) != x or p.get(w) != y:
+                    if p[u] != x or p[w] != y:
                         raise RuntimeError("internal: degree-two pair not matched as forced")
                     p[x], p[y] = y, x
                     moves.append(canonical_flip((x, u, w, y)))
             trace.steps.append(Case2Step((u, w), x, y, e1, e2))
-            kill_pair(u, w)
-            return
-        # e lies on no 4-cycle: its matched status never changes
-        if e1 != e2:
+        elif e1 != e2 or (x == y and not e1):
+            # off every 4-cycle e's matched status never changes, and a
+            # triangle tip's e is in every perfect matching
             raise _No()
-        if e1 and e2:
-            trace.steps.append(Case1RemoveStep(e))
-            kill_pair(u, w)
+        elif not e1:  # u and w then leave as forced pairs
+            trace.steps.append(Case1DropStep(edge(u, w)))
+            lose(u, w)
+            lose(w, u)
+            return
         else:
-            trace.steps.append(Case1DropStep(e))
-            drop_edge(u, w)
+            trace.steps.append(Case1RemoveStep(edge(u, w)))
+        kill_pair(u, w)
 
-    def drain() -> None:
-        while low or cand:
-            while low:
+    def split(a: int, z: int) -> None:
+        """Cut a's ring at a's farthest neighbour c away from the gap z-a,
+        keeping c's edges on its partners' side."""
+        pos = home[a]
+        at, size = pos[a], len(pos)
+        fwd, bwd, s = (nxt, prv, 1) if prv[a] == z else (prv, nxt, -1)
+        far = lambda t: s * (pos[t] - at) % size  # noqa: E731
+        c = max(adj[a], key=far)
+        fc = far(c)
+        keep = {t for t in adj[c] if far(t) < fc}
+        near = far(p1[c]) < fc
+        if near != (far(p2[c]) < fc):
+            raise RuntimeError("internal: matched partners straddle blocks")
+        sever(c, keep if near else adj[c] - keep)
+        # rings a .. c and c's successor .. z, or a .. c's predecessor and c .. z
+        p, q = (c, fwd[c]) if near else (bwd[c], c)
+        fwd[p], bwd[a], fwd[z], bwd[q] = a, p, q, z
+        gap(p, a)
+        gap(z, q)
+
+    def run(pairs: bool, splits: bool) -> None:
+        while True:
+            if low:
                 v = low.pop()
-                if v not in adj:
-                    continue
-                d = len(adj[v])
-                if d == 0:
-                    raise RuntimeError("internal: isolated vertex with live matching")
-                if d == 1:
-                    t = next(iter(adj[v]))
-                    if p1.get(v) != t or p2.get(v) != t:
+                if v in adj:
+                    if not adj[v]:
+                        raise RuntimeError("internal: isolated vertex with live matching")
+                    (t,) = adj[v]
+                    if p1[v] != t or p2[v] != t:
                         raise _No()
                     trace.steps.append(ForcedPairStep(edge(v, t)))
                     kill_pair(v, t)
-            while cand:
+            elif splits and gaps:
+                v = gaps.pop()
+                ends = [t for t in (nxt[v], prv[v]) if t not in adj[v]] if v in adj else ()
+                if ends:
+                    split(v, min(ends))  # by label: the ring's direction stays unseen
+            elif pairs and cand:
                 v = cand.pop()
-                if v not in adj or len(adj[v]) != 2:
-                    continue
-                mate = next((w for w in adj[v] if len(adj[w]) == 2), None)
-                if mate is not None:
-                    fire_pair(v, mate)
-                    break  # re-check low before more pairs
+                mate = [w for w in adj[v] if len(adj[w]) == 2] if len(adj.get(v, ())) == 2 else ()
+                if mate:
+                    fire_pair(v, mate[0])
+            else:
+                return
 
-    def structural() -> None:
-        # components untouched since their last scan were already purged,
-        # split and seeded; only revisit regions with recent reductions.
-        # After drain() every live vertex has degree >= 2.
-        pieces = []
-        seen: set[int] = set()
-        for s in dirty:  # one block search per dirty component
-            if s not in seen:
-                blocks, cuts, comp = biconnected_blocks(adj, (s,))
-                seen.update(comp)
-                pieces.append((sorted(comp), blocks, cuts))
-        dirty.clear()
-        pieces.sort(key=lambda piece: piece[0][0])
-        for comp, blocks, cuts in pieces:
-            if len(comp) % 2 == 1:
-                raise RuntimeError("internal: odd component with perfect matchings")
-            if cuts:
-                for v, keep in _kept_blocks(blocks, cuts, p1, p2):
-                    trace.steps.append(
-                        SplitStep(v, tuple(sorted(w for w in adj[v] if w in keep)))
-                    )
-                    for t in list(adj[v]):
-                        if t not in keep:
-                            drop_edge(v, t)
-                continue
-            # 2-connected piece: purge even chords of its boundary cycle,
-            # the cycle of g's block holding it restricted to the piece
-            # (see the module docstring; the piece has even size, so a
-            # rotated or reflected cycle gives every chord the same parity)
-            v, w = comp[0], next(iter(adj[comp[0]]))
-            order = sorted(comp, key=next(pos for pos in found[v] if w in pos).__getitem__)
-            pos = {v: i for i, v in enumerate(order)}
-            for v in comp:
-                for w in [w for w in adj[v] if pos[v] < pos.get(w, -1)]:
-                    gap = pos[w] - pos[v]
-                    if gap % 2 == 0:
-                        if p1.get(v) == w or p2.get(v) == w:
-                            raise RuntimeError("internal: even chord inside a matching")
-                        trace.steps.append(RemoveEvenChordStep(edge(v, w)))
-                        drop_edge(v, w)
-            for v in comp:
-                if len(adj[v]) == 2:
-                    cand.append(v)
-
-    # every reduction appends its step before it edits the graph, and
-    # every step is followed by an edit: a round without steps stalled
     try:
+        run(False, False)
+        for v in cuts:  # the first split, at the input's cut vertices
+            if v in adj:
+                home[v] = next(pos for pos in found[v] if p1[v] in pos)
+                if p2[v] not in home[v]:
+                    raise RuntimeError("internal: matched partners straddle blocks")
+                sever(v, adj[v].intersection(home[v]))
+        for pos in blocks:
+            ring = [v for v in pos if v in adj and home[v] is pos]
+            if ring:
+                rot = ring[1:] + ring[:1]
+                nxt.update(zip(ring, rot))
+                prv.update(zip(rot, ring))
+                if len(ring) < len(pos):  # around a vertex gone or living elsewhere
+                    gaps.extend(t for a, b in zip(ring, rot) if b not in adj[a] for t in (a, b))
+        gaps.sort()  # by label, as all work: never by a ring's start or direction
+        run(False, True)
+        # every ring is a cycle now: colour it alternately and purge the
+        # chords whose ends share a colour, the even ones, once
+        black: set[int] = set()
+        seen: set[int] = set()
         for v in adj:
-            touch(v)
-        drain()
-        while adj:
-            before = len(trace.steps)
-            structural()
-            drain()
-            if adj and len(trace.steps) == before:
-                raise RuntimeError("internal: reduction stalled (no degree-two pair)")
+            if v not in seen:
+                ring = [v]
+                while nxt[ring[-1]] != v:
+                    ring.append(nxt[ring[-1]])
+                if len(ring) % 2:
+                    raise RuntimeError("internal: odd component with perfect matchings")
+                seen.update(ring)
+                black.update(ring[::2])
+        for v, nv in adj.items():
+            for w in [w for w in (nv & black if v in black else nv - black) if v < w]:
+                if p1[v] == w or p2[v] == w:
+                    raise RuntimeError("internal: even chord inside a matching")
+                trace.steps.append(RemoveEvenChordStep((v, w)))
+                nv.discard(w)
+                adj[w].discard(v)
+        cand[:] = [v for v in adj if len(adj[v]) == 2]
+        run(True, True)
+        if adj:
+            raise RuntimeError("internal: reduction stalled (no degree-two pair)")
     except _No:
         return OuterplanarResult(False, None, trace)
-
-    moves = tuple(pre + post[::-1])
-    return OuterplanarResult(True, ReconfigSequence(MODE_FLIP, moves), trace)
+    return OuterplanarResult(True, ReconfigSequence(MODE_FLIP, tuple(_meet(pre, post))), trace)

@@ -5,8 +5,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from matchflip.errors import InvalidFlipError, InvalidSlideError
+from matchflip.errors import InvalidFlipError, InvalidSlideError, NotOuterplanarError
 from matchflip.graph import (
+    MODE_FLIP,
     MODE_FLIP_SLIDE,
     MODE_KFLIP,
     REASON_FINAL,
@@ -15,12 +16,29 @@ from matchflip.graph import (
     REASON_MODE,
     REASON_SLIDE,
     DiffComponent,
+    Edge,
     Flip,
     Graph,
+    Move,
+    ReconfigSequence,
     Slide,
     Verdict,
+    canonical_flip,
     edge,
     edge_set,
+    partner_maps,
+)
+from matchflip.outerplanar import (
+    Case1DropStep,
+    Case1RemoveStep,
+    Case2Step,
+    ForcedPairStep,
+    OuterplanarResult,
+    ReductionTrace,
+    RemoveEvenChordStep,
+    SplitStep,
+    _structure,
+    biconnected_blocks,
 )
 
 
@@ -338,3 +356,202 @@ def reference_verify_boundary_order(g: Graph, order) -> bool:
     pos = {v: i for i, v in enumerate(order)}
     spans = [tuple(sorted((pos[u], pos[v]))) for u, v in g.edges]
     return not any(a < c < b < d for a, b in spans for c, d in spans)
+
+
+def _kept_blocks(
+    blocks: list[set[int]], cuts: set[int], p1: dict[int, int], p2: dict[int, int]
+) -> list[tuple[int, set[int]]]:
+    """Each cut vertex, in order, with the one block it keeps.
+
+    Every perfect matching pairs a cut vertex into its unique odd side,
+    which is the branch through the block holding its matched edge; edges
+    into its other blocks can never be matched or flipped, so every cut
+    vertex of a component can be severed from them at once."""
+    blocks_of: dict[int, list[set[int]]] = {}
+    for blk in blocks:
+        for bv in blk:
+            blocks_of.setdefault(bv, []).append(blk)
+    out = []
+    for v in sorted(cuts):
+        keep = next((blk for blk in blocks_of[v] if p1[v] in blk), None)
+        if keep is None or p2[v] not in keep:
+            raise RuntimeError("internal: matched partners straddle blocks")
+        out.append((v, keep))
+    return out
+
+
+
+class _No(Exception):
+    pass
+
+
+def reference_solve_outerplanar(
+    g: Graph, m_ini: frozenset[Edge], m_tar: frozenset[Edge]
+) -> OuterplanarResult:
+    """The round-based outerplanar solver: each round re-runs the block
+    search over every component a reduction touched, severs its cut
+    vertices and purges the even chords of its 2-connected pieces."""
+    p1, p2 = partner_maps(g, m_ini, m_tar)
+    struct = _structure(g)
+    if struct is None:
+        raise NotOuterplanarError("graph is not outerplanar")
+    found = struct[1]
+    trace = ReductionTrace()
+    if g.n == 0:
+        return OuterplanarResult(True, ReconfigSequence(MODE_FLIP, ()), trace)
+
+    adj: dict[int, set[int]] = {v: set(g.adj[v]) for v in range(g.n)}  # live vertices only
+    pre: list[Move] = []
+    post: list[Move] = []
+
+    low: list[int] = []   # vertices whose degree may have dropped to <= 1
+    cand: list[int] = []  # vertices whose degree may be exactly 2
+    dirty: set[int] = set()  # regions structural scans must revisit
+
+    def touch(t: int) -> None:
+        dirty.add(t)
+        d = len(adj[t])
+        if d <= 1:
+            low.append(t)
+        elif d == 2:
+            cand.append(t)
+
+    def kill_pair(u: int, w: int) -> None:
+        """Remove a forced or contracted pair and its incident edges."""
+        for v in (u, w):
+            dirty.discard(v)
+            p1.pop(v, None)
+            p2.pop(v, None)
+        # both leave the live graph before either's neighbours are touched
+        for v, nbrs in [(u, adj.pop(u)), (w, adj.pop(w))]:
+            for t in nbrs:
+                if t in adj:
+                    adj[t].discard(v)
+                    touch(t)
+
+    def drop_edge(u: int, w: int) -> None:
+        adj[u].discard(w)
+        adj[w].discard(u)
+        touch(u)
+        touch(w)
+
+    def fire_pair(u: int, w: int) -> None:
+        e = edge(u, w)
+        x = next(iter(adj[u] - {w}))
+        y = next(iter(adj[w] - {u}))
+        e1 = p1.get(u) == w
+        e2 = p2.get(u) == w
+        if x == y:
+            # triangle tip: e is forced into every perfect matching
+            if not (e1 and e2):
+                raise _No()
+            trace.steps.append(Case1RemoveStep(e))
+            kill_pair(u, w)
+            return
+        if y in adj[x]:
+            # contract the pair onto the chord xy: a side matching ux and wy
+            # matches xy instead, lifted back by the square flip (x, u, w, y)
+            for p, on, moves in ((p1, e1, pre), (p2, e2, post)):
+                if not on:
+                    if p.get(u) != x or p.get(w) != y:
+                        raise RuntimeError("internal: degree-two pair not matched as forced")
+                    p[x], p[y] = y, x
+                    moves.append(canonical_flip((x, u, w, y)))
+            trace.steps.append(Case2Step((u, w), x, y, e1, e2))
+            kill_pair(u, w)
+            return
+        # e lies on no 4-cycle: its matched status never changes
+        if e1 != e2:
+            raise _No()
+        if e1 and e2:
+            trace.steps.append(Case1RemoveStep(e))
+            kill_pair(u, w)
+        else:
+            trace.steps.append(Case1DropStep(e))
+            drop_edge(u, w)
+
+    def drain() -> None:
+        while low or cand:
+            while low:
+                v = low.pop()
+                if v not in adj:
+                    continue
+                d = len(adj[v])
+                if d == 0:
+                    raise RuntimeError("internal: isolated vertex with live matching")
+                if d == 1:
+                    t = next(iter(adj[v]))
+                    if p1.get(v) != t or p2.get(v) != t:
+                        raise _No()
+                    trace.steps.append(ForcedPairStep(edge(v, t)))
+                    kill_pair(v, t)
+            while cand:
+                v = cand.pop()
+                if v not in adj or len(adj[v]) != 2:
+                    continue
+                mate = next((w for w in adj[v] if len(adj[w]) == 2), None)
+                if mate is not None:
+                    fire_pair(v, mate)
+                    break  # re-check low before more pairs
+
+    def structural() -> None:
+        # components untouched since their last scan were already purged,
+        # split and seeded; only revisit regions with recent reductions.
+        # After drain() every live vertex has degree >= 2.
+        pieces = []
+        seen: set[int] = set()
+        for s in dirty:  # one block search per dirty component
+            if s not in seen:
+                blocks, cuts, comp = biconnected_blocks(adj, (s,))
+                seen.update(comp)
+                pieces.append((sorted(comp), blocks, cuts))
+        dirty.clear()
+        pieces.sort(key=lambda piece: piece[0][0])
+        for comp, blocks, cuts in pieces:
+            if len(comp) % 2 == 1:
+                raise RuntimeError("internal: odd component with perfect matchings")
+            if cuts:
+                for v, keep in _kept_blocks(blocks, cuts, p1, p2):
+                    trace.steps.append(
+                        SplitStep(v, tuple(sorted(w for w in adj[v] if w in keep)))
+                    )
+                    for t in list(adj[v]):
+                        if t not in keep:
+                            drop_edge(v, t)
+                continue
+            # 2-connected piece: purge even chords of its boundary cycle,
+            # the cycle of g's block holding it restricted to the piece
+            # (see the module docstring; the piece has even size, so a
+            # rotated or reflected cycle gives every chord the same parity)
+            v, w = comp[0], next(iter(adj[comp[0]]))
+            order = sorted(comp, key=next(pos for pos in found[v] if w in pos).__getitem__)
+            pos = {v: i for i, v in enumerate(order)}
+            for v in comp:
+                for w in [w for w in adj[v] if pos[v] < pos.get(w, -1)]:
+                    gap = pos[w] - pos[v]
+                    if gap % 2 == 0:
+                        if p1.get(v) == w or p2.get(v) == w:
+                            raise RuntimeError("internal: even chord inside a matching")
+                        trace.steps.append(RemoveEvenChordStep(edge(v, w)))
+                        drop_edge(v, w)
+            for v in comp:
+                if len(adj[v]) == 2:
+                    cand.append(v)
+
+    # every reduction appends its step before it edits the graph, and
+    # every step is followed by an edit: a round without steps stalled
+    try:
+        for v in adj:
+            touch(v)
+        drain()
+        while adj:
+            before = len(trace.steps)
+            structural()
+            drain()
+            if adj and len(trace.steps) == before:
+                raise RuntimeError("internal: reduction stalled (no degree-two pair)")
+    except _No:
+        return OuterplanarResult(False, None, trace)
+
+    moves = tuple(pre + post[::-1])
+    return OuterplanarResult(True, ReconfigSequence(MODE_FLIP, moves), trace)

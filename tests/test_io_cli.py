@@ -168,6 +168,12 @@ def test_cli_stats_json(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert data["nodes"] == 2 and data["components"] == 2
+    # sizes n // 2 and 0 are the ends of the range --target accepts
+    assert main(["stats", path, "--target", "3"]) == 0
+    assert json.loads(capsys.readouterr().out) == data
+    empty = _write(tmp_path, "c6e.json", dict(C6_INSTANCE, m_ini=[], m_tar=[]))
+    assert main(["stats", empty, "--target", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["nodes"] == 1
 
 
 def test_cli_gen_random_deterministic(tmp_path, capsys):
@@ -456,6 +462,9 @@ def test_cli_bad_budget_env_exits_2(tmp_path, capsys, monkeypatch):
     ["oracle", "{inst}", "--mode", "kflip", "--k", "14"],  # above the oracle's cap
     ["gen-random", "--class", "cograph", "--n", "-3", "--seed", "1"],
     ["gen-random", "--class", "outerplanar", "--n", "1", "--seed", "1"],
+    ["stats", "{inst}", "--target", "-1"],
+    ["stats", "{inst}", "--target", "3"],  # above n // 2 on four vertices
+    ["stats", "{inst}", "--target", "9"],
 ])
 def test_cli_malformed_arguments_exit_2(tmp_path, capsys, argv):
     path = _write(tmp_path, "k4.json", K4_INSTANCE)

@@ -5,10 +5,12 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from matchflip import outerplanar
 from matchflip.errors import NotOuterplanarError, NotPerfectError, NotTwoConnectedError
 from matchflip.generators import (
+    mutate_by_flips,
     random_outerplanar_graph,
     random_outerplanar_instance,
     random_perfect_matching,
@@ -42,6 +44,7 @@ from helpers import (
     K4,
     path_graph,
     random_outerplanar,
+    reference_solve_outerplanar,
     reference_verify_boundary_order,
 )
 
@@ -303,7 +306,7 @@ def test_outerplanar_output_pinned():
         h.update(json.dumps(sequence_to_dict(res.sequence) if res.yes else None).encode())
         h.update(json.dumps(sorted(map(repr, res.trace.steps))).encode())
     assert answers == [True] * 6 + [False, True]
-    assert h.hexdigest() == "80bb29913cb5798c734092c1736b21b008a1b3ddaf04d25c3c08a16ebbf1e9e6"
+    assert h.hexdigest() == "119a09cccda95060e821b491c4a77fff99e1dd583aea9b2ef0e79c10a2ad5a1f"
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
@@ -316,7 +319,7 @@ def test_inherited_order_matches_ear_contraction(n, seed, drop, data):
     base = random_outerplanar_graph(n, rng, drop)
     perm = rng.sample(range(n), n)  # the generator's boundary is 0..n-1
     g = Graph(n, [(perm[u], perm[v]) for u, v in base.edges])
-    found = _structure(g)
+    found = _structure(g)[1]
     gone = data.draw(st.sets(st.integers(0, n - 1), max_size=n // 3))
     cut = data.draw(st.sets(st.sampled_from(sorted(g.edges)), max_size=g.m // 3))
     alive = set(range(n)) - gone
@@ -409,12 +412,21 @@ def test_glued_blocks_against_oracle():
     assert pairs > 100
 
 
-def test_solver_walks_each_dirty_piece_once():
-    # the block search reports the component it walked, so recognition,
-    # the solver and the splitter all solve through it alone
+def test_solver_never_searches_for_blocks(monkeypatch):
+    # recognition (or a checked hint) is the one block search: with the
+    # structure warm, the solver reads every piece off it, at the input's
+    # cut vertices and at the cuts its own reductions open
     cases = [(g, enumerate_matchings(g, "perfect")) for g in _glued_blocks(random.Random(7), 30)]
     inst = load_instance(random_outerplanar_instance(300, 11, walk=60))
-    res = solve_outerplanar(inst.graph, inst.m_ini, inst.m_tar)  # no hint: recognition runs
+    for g, pms in cases:
+        assert all(split_at_cut_vertices(g, a, b) for a, b in zip(pms, pms[::-1]))
+    assert all(is_outerplanar(g) for g in [inst.graph] + [g for g, _ in cases])  # no hint: recognition runs
+
+    def no_search(*args):
+        raise AssertionError("block search outside recognition")
+
+    monkeypatch.setattr(outerplanar, "biconnected_blocks", no_search)
+    res = solve_outerplanar(inst.graph, inst.m_ini, inst.m_tar)
     assert res.yes and verify_sequence(inst.graph, inst.m_ini, res.sequence, inst.m_tar).ok
     solved = 0
     for g, pms in cases:
@@ -423,8 +435,61 @@ def test_solver_walks_each_dirty_piece_once():
             if res.yes:
                 assert verify_sequence(g, a, res.sequence, b).ok
                 solved += 1
-            assert split_at_cut_vertices(g, a, b)
     assert solved > 10
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.0, 1.0))
+def test_solver_matches_round_based_reference(seed, glued, drop):
+    # the cycle-local solver, which purges each even chord once, against
+    # the round-based one that re-scanned every touched piece: outerplanar
+    # graphs with scrambled labels, and glued blocks with odd blocks and
+    # cut vertices, under random perfect matching pairs
+    rng = random.Random(seed)
+    if glued:
+        g = next(_glued_blocks(rng, 1))
+        pms = enumerate_matchings(g, "perfect")
+        assume(pms)
+        a, b = rng.choice(pms), rng.choice(pms)
+    else:
+        n = rng.randrange(4, 41, 2)
+        base = random_outerplanar_graph(n, rng, drop)
+        perm = rng.sample(range(n), n)
+        g = Graph(n, [(perm[u], perm[v]) for u, v in base.edges])
+        a, b = random_perfect_matching(g, rng), random_perfect_matching(g, rng)
+        assume(a is not None and b is not None)
+    res = solve_outerplanar(g, a, b)
+    assert res.yes == reference_solve_outerplanar(g, a, b).yes
+    if res.yes:
+        assert verify_sequence(g, a, res.sequence, b).ok
+        assert len(res.sequence) <= g.n
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.integers(2, 30), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.integers(0, 59),
+       st.booleans(), st.booleans())
+def test_output_does_not_depend_on_the_hint(half, seed, drop, turn, flip, walk):
+    # the same sequence and the same steps in the same order with no hint
+    # and with any valid boundary order, rotated or reversed; a flip walk
+    # or an independent matching
+    n = 2 * half
+    rng = random.Random(seed)
+    base = random_outerplanar_graph(n, rng, drop)
+    perm = rng.sample(range(n), n)
+    edges = sorted((perm[u], perm[v]) for u, v in base.edges)
+    order = [perm[i] for i in range(n)]
+    order = order[turn % n:] + order[:turn % n]
+    if flip:
+        order.reverse()
+    plain, hinted = Graph(n, edges), Graph(n, edges)
+    assert verify_boundary_order(hinted, order)
+    a = random_perfect_matching(plain, rng)
+    assume(a is not None)
+    b = mutate_by_flips(plain, a, rng, n // 4) if walk else random_perfect_matching(plain, rng)
+    assume(b is not None)
+    x, y = solve_outerplanar(plain, a, b), solve_outerplanar(hinted, a, b)
+    assert x.yes == y.yes and x.sequence == y.sequence
+    assert x.trace.steps == y.trace.steps
 
 
 def test_biconnected_blocks_fixed_cases():
