@@ -12,7 +12,7 @@ from matchflip import (
     Slide,
     apply_move,
     edge_set,
-    matching_status,
+    matching_partners,
     symmetric_difference_components,
     verify_sequence,
 )
@@ -23,7 +23,8 @@ c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 m1 = edge_set([(0, 1), (2, 3)])
 m2 = edge_set([(1, 2), (3, 0)])
 
-print("matching status of m1:", matching_status(c4, m1))
+partners = matching_partners(c4, m1)  # None if two edges share a vertex
+print("partners of m1:", partners, "perfect:", partners is not None and len(partners) == c4.n)
 print("difference m1 vs m2:", symmetric_difference_components(m1, m2))
 
 # one flip turns m1 into m2

@@ -11,7 +11,6 @@ from .graph import (
     DiffComponent,
     Flip,
     Graph,
-    MatchingStatus,
     Move,
     ReconfigSequence,
     Slide,
@@ -21,7 +20,6 @@ from .graph import (
     edge,
     edge_set,
     matching_partners,
-    matching_status,
     symmetric_difference_components,
     verify_sequence,
 )

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 = YES / Accept / success, 1 = NO / Reject, 2 = malformed or
-unsupported input (a bad MATCHFLIP_BUDGET or an unwritable output file
+unsupported input (a bad or negative budget or an unwritable output file
 too), 3 = budget exceeded, 4 = internal error.  The first stdout line of `solve`, `verify` and `oracle`
 is machine-parsable (YES / NO / Accept / Reject).  The budget of
 `oracle` and `stats` is --budget when given, else the MATCHFLIP_BUDGET
@@ -47,29 +47,22 @@ EXIT_INTERNAL = 4
 
 
 def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("MATCHFLIP_BUDGET")
-    try:
-        return int(env) if env else oracle.DEFAULT_BUDGET
-    except ValueError:
-        raise MalformedInputError(f"MATCHFLIP_BUDGET must be an integer, got {env!r}") from None
+    budget, env = args.budget, os.environ.get("MATCHFLIP_BUDGET")
+    if budget is None:
+        try:
+            budget = int(env) if env else oracle.DEFAULT_BUDGET
+        except ValueError:
+            raise MalformedInputError(f"MATCHFLIP_BUDGET must be an integer, got {env!r}") from None
+    if budget < 0:
+        raise MalformedInputError(f"the budget (--budget or MATCHFLIP_BUDGET) is {budget}, below 0")
+    return budget
 
 
 def _mode(args) -> oracle.Mode:
-    name = getattr(args, "mode", "flip") or "flip"
-    if name == MODE_KFLIP:
-        if not getattr(args, "k", None):
-            raise MalformedInputError("kflip mode needs --k")
-        try:
-            return oracle.kflip(args.k)
-        except ValueError as exc:  # odd, or above the oracle's cap
-            raise MalformedInputError(str(exc)) from None
-    if name == MODE_FLIP_SLIDE:
-        return oracle.FLIP_SLIDE
-    if name == MODE_FLIP:
-        return oracle.FLIP_ONLY
-    raise MalformedInputError(f"unknown mode {name!r}")
+    try:
+        return oracle.Mode(args.mode, args.k)
+    except ValueError as exc:  # --k without kflip; with kflip, none, odd or above the cap
+        raise MalformedInputError(str(exc)) from None
 
 
 def _emit_sequence(path: Optional[str], seq) -> None:
@@ -206,7 +199,7 @@ def _cmd_gen_ncl(args) -> int:
     if c_ini is None or c_tar is None:
         raise MalformedInputError("machine file must carry c_ini and c_tar")
     inst = reduce_ncl_to_pmr(machine, c_ini, c_tar)
-    if args.k and args.k != 4:
+    if args.k is not None:
         inst = subdivide_for_kflip(inst, args.k)
     payload = instance_to_dict(inst.graph, inst.m_ini, inst.m_tar)
     _write_payload(args.out, payload)

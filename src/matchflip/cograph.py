@@ -466,29 +466,41 @@ def _enforce_claim_assumptions(part: RootPartition, e: Edge, sm: _Side, si: _Sid
     cap = _CLAIM_CAP_FACTOR * (len(sm.m ^ si.m) + 2) + 20
     while _push_b_edge_out(part, si):  # no later fix gives si a B-edge
         cap -= 1
-    # per fix: its heap of sites and the vertices moved since its last
-    # top-up (at first all of them)
-    state = [([], set(sm.diff)) for _ in range(3)]
+    nbr, a = sm.diff, part.a
+    # per fix: its heap of sites, the vertices moved since its last top-up
+    # (at first all of them), the sites near those and the fix at one site
+    fixes = [
+        ([], set(nbr), lambda moved: (c[0] for c in _cycles_through(nbr, a & moved)
+                                     if a.issuperset(c)),
+         lambda c: _fix_a_cycle(part, e, sm, c)),
+        ([], set(nbr), lambda moved: _near(nbr, moved, 0),
+         lambda site: _fix_short_pattern(part, sm, si, site)),
+        ([], set(nbr), lambda moved: _near(nbr, moved, 4),
+         lambda site: _fix_w_pattern(part, e, sm, site)),
+    ]
     for _ in range(cap):
         done = len(sm.moves), len(si.moves)
-        if not (
-            _fix_a_cycle(part, e, sm, *state[0])
-            or _fix_short_pattern(part, sm, si, *state[1])
-            or _fix_w_pattern(part, e, sm, *state[2])
-        ):
+        if not any(_fix_least(*fix) for fix in fixes):
             return
         touched = {v for mv in sm.moves[done[0]:] + si.moves[done[1]:]
                    for v in (mv.cycle if isinstance(mv, Flip) else mv.removed + mv.added)}
-        for _, moved in state:
-            moved |= touched
+        for fix in fixes:
+            fix[1].update(touched)
     raise RuntimeError("internal: assumption enforcement did not converge")
 
 
-def _top_up(heap: list, sites, moved: set[int]) -> None:
-    """Push the ``sites`` gathered around ``moved`` and start ``moved`` afresh."""
-    for site in sites:
+def _fix_least(heap: list, moved: set[int], near, fix) -> bool:
+    """Push the sites ``near(moved)`` and start ``moved`` afresh; then pop
+    the sites where ``fix`` matches nothing until it applies at the least
+    one (True) or the heap is empty (False)."""
+    for site in near(moved):
         heappush(heap, site)
     moved.clear()
+    while heap:
+        if fix(heap[0]):
+            return True
+        heappop(heap)
+    return False
 
 
 def _near(nbr: dict[int, set[int]], touched: set[int], hops: int) -> set[Edge]:
@@ -520,17 +532,10 @@ def _push_b_edge_out(part: RootPartition, s: _Side, keep: Optional[Edge] = None)
     return True
 
 
-def _fix_a_cycle(part, e, sm: _Side, heap: list[int], moved: set[int]) -> bool:
-    """Unwind the least difference cycle inside A (sites: least vertices)."""
-    nbr = sm.diff
-    cycles = _cycles_through(nbr, part.a & moved)
-    _top_up(heap, (c[0] for c in cycles if part.a.issuperset(c)), moved)
-    while heap:
-        cycles = _cycles_through(nbr, heap[:1])
-        if cycles and cycles[0][0] == heap[0] and part.a.issuperset(cycles[0]):
-            break
-        heappop(heap)
-    else:
+def _fix_a_cycle(part, e, sm: _Side, c: int) -> bool:
+    """Unwind the difference cycle inside A whose least vertex is ``c``."""
+    cycles = _cycles_through(sm.diff, [c])
+    if not (cycles and cycles[0][0] == c and part.a.issuperset(cycles[0])):
         return False
     xe, ye = e
     cyc = list(cycles[0])
@@ -546,57 +551,51 @@ def _fix_a_cycle(part, e, sm: _Side, heap: list[int], moved: set[int]) -> bool:
     return True
 
 
-def _fix_short_pattern(part, sm: _Side, si: _Side, heap: list[Edge], moved: set[int]) -> bool:
-    """Patterns (3) and (4): three consecutive difference edges that a
-    single flip across the join collapses (sites: middle edges)."""
+def _fix_short_pattern(part, sm: _Side, si: _Side, site: Edge) -> bool:
+    """Patterns (3) and (4): three consecutive difference edges, the middle
+    one ``site``, that a single flip across the join collapses."""
     nbr = sm.diff
-    _top_up(heap, _near(nbr, moved, 0), moved)
-    while heap:
-        v, w = heap[0]
-        # a site whose edge left the difference matches nothing
-        for vv, ww in ((v, w), (w, v)) if w in nbr.get(v, ()) else ():
-            u, x = _hop(nbr, ww, vv), _hop(nbr, vv, ww)
-            if u is None or x is None or u == x:
-                continue
-            in_a = [t in part.a for t in (u, vv, ww, x)]
-            pat3 = in_a == [False, True, True, True]
-            pat4 = in_a[0] != in_a[1] != in_a[2] != in_a[3]
-            owner = sm if edge(u, vv) in sm.m else si
-            if (pat3 or pat4) and edge(ww, x) in owner.m:
-                owner.flip((u, vv, ww, x))
-                return True
-        heappop(heap)
+    v, w = site
+    # a site whose edge left the difference matches nothing
+    for vv, ww in ((v, w), (w, v)) if w in nbr.get(v, ()) else ():
+        u, x = _hop(nbr, ww, vv), _hop(nbr, vv, ww)
+        if u is None or x is None or u == x:
+            continue
+        in_a = [t in part.a for t in (u, vv, ww, x)]
+        pat3 = in_a == [False, True, True, True]
+        pat4 = in_a[0] != in_a[1] != in_a[2] != in_a[3]
+        owner = sm if edge(u, vv) in sm.m else si
+        if (pat3 or pat4) and edge(ww, x) in owner.m:
+            owner.flip((u, vv, ww, x))
+            return True
     return False
 
 
-def _fix_w_pattern(part, e, sm: _Side, heap: list[Edge], moved: set[int]) -> bool:
-    """Pattern (5): a B-A-A-B-A-A run with the anchor's edges 1, 3 and 5
-    (sites: first edges; a run reads the map four steps past it)."""
+def _fix_w_pattern(part, e, sm: _Side, site: Edge) -> bool:
+    """Pattern (5): a B-A-A-B-A-A run from ``site`` with the anchor's edges
+    1, 3 and 5 (a run reads the map four steps past its first edge)."""
     xe, ye = e
     nbr = sm.diff
-    _top_up(heap, _near(nbr, moved, 4), moved)
-    while heap:
-        u, v = heap[0]
-        # a site whose edge left the difference matches nothing
-        for walk in ([u, v], [v, u]) if v in nbr.get(u, ()) else ():
-            while len(walk) < 6 and (t := _hop(nbr, walk[-2], walk[-1])) is not None:
-                walk.append(t)
-            if len(walk) < 6:
-                continue
-            uu, vv, w, x, y, z = walk
-            if not (
-                uu in part.b and x in part.b and part.a.issuperset((vv, w, y, z))
-                and {edge(uu, vv), edge(w, x), edge(y, z)} <= sm.m
-            ):
-                continue
-            if {xe, ye} & set(walk):
-                raise RuntimeError("internal: anchor edge inside W-pattern")
-            sm.flip((xe, y, z, ye))
-            sm.flip((x, y, xe, w))
-            sm.flip((ye, z, uu, vv))
-            sm.flip((xe, w, vv, ye))
-            return True
-        heappop(heap)
+    u, v = site
+    # a site whose edge left the difference matches nothing
+    for walk in ([u, v], [v, u]) if v in nbr.get(u, ()) else ():
+        while len(walk) < 6 and (t := _hop(nbr, walk[-2], walk[-1])) is not None:
+            walk.append(t)
+        if len(walk) < 6:
+            continue
+        uu, vv, w, x, y, z = walk
+        if not (
+            uu in part.b and x in part.b and part.a.issuperset((vv, w, y, z))
+            and {edge(uu, vv), edge(w, x), edge(y, z)} <= sm.m
+        ):
+            continue
+        if {xe, ye} & set(walk):
+            raise RuntimeError("internal: anchor edge inside W-pattern")
+        sm.flip((xe, y, z, ye))
+        sm.flip((x, y, xe, w))
+        sm.flip((ye, z, uu, vv))
+        sm.flip((xe, w, vv, ye))
+        return True
     return False
 
 

@@ -99,12 +99,6 @@ class Graph:
 # matchings
 
 
-@dataclass(frozen=True)
-class MatchingStatus:
-    kind: Literal["not_matching", "matching", "perfect"]
-    size: int
-
-
 def matching_partners(g: Graph, matching: Iterable[Sequence[int]]) -> Optional[dict[int, int]]:
     """Vertex -> partner map of ``matching`` in one pass, or None when two
     of its edges share a vertex (a repeated edge counts once); raises
@@ -134,18 +128,6 @@ def partner_maps(g: Graph, m1, m2, perfect: bool = True) -> tuple[dict[int, int]
                    else SizeMismatchError("input is not a matching"))
         maps.append(p)
     return maps[0], maps[1]
-
-
-def matching_status(g: Graph, edges: Iterable[Sequence[int]]) -> MatchingStatus:
-    """Classify an edge set as a (perfect) matching or not.
-
-    Raises :class:`EdgeNotInGraphError` if some edge is absent from ``g``.
-    """
-    es = edge_set(edges)
-    p = matching_partners(g, es)
-    if p is None:
-        return MatchingStatus("not_matching", len(es))
-    return MatchingStatus("perfect" if len(p) == g.n else "matching", len(es))
 
 
 def partner_map(matching: Iterable[Edge]) -> dict[int, int]:

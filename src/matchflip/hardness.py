@@ -10,10 +10,11 @@ a pair covered by its AND/OR gadget means the edge points into that
 vertex, a pair covered by the edge gadget means it points away.
 
 Gadget layouts are shipped as data (vertex names, edges, the subdividable
-"orange" edges); their behavior -- forbidden states unmatchable, states
-within one orientation class flip-connected, class-to-class transitions
-matching the legal orientation changes -- is re-derived by enumeration in
-:func:`gadget_selftest` rather than trusted.
+"orange" edges) and laid out by one helper, ``_lay``, for the reduction
+and the self-test alike; their behavior -- forbidden states unmatchable,
+states within one orientation class flip-connected, class-to-class
+transitions matching the legal orientation changes -- is re-derived by
+enumeration in :func:`gadget_selftest` rather than trusted.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     NotBipartiteError,
     UnbalancedSidesError,
 )
-from .graph import Edge, Graph, edge, matching_status, partner_maps
+from .graph import Edge, Graph, edge, matching_partners, partner_maps
 from .oracle import (
     DEFAULT_BUDGET,
     FLIP_ONLY,
@@ -148,6 +149,20 @@ def _pair_slots(covered: AbstractSet, pairs: dict) -> frozenset[str]:
     return frozenset(out)
 
 
+def _lay(gadget: dict, loc: dict, nxt: int, edges: list[Edge], orange: list[Edge]) -> int:
+    """Lay one copy of ``gadget``: each name missing from ``loc`` (glued
+    connectors are in it already) gets a fresh vertex from ``nxt`` on, in
+    template order; the copy's sorted edges go to ``edges`` and its orange
+    edges to ``orange``.  Returns the next free vertex."""
+    for name in gadget["vertices"]:
+        if name not in loc:
+            loc[name] = nxt
+            nxt += 1
+    edges.extend(sorted(edge(loc[a], loc[b]) for a, b in gadget["edges"]))
+    orange.extend(edge(loc[a], loc[b]) for a, b in gadget["orange"])
+    return nxt
+
+
 @functools.cache
 def _class_table(kind: str) -> dict[frozenset[str], tuple[tuple[str, str], ...]]:
     """Per class, the least gadget-internal matching of gadget ``kind``
@@ -158,9 +173,9 @@ def _class_table(kind: str) -> dict[frozenset[str], tuple[tuple[str, str], ...]]
     that pair with the neighbouring gadget, which encodes no orientation,
     so they are skipped."""
     gadget = EDGE_GADGET if kind == "edge" else VERTEX_GADGETS[kind]
-    names = gadget["vertices"]
-    idx = {v: i for i, v in enumerate(names)}
-    g = Graph(len(names), [(idx[a], idx[b]) for a, b in gadget["edges"]])
+    edges: list[Edge] = []
+    g = Graph(_lay(gadget, {}, 0, edges, []), edges)
+    names = gadget["vertices"]  # numbered in template order
     internals = set(names) - {v for pair in gadget["pairs"].values() for v in pair}
     table: dict[frozenset[str], tuple[tuple[str, str], ...]] = {}
     # matchings come in lexicographic order, so the first of a class is least
@@ -395,42 +410,31 @@ def reduce_ncl_to_pmr(
     for v in range(machine.n):
         kind = machine.vertex_types[v]
         gadget = VERTEX_GADGETS[kind]
-        loc = {}
-        for name in gadget["vertices"]:
-            loc[name] = nxt
-            color[nxt] = _GADGET_COLOR[kind][name]
-            nxt += 1
-        ed = frozenset(edge(loc[a], loc[b]) for a, b in gadget["edges"])
-        all_edges.extend(sorted(ed))
-        orange.extend(edge(loc[a], loc[b]) for a, b in gadget["orange"])
+        loc: dict = {}
+        start = len(all_edges)
+        nxt = _lay(gadget, loc, nxt, all_edges, orange)
+        color.update((x, _GADGET_COLOR[kind][name]) for name, x in loc.items())
         for slot, eidx in slots[v].items():
-            p0, p1 = gadget["pairs"][slot]
-            connector_pairs[(v, eidx)] = (loc[p0], loc[p1])
+            connector_pairs[(v, eidx)] = tuple(loc[x] for x in gadget["pairs"][slot])
+        ed = frozenset(all_edges[start:])
         vertex_infos.append(VertexGadgetInfo(v, kind, loc, ed, dict(slots[v])))
     edge_infos = []
     for i, (u, v, _) in enumerate(machine.edges):
         p, q = (u, v) if u < v else (v, u)
-        loc = {}
-        for name in ("m0", "m1", "m2", "m3"):
-            loc[name] = nxt
-            nxt += 1
         pp = connector_pairs[(p, i)]
         qq = connector_pairs[(q, i)]
         # orient the gluing so the edge gadget's bipartition extends the
         # global coloring: p0 and q0 must land on connectors of one color
-        loc["p0"], loc["p1"] = pp
-        if color[qq[0]] == color[pp[0]]:
-            loc["q0"], loc["q1"] = qq
-        else:
-            loc["q0"], loc["q1"] = qq[1], qq[0]
+        if color[qq[0]] != color[pp[0]]:
+            qq = qq[::-1]
+        loc = {"p0": pp[0], "p1": pp[1], "q0": qq[0], "q1": qq[1]}
+        start = len(all_edges)
+        nxt = _lay(EDGE_GADGET, loc, nxt, all_edges, orange)
         base = color[pp[0]]
-        for name in ("m0", "m1", "m2", "m3"):
-            loc_color = _GADGET_COLOR["edge"][name]
-            color[loc[name]] = base if loc_color == 0 else 1 - base
-        ed = frozenset(edge(loc[a], loc[b]) for a, b in EDGE_GADGET["edges"])
-        all_edges.extend(sorted(ed))
-        orange.extend(edge(loc[a], loc[b]) for a, b in EDGE_GADGET["orange"])
-        edge_infos.append(EdgeGadgetInfo(i, p, q, loc, ed))
+        for name, x in loc.items():
+            # connectors keep their colour: the pair check below still tests it
+            color.setdefault(x, base ^ _GADGET_COLOR["edge"][name])
+        edge_infos.append(EdgeGadgetInfo(i, p, q, loc, frozenset(all_edges[start:])))
     graph = Graph(nxt, all_edges)
     # structural guarantees, asserted on every build
     for u, v in graph.edges:
@@ -482,7 +486,8 @@ def _encode(inst: GadgetInstance, config: Configuration) -> frozenset[Edge]:
         loc = eg.local_to_global
         chosen.update(edge(loc[a], loc[b]) for a, b in _class_table("edge")[side])
     out = _along_paths(chosen, inst.subdivision)
-    if matching_status(inst.graph, out).kind != "perfect":
+    partners = matching_partners(inst.graph, out)
+    if partners is None or len(partners) != inst.graph.n:
         raise RuntimeError("internal: encoding is not a perfect matching")
     return out
 
@@ -565,53 +570,32 @@ class GadgetReport:
 
 def standalone_edge_system() -> tuple[Graph, dict]:
     """Edge gadget plus the two pair edges owned by the endpoint gadgets."""
-    names = EDGE_GADGET["vertices"]
-    idx = {v: i for i, v in enumerate(names)}
-    edges = [(idx[a], idx[b]) for a, b in EDGE_GADGET["edges"]]
-    pair_p = (idx["p0"], idx["p1"])
-    pair_q = (idx["q0"], idx["q1"])
-    edges += [pair_p, pair_q]
-    g = Graph(len(names), edges)
-    meta = {
-        "pair_p": edge(*pair_p),
-        "pair_q": edge(*pair_q),
-        "orange": [edge(idx[a], idx[b]) for a, b in EDGE_GADGET["orange"]],
-        "index": idx,
-    }
-    return g, meta
+    idx: dict = {}
+    edges: list[Edge] = []
+    orange: list[Edge] = []
+    n = _lay(EDGE_GADGET, idx, 0, edges, orange)
+    pair_p = edge(idx["p0"], idx["p1"])
+    pair_q = edge(idx["q0"], idx["q1"])
+    g = Graph(n, edges + [pair_p, pair_q])
+    return g, {"pair_p": pair_p, "pair_q": pair_q, "orange": orange, "index": idx}
 
 
 def standalone_vertex_system(kind: str) -> tuple[Graph, dict]:
     """AND/OR gadget with a full edge gadget hanging off each slot and a
     far pair edge closing each of them."""
     gadget = VERTEX_GADGETS[kind]
-    names = gadget["vertices"]
-    nxt = 0
-    loc = {}
-    for v in names:
-        loc[v] = nxt
-        nxt += 1
-    edges = [(loc[a], loc[b]) for a, b in gadget["edges"]]
-    vertex_edges = set(edge(loc[a], loc[b]) for a, b in gadget["edges"])
-    orange = [edge(loc[a], loc[b]) for a, b in gadget["orange"]]
-    slot_pairs = {}
-    for slot, (x, y) in gadget["pairs"].items():
-        slot_pairs[slot] = (loc[x], loc[y])
-    for slot in ("a", "b", "c"):
-        sub = {}
-        for v in ("m0", "m1", "m2", "m3", "q0", "q1"):
-            sub[v] = nxt
-            nxt += 1
-        sub["p0"], sub["p1"] = slot_pairs[slot]
-        edges += [(sub[a], sub[b]) for a, b in EDGE_GADGET["edges"]]
-        orange += [edge(sub[a], sub[b]) for a, b in EDGE_GADGET["orange"]]
-        edges.append((sub["q0"], sub["q1"]))  # far pair edge
+    loc: dict = {}
+    edges: list[Edge] = []
+    orange: list[Edge] = []
+    nxt = _lay(gadget, loc, 0, edges, orange)
+    vertex_edges = frozenset(edges)
+    slot_pairs = {slot: (loc[x], loc[y]) for slot, (x, y) in gadget["pairs"].items()}
+    for x, y in slot_pairs.values():
+        sub = {"p0": x, "p1": y}
+        nxt = _lay(EDGE_GADGET, sub, nxt, edges, orange)
+        edges.append(edge(sub["q0"], sub["q1"]))  # far pair edge
     g = Graph(nxt, edges)
-    return g, {
-        "vertex_edges": frozenset(vertex_edges),
-        "slot_pairs": slot_pairs,
-        "orange": orange,
-    }
+    return g, {"vertex_edges": vertex_edges, "slot_pairs": slot_pairs, "orange": orange}
 
 
 def gadget_selftest(kind: str) -> GadgetReport:

@@ -26,6 +26,7 @@ from matchflip.graph import (
     canonical_flip,
     edge,
     edge_set,
+    matching_partners,
     partner_maps,
 )
 from matchflip.outerplanar import (
@@ -70,6 +71,12 @@ C4_PM1 = edge_set([(0, 1), (2, 3)])
 C4_PM2 = edge_set([(1, 2), (3, 0)])
 C6_PM1 = edge_set([(0, 1), (2, 3), (4, 5)])
 C6_PM2 = edge_set([(1, 2), (3, 4), (5, 0)])
+
+
+def is_perfect(g: Graph, m) -> bool:
+    """True iff ``m`` is a perfect matching of ``g``."""
+    p = matching_partners(g, m)
+    return p is not None and len(p) == g.n
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -30,7 +30,6 @@ from matchflip.graph import (
     graph_from_adjacency,
     induced_subgraph,
     matching_partners,
-    matching_status,
     partner_map,
     symmetric_difference_components,
     verify_sequence,
@@ -44,6 +43,7 @@ from helpers import (
     C6,
     C6_PM1,
     C6_PM2,
+    is_perfect,
     path_graph,
     random_graph,
     random_matching_of,
@@ -102,6 +102,9 @@ def test_duplicate_edge_error_names_the_first_duplicate():
 
 def test_matching_partners():
     assert matching_partners(C4, [(0, 1), (2, 3)]) == {0: 1, 1: 0, 2: 3, 3: 2}
+    assert is_perfect(C4, [(0, 1), (2, 3)])
+    assert matching_partners(C4, [(0, 1)]) == {0: 1, 1: 0}  # a matching of size 1
+    assert not is_perfect(C4, [(0, 1)])
     assert matching_partners(C4, [(0, 1), (1, 0), (0, 1)]) == {0: 1, 1: 0}
     assert matching_partners(C4, []) == {}
     assert matching_partners(C4, [(0, 1), (1, 2)]) is None
@@ -109,18 +112,9 @@ def test_matching_partners():
     # every edge is checked, also after a shared vertex
     with pytest.raises(EdgeNotInGraphError, match=r"edge \(0, 2\) not in graph"):
         matching_partners(C4, [(0, 1), (1, 2), (2, 0)])
-    for bad in ([(0, 4)], [(-1, 0)], [(1, 1)]):
+    for bad in ([(0, 2)], [(0, 4)], [(-1, 0)], [(1, 1)]):
         with pytest.raises(EdgeNotInGraphError):
             matching_partners(C4, bad)
-
-
-def test_matching_status():
-    assert matching_status(C4, [(0, 1), (2, 3)]).kind == "perfect"
-    assert matching_status(C4, [(0, 1), (1, 2)]).kind == "not_matching"
-    st = matching_status(C4, [(0, 1)])
-    assert st.kind == "matching" and st.size == 1
-    with pytest.raises(EdgeNotInGraphError):
-        matching_status(C4, [(0, 2)])
 
 
 def test_apply_flip_c4():
@@ -164,7 +158,7 @@ def test_flip_involution_and_preservation_random():
             except InvalidFlipError:
                 continue
             assert len(m2) == len(m)
-            assert matching_status(g, m2).kind != "not_matching"
+            assert matching_partners(g, m2) is not None
             assert apply_move(g, m2, fl) == m  # involution
             diff = symmetric_difference_components(m, m2)
             assert len(diff) == 1 and diff[0].kind == "even_cycle"
@@ -345,12 +339,12 @@ def test_load_solve_verify_never_build_the_edge_set(tmp_path, capsys, monkeypatc
         else:
             seq = (solve_outerplanar if i == 1 else solve_cograph)(g, a, b).sequence
         assert verify_sequence(g, a, seq, b).ok
-        assert matching_status(g, a).kind != "not_matching"
+        assert matching_partners(g, a) is not None
 
 
 def test_empty_graph_identity():
     g = Graph(0, [])
-    assert matching_status(g, []).kind == "perfect"
+    assert is_perfect(g, [])
     assert verify_sequence(g, frozenset(), ReconfigSequence(MODE_FLIP_SLIDE, ()), frozenset()).ok
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -17,7 +19,7 @@ from matchflip.errors import (
     NotPerfectError,
     UnbalancedSidesError,
 )
-from matchflip.graph import Graph, edge, edge_set, matching_status
+from matchflip.graph import Graph, edge, edge_set
 from matchflip.hardness import (
     NclMachine,
     SAMPLE_MACHINES,
@@ -38,9 +40,10 @@ from matchflip.hardness import (
     validate_machine,
     validate_ncl,
 )
+from matchflip.io import instance_to_dict
 from matchflip.oracle import enumerate_matchings, kflip, reachable, reconfiguration_components
 
-from helpers import C4, C4_PM1, C4_PM2, C6, K4, cycle_graph
+from helpers import C4, C4_PM1, C4_PM2, C6, K4, cycle_graph, is_perfect
 
 
 def test_validate_ncl_and_vertex_semantics():
@@ -120,8 +123,8 @@ def test_reduction_structure_all_samples():
         g = inst.graph
         assert is_bipartite(g) is not None, name
         assert max(g.degree(v) for v in range(g.n)) <= 5, name
-        assert matching_status(g, inst.m_ini).kind == "perfect"
-        assert matching_status(g, inst.m_tar).kind == "perfect"
+        assert is_perfect(g, inst.m_ini)
+        assert is_perfect(g, inst.m_tar)
         # connector pairs straddle the bipartition
         zero, one = is_bipartite(g)
         for (v, e), (g0, g1) in inst.connector_pairs.items():
@@ -267,6 +270,32 @@ def test_gadget_tables_are_built_on_first_use():
     assert proc.stdout.strip() == "0"
 
 
+def test_reduction_output_pinned():
+    # The reduction's layout, hashed for every sample machine at k = 4 and
+    # 6: the instance file, the orange edges, the connector pairs, the
+    # subdivision paths and each gadget's vertex map and edges.  Any change
+    # to how gadgets are numbered or glued changes the hash.
+    h = hashlib.sha256()
+    for mk in SAMPLE_MACHINES.values():
+        machine = mk()
+        confs = enumerate_configurations(machine)
+        base = reduce_ncl_to_pmr(machine, confs[0], confs[-1])
+        for k in (4, 6):
+            inst = subdivide_for_kflip(base, k)
+            gadgets = [
+                (sorted(info.local_to_global.items()), sorted(info.edge_set))
+                for info in inst.vertex_gadgets + inst.edge_gadgets
+            ]
+            h.update(json.dumps([
+                instance_to_dict(inst.graph, inst.m_ini, inst.m_tar),
+                inst.orange_edges,
+                sorted(inst.connector_pairs.items()),
+                sorted(inst.subdivision.items()),
+                gadgets,
+            ]).encode())
+    assert h.hexdigest() == "b891f867af7b4de502e0d3d12a9a0e85ea183ff2e549f351115e1a24a2fc4e77"
+
+
 def test_subdivide_identity_and_rejections():
     m = two_or_machine()
     confs = enumerate_configurations(m)
@@ -290,7 +319,7 @@ def test_subdivided_instance_round_trips():
     m = two_or_machine()
     confs = enumerate_configurations(m)
     inst = subdivide_for_kflip(reduce_ncl_to_pmr(m, confs[0], confs[1]), 6)
-    assert matching_status(inst.graph, inst.m_ini).kind == "perfect"
+    assert is_perfect(inst.graph, inst.m_ini)
     for c in confs:
         assert inst.decode_matching(inst.encode_configuration(c)) == c
 

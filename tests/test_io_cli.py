@@ -456,6 +456,18 @@ def test_cli_bad_budget_env_exits_2(tmp_path, capsys, monkeypatch):
     assert "MATCHFLIP_BUDGET" in captured.err
 
 
+def test_cli_negative_budget_env_exits_2(tmp_path, capsys, monkeypatch):
+    # a negative budget is malformed, not a budget that is exceeded (exit 3)
+    path = _write(tmp_path, "k4.json", K4_INSTANCE)
+    monkeypatch.setenv("MATCHFLIP_BUDGET", "-5")
+    for command in ("oracle", "stats"):
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "MATCHFLIP_BUDGET" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["stats", "{inst}", "--target", "abc"],
     ["oracle", "{inst}", "--mode", "kflip", "--k", "5"],  # odd k
@@ -465,10 +477,20 @@ def test_cli_bad_budget_env_exits_2(tmp_path, capsys, monkeypatch):
     ["stats", "{inst}", "--target", "-1"],
     ["stats", "{inst}", "--target", "3"],  # above n // 2 on four vertices
     ["stats", "{inst}", "--target", "9"],
+    ["oracle", "{inst}", "--mode", "flip", "--k", "6"],  # --k applies to kflip only
+    ["stats", "{inst}", "--mode", "flip_slide", "--k", "4"],
+    ["oracle", "{inst}", "--mode", "kflip", "--k", "0"],
+    ["oracle", "{inst}", "--mode", "kflip"],  # no --k
+    ["gen-ncl", "{ncl}", "--k", "0"],  # as --k 2 does
+    ["oracle", "{inst}", "--budget", "-1"],  # not a budget that is exceeded (3)
+    ["stats", "{inst}", "--budget", "-1"],
 ])
 def test_cli_malformed_arguments_exit_2(tmp_path, capsys, argv):
-    path = _write(tmp_path, "k4.json", K4_INSTANCE)
-    assert main([path if a == "{inst}" else a for a in argv]) == 2
+    files = {
+        "{inst}": _write(tmp_path, "k4.json", K4_INSTANCE),
+        "{ncl}": _write(tmp_path, "m.json", TWO_OR_MACHINE),
+    }
+    assert main([files.get(a, a) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
