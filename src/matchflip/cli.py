@@ -11,6 +11,7 @@ environment variable when set, else oracle.DEFAULT_BUDGET.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -24,7 +25,7 @@ from .errors import (
     MalformedInputError,
     MatchFlipError,
 )
-from .graph import MODE_FLIP, MODE_FLIP_SLIDE, MODE_KFLIP, verify_sequence
+from .graph import MODE_FLIP, MODES, ReconfigSequence, _map_moves, verify_sequence
 from .hardness import reduce_ncl_to_pmr, subdivide_for_kflip
 from .io import (
     Instance,
@@ -65,9 +66,15 @@ def _mode(args) -> oracle.Mode:
         raise MalformedInputError(str(exc)) from None
 
 
-def _emit_sequence(path: Optional[str], seq) -> None:
-    if path:
-        dump_json(path, sequence_to_dict(seq))
+def _labelled(inst: Instance, seq: ReconfigSequence, back: bool = False) -> ReconfigSequence:
+    """``seq`` in the instance's labels, or with ``back`` from them (to a vertex
+    beyond the graph for a label it lacks); ``seq`` itself for labels 0..n-1."""
+    labels = inst.label_of
+    if labels == tuple(range(len(labels))):
+        return seq
+    index = {lab: i for i, lab in enumerate(labels)}
+    f = (lambda v: index.setdefault(v, len(index))) if back else labels.__getitem__
+    return ReconfigSequence(seq.mode, tuple(_map_moves(seq.moves, f)), seq.k)
 
 
 def _check_boundary_hint(inst: Instance) -> Optional[bool]:
@@ -127,7 +134,8 @@ def _cmd_solve(args) -> int:
     verdict = verify_sequence(inst.graph, inst.m_ini, seq, inst.m_tar)
     if not verdict.ok:
         raise RuntimeError(f"internal: produced sequence fails verification: {verdict}")
-    _emit_sequence(args.emit_sequence, seq)
+    if args.emit_sequence:
+        dump_json(args.emit_sequence, sequence_to_dict(_labelled(inst, seq)))
     print("YES")
     print(f"length {len(seq)}")
     return EXIT_YES
@@ -135,7 +143,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     inst = load_instance(args.instance)
-    seq = load_sequence(args.sequence)
+    seq = _labelled(inst, load_sequence(args.sequence), back=True)
     if args.mode and args.mode != seq.mode:
         raise MalformedInputError(
             f"--mode {args.mode} does not match sequence mode {seq.mode}"
@@ -160,8 +168,9 @@ def _cmd_oracle(args) -> int:
         return EXIT_NO
     body = {"distance": res.distance}
     if res.sequence is not None:
-        body["sequence"] = sequence_to_dict(res.sequence)
-        _emit_sequence(args.emit_sequence, res.sequence)
+        body["sequence"] = sequence_to_dict(_labelled(inst, res.sequence))
+        if args.emit_sequence:
+            dump_json(args.emit_sequence, body["sequence"])
     print("YES")
     print(json.dumps(body, sort_keys=True))
     return EXIT_YES
@@ -180,17 +189,7 @@ def _cmd_stats(args) -> int:
     st = oracle.reconfiguration_stats(
         inst.graph, target, mode, source=source, budget=_budget(args)
     )
-    print(
-        json.dumps(
-            {
-                "nodes": st.nodes,
-                "components": st.components,
-                "component_sizes": list(st.component_sizes),
-                "diameter": st.diameter,
-            },
-            sort_keys=True,
-        )
-    )
+    print(json.dumps(dataclasses.asdict(st), sort_keys=True))
     return EXIT_YES
 
 
@@ -250,12 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("verify", help="check a sequence file against an instance")
     s.add_argument("instance")
     s.add_argument("sequence")
-    s.add_argument("--mode", default=None, choices=[MODE_FLIP, MODE_FLIP_SLIDE, MODE_KFLIP])
+    s.add_argument("--mode", default=None, choices=MODES)
     s.set_defaults(func=_cmd_verify)
 
     s = sub.add_parser("oracle", help="brute-force reachability (BFS)")
     s.add_argument("instance")
-    s.add_argument("--mode", default=MODE_FLIP, choices=[MODE_FLIP, MODE_FLIP_SLIDE, MODE_KFLIP])
+    s.add_argument("--mode", default=MODE_FLIP, choices=MODES)
     s.add_argument("--k", type=int, default=None)
     s.add_argument("--want-path", action="store_true")
     s.add_argument("--budget", type=int, default=None)
@@ -264,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("stats", help="reconfiguration-graph statistics")
     s.add_argument("instance")
-    s.add_argument("--mode", default=MODE_FLIP, choices=[MODE_FLIP, MODE_FLIP_SLIDE, MODE_KFLIP])
+    s.add_argument("--mode", default=MODE_FLIP, choices=MODES)
     s.add_argument("--k", type=int, default=None)
     s.add_argument("--target", default="perfect", help='"perfect" or a size')
     s.add_argument("--budget", type=int, default=None)

@@ -51,6 +51,8 @@ from .blossom import max_matching
 from .errors import (
     ConditionViolatedError,
     CycleInDifferenceError,
+    InvalidFlipError,
+    InvalidSlideError,
     NotACographError,
     SizeMismatchError,
 )
@@ -63,7 +65,9 @@ from .graph import (
     ReconfigSequence,
     Slide,
     _hop,
+    _map_moves,
     _meet,
+    _step,
     _toggle,
     _walk,
     canonical_flip,
@@ -284,39 +288,26 @@ class _Side:
         self.moves: list[Move] = []
         self.diff: Optional[dict[int, set[int]]] = None
 
-    def _drop(self, e: Edge) -> None:
-        self.m.discard(e)
-        del self.partner[e[0]], self.partner[e[1]]
-        if self.diff is not None:
-            _toggle(self.diff, e)
-
-    def _add(self, e: Edge) -> None:
-        self.m.add(e)
-        self.partner[e[0]], self.partner[e[1]] = e[1], e[0]
-        if self.diff is not None:
-            _toggle(self.diff, e)
-
     def flip(self, cycle: Sequence[int]) -> None:
-        mv = canonical_flip(tuple(cycle))
-        cyc = mv.cycle_edges()
-        inside = [e for e in cyc if e in self.m]
-        if len(inside) != len(cyc) // 2 or any(e[1] not in self.g.adj[e[0]] for e in cyc):
-            raise RuntimeError(f"internal: flip {cycle} not alternating in the graph")
-        for e in inside:
-            self._drop(e)
-        for e in cyc:
-            if e not in inside:
-                self._add(e)
-        self.moves.append(mv)
+        self._apply(canonical_flip, tuple(cycle))
 
     def slide(self, removed: Edge, added: Edge) -> None:
-        mv = Slide(removed, added)
-        rem, add = mv.removed, mv.added
-        far = add[0] if add[1] == mv.pivot else add[1]
-        if rem not in self.m or far in self.partner or add[1] not in self.g.adj[add[0]]:
-            raise RuntimeError(f"internal: bad slide {rem} -> {add}")
-        self._drop(rem)
-        self._add(add)
+        self._apply(Slide, removed, added)
+
+    def _apply(self, make, *args) -> None:
+        """Build the move ``make(*args)``, apply it with ``_step`` and toggle
+        each edge it changes in ``m`` and in the shared difference.  A move
+        that is malformed or does not apply is a fault of the solver."""
+        try:
+            mv = make(*args)
+            _step(self.g, self.partner, mv)
+        except (InvalidFlipError, InvalidSlideError) as exc:
+            raise RuntimeError(f"internal: {exc}") from exc
+        changed = mv.cycle_edges() if isinstance(mv, Flip) else (mv.removed, mv.added)
+        self.m.symmetric_difference_update(changed)
+        if self.diff is not None:
+            for e in changed:
+                _toggle(self.diff, e)
         self.moves.append(mv)
 
 
@@ -712,14 +703,6 @@ def _union_pieces(node: CotreeNode, vs: set[int], ms, partners) -> list[tuple]:
     return out
 
 
-def _map_moves(moves, vmap: tuple[int, ...]) -> list[Move]:
-    return [
-        canonical_flip(tuple(vmap[v] for v in mv.cycle)) if isinstance(mv, Flip)
-        else Slide(tuple(vmap[v] for v in mv.removed), tuple(vmap[v] for v in mv.added))
-        for mv in moves
-    ]
-
-
 def _anchored(g: Graph, vs: set[int], b: frozenset[int], c1: bool, m1, m2) -> list[Move]:
     """The anchored transformation on the piece ``vs`` with smaller side
     ``b``, relabeled."""
@@ -728,7 +711,7 @@ def _anchored(g: Graph, vs: set[int], b: frozenset[int], c1: bool, m1, m2) -> li
     part = RootPartition(frozenset(idx[v] for v in vs - b), frozenset(idx[v] for v in b))
     l1, l2 = (frozenset(edge(idx[u], idx[v]) for (u, v) in m) for m in (m1, m2))
     seq = (transform_with_B_edge if c1 else _via_free_b_vertex)(sub, part, l1, l2)
-    return _map_moves(seq.moves, vmap)
+    return _map_moves(seq.moves, vmap.__getitem__)
 
 
 def _solve_tree(g: Graph, tree: CotreeNode, m1: frozenset[Edge], m2: frozenset[Edge], partners):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .graph import Edge, Graph, edge, four_cycles
+from .graph import Edge, Flip, Graph, _step, edge, four_cycles, partner_map
 from .strongly_orderable import canonical_matching
 
 
@@ -105,27 +105,18 @@ def random_outerplanar_graph(
 
 
 def mutate_by_flips(g: Graph, m: frozenset[Edge], rng: random.Random, steps: int):
-    """Walk `steps` random flips from m (fewer if none applies)."""
+    """Walk `steps` random flips from the matching m (fewer if none applies)."""
     cycles = four_cycles(g)
-    cur = set(m)
+    p = partner_map(m)
     for _ in range(steps):
         rng.shuffle(cycles)
-        done = False
         for a, b, c, d in cycles:
-            e1, e2, e3, e4 = edge(a, b), edge(b, c), edge(c, d), edge(d, a)
-            if e1 in cur and e3 in cur and e2 not in cur and e4 not in cur:
-                cur -= {e1, e3}
-                cur |= {e2, e4}
-                done = True
+            if (p.get(a), p.get(c)) in ((b, d), (d, b)):  # ab, cd or bc, da matched
+                _step(g, p, Flip((a, b, c, d)))
                 break
-            if e2 in cur and e4 in cur and e1 not in cur and e3 not in cur:
-                cur -= {e2, e4}
-                cur |= {e1, e3}
-                done = True
-                break
-        if not done:
+        else:
             break
-    return frozenset(cur)
+    return frozenset((u, v) for u, v in p.items() if u < v)
 
 
 def random_outerplanar_instance(

@@ -7,7 +7,8 @@ A :class:`Graph` holds its adjacency; its edge set is built on first use.
 All values are immutable after construction and all public functions are
 pure.  :func:`matching_partners` checks a matching into its vertex ->
 partner map; ``_step`` alone checks and applies a move on such a map in
-O(move size); :func:`verify_sequence` and :func:`apply_move` use it.
+O(move size), for every caller that moves a matching; ``_map_moves``
+renames the vertices of moves; :func:`check_mode` alone admits a (mode, k).
 The difference M1 (triangle) M2 of two matchings is one vertex -> neighbours
 map that ``_toggle`` updates, ``_hop`` steps along and ``_walk`` lists a
 component of; :func:`symmetric_difference_components` and the cograph
@@ -247,14 +248,21 @@ def _step(g: Graph, partner: dict[int, int], move: Move) -> None:
         pivot = move.pivot
         far = add[0] if add[1] == pivot else add[1]
         other = rem[0] if rem[1] == pivot else rem[1]
-        if far == other:
-            raise InvalidSlideError("slide does not move")
         if far in partner:
             raise InvalidSlideError(f"target vertex {far} already matched")
         del partner[other]
         partner[pivot], partner[far] = far, pivot
     else:
         raise TypeError(f"unknown move {move!r}")
+
+
+def _map_moves(moves: Iterable[Move], f) -> list[Move]:
+    """``moves`` with each vertex v renamed ``f(v)``; ``f`` is one to one."""
+    return [
+        canonical_flip(tuple(map(f, mv.cycle))) if isinstance(mv, Flip)
+        else Slide(tuple(map(f, mv.removed)), tuple(map(f, mv.added)))
+        for mv in moves
+    ]
 
 
 def apply_move(g: Graph, matching: frozenset[Edge], move: Move) -> frozenset[Edge]:
@@ -353,6 +361,18 @@ def symmetric_difference_components(
 MODE_FLIP = "flip"
 MODE_FLIP_SLIDE = "flip_slide"
 MODE_KFLIP = "kflip"
+MODES = (MODE_FLIP, MODE_FLIP_SLIDE, MODE_KFLIP)
+
+
+def check_mode(kind: str, k: Optional[int]) -> None:
+    """The one rule for a (mode, k) pair: a known mode, and ``k`` given
+    with kflip alone, as an even number >= 4; :class:`ValueError` else."""
+    if kind not in MODES:
+        raise ValueError(f"unknown mode {kind!r}")
+    if kind == MODE_KFLIP and (k is None or k < 4 or k % 2 != 0):
+        raise ValueError(f"kflip needs even k >= 4, got {k}")
+    if kind != MODE_KFLIP and k is not None:
+        raise ValueError("k only applies to kflip mode")
 
 
 @dataclass(frozen=True)
@@ -360,7 +380,8 @@ class ReconfigSequence:
     """An ordered list of moves under a fixed mode.
 
     ``flip`` allows 4-cycle flips only, ``flip_slide`` adds slides, and
-    ``kflip`` allows flips on alternating cycles of length exactly ``k``.
+    ``kflip`` allows flips on alternating cycles of length exactly ``k``
+    (:func:`check_mode`).
     """
 
     mode: str
@@ -368,11 +389,7 @@ class ReconfigSequence:
     k: Optional[int] = None
 
     def __post_init__(self):
-        if self.mode not in (MODE_FLIP, MODE_FLIP_SLIDE, MODE_KFLIP):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == MODE_KFLIP:
-            if self.k is None or self.k < 4 or self.k % 2 != 0:
-                raise ValueError(f"kflip mode needs even k >= 4, got {self.k}")
+        check_mode(self.mode, self.k)
 
     def __len__(self) -> int:
         return len(self.moves)

@@ -25,6 +25,7 @@ from .graph import (
     ReconfigSequence,
     Slide,
     canonical_flip,
+    check_mode,
     edge,
     four_cycles,
     partner_maps,
@@ -43,15 +44,9 @@ class Mode:
     k: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in (MODE_FLIP, MODE_FLIP_SLIDE, MODE_KFLIP):
-            raise ValueError(f"unknown mode kind {self.kind!r}")
-        if self.kind == MODE_KFLIP:
-            if self.k is None or self.k % 2 != 0 or self.k < 4:
-                raise ValueError(f"kflip needs even k >= 4, got {self.k}")
-            if self.k > KFLIP_MAX:
-                raise ValueError(f"k capped at {KFLIP_MAX} for the oracle")
-        elif self.k is not None:
-            raise ValueError("k only applies to kflip mode")
+        check_mode(self.kind, self.k)
+        if self.k is not None and self.k > KFLIP_MAX:
+            raise ValueError(f"k capped at {KFLIP_MAX} for the oracle")
 
 
 FLIP_ONLY = Mode(MODE_FLIP)
@@ -101,7 +96,8 @@ def enumerate_matchings(
                 out.append(frozenset(m))
                 if len(out) > budget:
                     raise BudgetExceededError("too many matchings")
-    out.sort(key=lambda m: sorted(m))
+    # no sort: both searches extend a sorted edge tuple depth first in
+    # sorted order, so they yield in lexicographic order already
     return out
 
 

@@ -505,8 +505,10 @@ def solve_outerplanar(
                     if not adj[v]:
                         raise RuntimeError("internal: isolated vertex with live matching")
                     (t,) = adj[v]
+                    # each edge removed is unmatched in both, and Case 2 moves p1, p2 onto
+                    # its chord: both stay perfect on the live graph, so v's edge is in both
                     if p1[v] != t or p2[v] != t:
-                        raise _No()
+                        raise RuntimeError("internal: a degree-one vertex's edge is unmatched")
                     trace.steps.append(ForcedPairStep(edge(v, t)))
                     kill_pair(v, t)
             elif splits and gaps:

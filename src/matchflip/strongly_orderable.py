@@ -26,6 +26,7 @@ from .graph import (
     MODE_FLIP,
     ReconfigSequence,
     _meet,
+    _step,
     canonical_flip,
     edge,
     partner_map,
@@ -148,8 +149,7 @@ def _route_to_canonical(
                     f"edge ({vq}, {vr}) missing"
                 )
             moves.append(canonical_flip((v1, vq, vr, vp)))
-            npart[v1], npart[vp] = vp, v1
-            npart[vq], npart[vr] = vr, vq
+            _step(g, npart, moves[-1])
         done[v1] = done[vp] = True
     return moves
 

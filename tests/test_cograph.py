@@ -12,6 +12,7 @@ from matchflip.cograph import (
     Conditions,
     RootPartition,
     _node_conditions,
+    _Side,
     _sides,
     build_cotree,
     check_conditions,
@@ -26,6 +27,7 @@ from matchflip.cograph import (
 from matchflip.errors import (
     ConditionViolatedError,
     CycleInDifferenceError,
+    MatchFlipError,
     NotACographError,
 )
 from matchflip.generators import random_cograph_instance, random_cotree_graph, random_matching_pair
@@ -519,3 +521,19 @@ def test_shared_difference_map_follows_moves():
             ) if hit)
             paths, cycles = new_paths, new_cycles
     assert seen == {"merge", "split", "cycle made", "cycle undone"}
+
+
+@pytest.mark.parametrize("move", [
+    ("flip", (0, 2, 1, 3)),  # no edge of it is matched
+    ("flip", (0, 1, 2, 2)),  # not a cycle, refused while the move is built
+    ("slide", (0, 2), (0, 3)),  # (0, 2) is not matched
+    ("slide", (0, 1), (1, 2)),  # 2 is matched
+    ("slide", (0, 1), (2, 3)),  # no shared pivot, refused while built
+])
+def test_side_move_that_does_not_apply_is_internal(move):
+    # a solver's own move that fails is a fault (exit 4), not bad input
+    side = _Side(K4, C4_PM1)
+    with pytest.raises(RuntimeError, match="^internal: ") as info:
+        getattr(side, move[0])(*move[1:])
+    assert not isinstance(info.value, MatchFlipError)
+    assert side.m == set(C4_PM1) and side.moves == []

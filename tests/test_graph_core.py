@@ -21,10 +21,12 @@ from matchflip.graph import (
     MODE_FLIP,
     MODE_FLIP_SLIDE,
     MODE_KFLIP,
+    MODES,
     ReconfigSequence,
     Slide,
     apply_move,
     canonical_flip,
+    check_mode,
     edge_set,
     four_cycles,
     graph_from_adjacency,
@@ -34,7 +36,7 @@ from matchflip.graph import (
     symmetric_difference_components,
     verify_sequence,
 )
-from matchflip.oracle import enumerate_matchings
+from matchflip.oracle import KFLIP_MAX, Mode, enumerate_matchings
 
 from helpers import (
     C4,
@@ -279,6 +281,29 @@ def test_kflip_mode_verification():
     wrong = ReconfigSequence("kflip", (Flip((0, 1, 2, 3)),), k=6)
     v = verify_sequence(C6, C6_PM1, wrong, C6_PM2)
     assert not v.ok and v.reason == "mode_violation"
+
+
+def test_one_rule_admits_a_mode():
+    with pytest.raises(ValueError):
+        ReconfigSequence(MODE_FLIP, (), 6)
+    # a sequence and the oracle's mode admit the same pairs, the oracle
+    # only capping k
+    for kind in MODES + ("flips",):
+        for k in (None, 0, 2, 4, 5, 6, KFLIP_MAX, KFLIP_MAX + 2):
+            try:
+                check_mode(kind, k)
+                ok = True
+            except ValueError:
+                ok = False
+            assert ok == (kind in MODES and (k is None) != (kind == MODE_KFLIP)
+                          and (k is None or k >= 4 and k % 2 == 0))
+            for make, admits in ((lambda: ReconfigSequence(kind, (), k), ok),
+                                 (lambda: Mode(kind, k), ok and (k or 0) <= KFLIP_MAX)):
+                if admits:
+                    make()
+                else:
+                    with pytest.raises(ValueError):
+                        make()
 
 
 def test_generator_outputs_pinned():

@@ -123,6 +123,35 @@ def test_cli_solve_auto_yes_and_verify(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "Accept"
 
 
+def test_cli_sequences_use_the_instance_labels(tmp_path, capsys):
+    # a C4 and a path whose labels are not 0..n-1, solved as cographs
+    c4 = {"n": 4, "edges": [[10, 20], [20, 30], [30, 40], [40, 10]],
+          "m_ini": [[10, 20], [30, 40]], "m_tar": [[20, 30], [40, 10]]}
+    path = {"n": 3, "edges": [[5, 7], [7, 9]], "m_ini": [[5, 7]], "m_tar": [[7, 9]]}
+    cases = [
+        (c4, {"flip": [10, 20, 30, 40]}, {"flip": [10, 20, 30, 50]}, "invalid_flip"),
+        (path, {"slide": {"remove": [5, 7], "add": [7, 9]}},
+         {"slide": {"remove": [7, 9], "add": [7, 11]}}, "invalid_slide"),
+    ]
+    for i, (inst, move, unknown, reason) in enumerate(cases):
+        ipath = _write(tmp_path, f"i{i}.json", inst)
+        spath = str(tmp_path / f"s{i}.json")
+        assert main(["solve", ipath, "--emit-sequence", spath]) == 0
+        assert json.loads(Path(spath).read_text())["moves"] == [move]
+        capsys.readouterr()
+        assert main(["oracle", ipath, "--mode", "flip_slide", "--want-path"]) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[1])["sequence"]["moves"] == [move]
+        assert main(["verify", ipath, spath]) == 0
+        # a hand-written file in the instance's labels, then one that names
+        # a label the instance lacks at its second move
+        hand = _write(tmp_path, f"h{i}.json", {"mode": "flip_slide", "moves": [move]})
+        assert main(["verify", ipath, hand]) == 0
+        bad = _write(tmp_path, f"b{i}.json", {"mode": "flip_slide", "moves": [move, unknown]})
+        assert main(["verify", ipath, bad]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "Accept", "Accept", f"Reject step=1 reason={reason}"]
+
+
 def test_cli_solve_all_classes_agree(tmp_path, capsys):
     inst = {
         "n": 4,
@@ -484,11 +513,13 @@ def test_cli_negative_budget_env_exits_2(tmp_path, capsys, monkeypatch):
     ["gen-ncl", "{ncl}", "--k", "0"],  # as --k 2 does
     ["oracle", "{inst}", "--budget", "-1"],  # not a budget that is exceeded (3)
     ["stats", "{inst}", "--budget", "-1"],
+    ["verify", "{inst}", "{kseq}"],  # k in a flip sequence file
 ])
 def test_cli_malformed_arguments_exit_2(tmp_path, capsys, argv):
     files = {
         "{inst}": _write(tmp_path, "k4.json", K4_INSTANCE),
         "{ncl}": _write(tmp_path, "m.json", TWO_OR_MACHINE),
+        "{kseq}": _write(tmp_path, "k.json", {"mode": "flip", "k": 6, "moves": []}),
     }
     assert main([files.get(a, a) for a in argv]) == 2
     captured = capsys.readouterr()

@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchflip.cli import main
 from matchflip.errors import BudgetExceededError, SizeMismatchError
@@ -13,7 +14,9 @@ from matchflip.oracle import (
     FLIP_ONLY,
     FLIP_SLIDE,
     MaskSpace,
+    _all_matchings,
     _neighbors,
+    _perfect_matchings,
     enumerate_matchings,
     kflip,
     reachable,
@@ -41,6 +44,18 @@ def test_enumerate_perfect_k4():
         [(0, 2), (1, 3)],
         [(0, 3), (1, 2)],
     ]
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 10), st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
+def test_enumerators_yield_in_lexicographic_order(n, p, seed):
+    # enumerate_matchings returns them as found: both searches must yield
+    # sorted edge tuples, the tuples in increasing order
+    g = random_graph(random.Random(seed), n, p)
+    for found in (list(_perfect_matchings(g, 10**6)), list(_all_matchings(g, 10**6))):
+        assert all(list(m) == sorted(m) for m in found)
+        assert found == sorted(found)
+        assert len(set(found)) == len(found)
 
 
 def test_enumerate_perfect_c6():
