@@ -366,10 +366,11 @@ MODES = (MODE_FLIP, MODE_FLIP_SLIDE, MODE_KFLIP)
 
 def check_mode(kind: str, k: Optional[int]) -> None:
     """The one rule for a (mode, k) pair: a known mode, and ``k`` given
-    with kflip alone, as an even number >= 4; :class:`ValueError` else."""
+    with kflip alone, as an even ``int`` >= 4 (not a float or a bool);
+    :class:`ValueError` else."""
     if kind not in MODES:
         raise ValueError(f"unknown mode {kind!r}")
-    if kind == MODE_KFLIP and (k is None or k < 4 or k % 2 != 0):
+    if kind == MODE_KFLIP and (type(k) is not int or k < 4 or k % 2 != 0):
         raise ValueError(f"kflip needs even k >= 4, got {k}")
     if kind != MODE_KFLIP and k is not None:
         raise ValueError("k only applies to kflip mode")

@@ -1,10 +1,12 @@
 """Brute-force ground truth: matching enumeration, reachability BFS, stats.
 
 Matchings are encoded as bitmasks over a global edge index so BFS states
-hash in O(1).  Flip neighbors come from a 4-cycle table precomputed once
-per graph; k-flip neighbors are found by DFS over alternating cycles.
-Neighbors are masks only: the moves of a returned path are rebuilt from
-the difference of consecutive masks.
+hash in O(1); a mask is read back one set bit at a time.  Flip neighbors
+come from a 4-cycle table precomputed once per graph; k-flip neighbors
+are found by DFS over alternating cycles.  Neighbors are masks only: the
+moves of a returned path are rebuilt from the difference of consecutive
+masks.  Reachability is a two-ended BFS, one search from each matching
+meeting in the middle, and its budget counts what both searches hold.
 Everything here is desk-scale by design and guarded by an explicit budget.
 """
 
@@ -202,8 +204,17 @@ class MaskSpace:
             m |= 1 << self.index[edge(*e)]
         return m
 
+    def edge_list(self, mask: int) -> list[Edge]:
+        """The edges of ``mask`` in index order, one step per set bit."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.edges[low.bit_length() - 1])
+            mask ^= low
+        return out
+
     def to_edges(self, mask: int) -> frozenset[Edge]:
-        return frozenset(e for i, e in enumerate(self.edges) if mask >> i & 1)
+        return frozenset(self.edge_list(mask))
 
     def flip_neighbor_masks(self, mask: int) -> list[int]:
         """Masks one alternating-4-cycle exchange away (valid for any edge
@@ -218,7 +229,7 @@ class MaskSpace:
 
 def _slide_neighbor_masks(space: MaskSpace, mask: int) -> list[int]:
     g = space.g
-    matched = [space.edges[i] for i in range(len(space.edges)) if mask >> i & 1]
+    matched = space.edge_list(mask)
     covered = set()
     for u, v in matched:
         covered.add(u)
@@ -236,48 +247,45 @@ def _slide_neighbor_masks(space: MaskSpace, mask: int) -> list[int]:
 def _kflip_neighbor_masks(space: MaskSpace, mask: int, k: int) -> list[int]:
     """Alternating cycles of length exactly k, each found once by starting
     at its minimum vertex along that vertex's matched edge (the cycle's
-    direction is then fixed, so no cycle is entered twice)."""
-    g = space.g
+    direction is then fixed, so no cycle is entered twice).
+
+    One depth-first search per start, on an explicit stack of neighbour
+    iterators: each step takes an unmatched edge to a matched vertex and
+    then that vertex's matched edge, so ``path`` grows two vertices at a
+    time and holds the partner of each vertex on it: a ``w`` off the path
+    has its partner off the path too."""
+    adj = space.g.adj
+    index = space.index
     partner: dict[int, int] = {}
-    for i, e in enumerate(space.edges):
-        if mask >> i & 1:
-            partner[e[0]] = e[1]
-            partner[e[1]] = e[0]
+    for u, v in space.edge_list(mask):
+        partner[u] = v
+        partner[v] = u
     out = []
     for u0 in sorted(partner):
         v1 = partner[u0]
         if v1 < u0:
             continue
         path = [u0, v1]
-        used = {u0, v1}
-
-        def rec(cur: int, steps: int):
-            # after an odd number of steps: next edge must be unmatched
-            if steps == k - 1:
-                if u0 in g.adj[cur] and partner.get(cur) != u0:
-                    cmask = 0
-                    for i in range(k):
-                        cmask |= 1 << space.index[edge(path[i], path[(i + 1) % k])]
-                    out.append(mask ^ cmask)
-                return
-            if steps % 2 == 1:
-                for w in g.adj[cur]:
-                    if w > u0 and w not in used and partner.get(cur) != w and w in partner:
-                        path.append(w)
-                        used.add(w)
-                        rec(w, steps + 1)
-                        path.pop()
-                        used.discard(w)
+        stack = [iter(adj[v1])]
+        while stack:
+            for w in stack[-1]:
+                x = partner.get(w)
+                if x is not None and w > u0 and x > u0 and w not in path:
+                    break
             else:
-                w = partner.get(cur)
-                if w is not None and w > u0 and w not in used:
-                    path.append(w)
-                    used.add(w)
-                    rec(w, steps + 1)
-                    path.pop()
-                    used.discard(w)
-
-        rec(v1, 1)
+                stack.pop()
+                del path[-2:]
+                continue
+            path += (w, x)
+            if len(path) < k:
+                stack.append(iter(adj[x]))
+                continue
+            if u0 in adj[x]:
+                cmask = 0
+                for i in range(k):
+                    cmask |= 1 << index[edge(path[i], path[i - 1])]
+                out.append(mask ^ cmask)
+            del path[-2:]
     return out
 
 
@@ -350,44 +358,76 @@ def reachable(
     want_path: bool = False,
     budget: int = DEFAULT_BUDGET,
 ) -> ReachResult:
-    """BFS over the mode-induced adjacency between matchings.
+    """Two-ended BFS over the mode-induced adjacency between matchings.
+
+    One parent map grows from ``m1`` and one from ``m2``, a whole layer at
+    a time, always on the side whose frontier is smaller, and the search
+    stops at the first neighbour already in the other map.  That meeting
+    closes a shortest path: when the maps hold every matching within
+    ``a`` of ``m1`` and within ``b`` of ``m2`` and are still disjoint, the
+    distance exceeds ``a + b``; a neighbour of layer ``a`` that lies in the
+    other map is ``a + 1`` from ``m1`` (it is not within ``a``) and at most
+    ``b`` from ``m2``, so the path through it has length ``a + 1 + b`` at
+    most and hence exactly (likewise when the ``m2`` side grows).  Flips,
+    slides and k-flips are all undone by the reverse move, so the goal
+    half of the path, read backwards, is a path too.
 
     Returns a shortest sequence when ``want_path``; raises
     :class:`SizeMismatchError` on unequal sizes and
-    :class:`BudgetExceededError` when the search would hold more than
-    ``budget`` matchings, the start and the goal included.
+    :class:`BudgetExceededError` when the two maps would hold more than
+    ``budget`` matchings together, the start and the goal included.
     """
     partner_maps(g, m1, m2, perfect=False)
     if len(m1) != len(m2):
         raise SizeMismatchError(f"matching sizes differ: {len(m1)} vs {len(m2)}")
     space = MaskSpace(g)
-    start, goal = space.to_mask(m1), space.to_mask(m2)
-    parent = {start: start}
-    if len(parent) > budget:
-        raise BudgetExceededError("reachability state space exceeds budget")
-    q = deque([start])
-    while q and goal not in parent:
-        cur = q.popleft()
-        for nb in _neighbors(space, cur, mode):
-            if nb in parent:
-                continue
-            parent[nb] = cur
-            if len(parent) > budget:
-                raise BudgetExceededError("reachability state space exceeds budget")
-            if nb == goal:
-                break
-            q.append(nb)
-    if goal not in parent:
+    path = _shortest_path(space, space.to_mask(m1), space.to_mask(m2), mode, budget)
+    if path is None:
         return ReachResult(False)
-    path = [goal]
-    while path[-1] != start:
-        path.append(parent[path[-1]])
-    path.reverse()
     seq = None
     if want_path:
         moves = tuple(_move(space, a, b) for a, b in zip(path, path[1:]))
         seq = ReconfigSequence(mode.kind, moves, mode.k)
     return ReachResult(True, len(path) - 1, seq)
+
+
+def _shortest_path(space: MaskSpace, start: int, goal: int, mode: Mode,
+                   budget: int) -> Optional[list[int]]:
+    """The masks of a shortest path from ``start`` to ``goal``, or None;
+    the two-ended search of :func:`reachable`."""
+    held = 1 if start == goal else 2
+    if held > budget:
+        raise BudgetExceededError("reachability state space exceeds budget")
+    if start == goal:
+        return [start]
+    maps = ({start: start}, {goal: goal})
+    fronts = [[start], [goal]]
+    while fronts[0] and fronts[1]:
+        grow = int(len(fronts[0]) > len(fronts[1]))
+        this, other = maps[grow], maps[1 - grow]
+        nxt = []
+        for cur in fronts[grow]:
+            for nb in _neighbors(space, cur, mode):
+                if nb in this:
+                    continue
+                if nb in other:
+                    a, b = (nb, cur) if grow else (cur, nb)
+                    return _chain(maps[0], a)[::-1] + _chain(maps[1], b)
+                this[nb] = cur
+                held += 1
+                if held > budget:
+                    raise BudgetExceededError("reachability state space exceeds budget")
+                nxt.append(nb)
+        fronts[grow] = nxt
+    return None
+
+
+def _chain(parent: dict[int, int], mask: int) -> list[int]:
+    """``mask`` and its parents up to the root of ``parent``."""
+    out = [mask]
+    while parent[out[-1]] != out[-1]:
+        out.append(parent[out[-1]])
+    return out
 
 
 def reconfiguration_components(

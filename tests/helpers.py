@@ -320,6 +320,83 @@ def reference_verify(g: Graph, m_ini: frozenset, seq, m_tar: frozenset) -> Verdi
     return Verdict(True)
 
 
+def reference_distance(g: Graph, m1: frozenset, m2: frozenset, mode):
+    """Distance from ``m1`` to ``m2`` under ``mode`` by a plain one-ended
+    BFS over the oracle's neighbour masks, or None when unreachable."""
+    from matchflip.oracle import MaskSpace, _neighbors
+
+    space = MaskSpace(g)
+    start, goal = space.to_mask(m1), space.to_mask(m2)
+    dist = {start: 0}
+    layer = [start]
+    while layer and goal not in dist:
+        nxt = []
+        for cur in layer:
+            for nb in _neighbors(space, cur, mode):
+                if nb not in dist:
+                    dist[nb] = dist[cur] + 1
+                    nxt.append(nb)
+        layer = nxt
+    return dist.get(goal)
+
+
+def reference_slide_neighbor_masks(space, mask: int) -> list[int]:
+    """Slide neighbours in the oracle's order, matched edges found by
+    testing every edge index."""
+    g = space.g
+    matched = [space.edges[i] for i in range(len(space.edges)) if mask >> i & 1]
+    covered = {v for e in matched for v in e}
+    out = []
+    for u, v in matched:
+        bit = 1 << space.index[(u, v)]
+        for pivot, other in ((u, v), (v, u)):
+            for w in g.adj[pivot]:
+                if w not in covered and w != other:
+                    out.append((mask ^ bit) | (1 << space.index[edge(pivot, w)]))
+    return out
+
+
+def reference_kflip_neighbor_masks(space, mask: int, k: int) -> list[int]:
+    """k-flip neighbours in the oracle's order, by a recursive search from
+    each cycle's least vertex along its matched edge."""
+    g = space.g
+    partner: dict[int, int] = {}
+    for i, e in enumerate(space.edges):
+        if mask >> i & 1:
+            partner[e[0]] = e[1]
+            partner[e[1]] = e[0]
+    out = []
+    for u0 in sorted(partner):
+        v1 = partner[u0]
+        if v1 < u0:
+            continue
+        path = [u0, v1]
+        used = {u0, v1}
+
+        def rec(cur: int, steps: int):
+            if steps == k - 1:
+                if u0 in g.adj[cur] and partner.get(cur) != u0:
+                    cmask = 0
+                    for i in range(k):
+                        cmask |= 1 << space.index[edge(path[i], path[(i + 1) % k])]
+                    out.append(mask ^ cmask)
+                return
+            if steps % 2 == 1:
+                nexts = [w for w in g.adj[cur] if partner.get(cur) != w and w in partner]
+            else:
+                nexts = [partner[cur]] if cur in partner else []
+            for w in nexts:
+                if w > u0 and w not in used:
+                    path.append(w)
+                    used.add(w)
+                    rec(w, steps + 1)
+                    path.pop()
+                    used.discard(w)
+
+        rec(v1, 1)
+    return out
+
+
 def reference_strong_order_violation(g: Graph, order):
     """First violating quadruple (i, j, k, l) of positions, or None, found
     by shifting position bitmasks over every candidate pair."""

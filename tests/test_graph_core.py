@@ -289,14 +289,14 @@ def test_one_rule_admits_a_mode():
     # a sequence and the oracle's mode admit the same pairs, the oracle
     # only capping k
     for kind in MODES + ("flips",):
-        for k in (None, 0, 2, 4, 5, 6, KFLIP_MAX, KFLIP_MAX + 2):
+        for k in (None, 0, 2, 4, 5, 6, 6.0, True, KFLIP_MAX, KFLIP_MAX + 2):
             try:
                 check_mode(kind, k)
                 ok = True
             except ValueError:
                 ok = False
             assert ok == (kind in MODES and (k is None) != (kind == MODE_KFLIP)
-                          and (k is None or k >= 4 and k % 2 == 0))
+                          and (k is None or type(k) is int and k >= 4 and k % 2 == 0))
             for make, admits in ((lambda: ReconfigSequence(kind, (), k), ok),
                                  (lambda: Mode(kind, k), ok and (k or 0) <= KFLIP_MAX)):
                 if admits:

@@ -514,12 +514,16 @@ def test_cli_negative_budget_env_exits_2(tmp_path, capsys, monkeypatch):
     ["oracle", "{inst}", "--budget", "-1"],  # not a budget that is exceeded (3)
     ["stats", "{inst}", "--budget", "-1"],
     ["verify", "{inst}", "{kseq}"],  # k in a flip sequence file
+    ["verify", "{c6}", "{fseq}"],  # a float k
 ])
 def test_cli_malformed_arguments_exit_2(tmp_path, capsys, argv):
     files = {
         "{inst}": _write(tmp_path, "k4.json", K4_INSTANCE),
         "{ncl}": _write(tmp_path, "m.json", TWO_OR_MACHINE),
         "{kseq}": _write(tmp_path, "k.json", {"mode": "flip", "k": 6, "moves": []}),
+        "{c6}": _write(tmp_path, "c6.json", C6_INSTANCE),
+        "{fseq}": _write(tmp_path, "f.json", {"mode": "kflip", "k": 6.0,
+                                               "moves": [{"flip": [0, 1, 2, 3, 4, 5]}]}),
     }
     assert main([files.get(a, a) for a in argv]) == 2
     captured = capsys.readouterr()

@@ -9,6 +9,12 @@ from hypothesis import given, settings, strategies as st
 from matchflip.cli import main
 from matchflip.errors import BudgetExceededError, SizeMismatchError
 from matchflip.graph import edge_set, verify_sequence
+from matchflip.hardness import (
+    configuration_components,
+    enumerate_configurations,
+    k4_or_machine,
+    reduce_ncl_to_pmr,
+)
 from matchflip.io import instance_to_dict
 from matchflip.oracle import (
     FLIP_ONLY,
@@ -34,6 +40,9 @@ from helpers import (
     all_matchings_by_size,
     path_graph,
     random_graph,
+    reference_distance,
+    reference_kflip_neighbor_masks,
+    reference_slide_neighbor_masks,
 )
 
 
@@ -129,7 +138,9 @@ def test_kflip4_equals_fliponly_on_perfect():
 
 def test_kflip_neighbor_masks_against_flips():
     """On every matching of a few random graphs: k = 4 finds exactly the
-    4-cycle flips, and k = 6 finds no neighbour twice."""
+    4-cycle flips, and k = 6 finds no neighbour twice.  Slide and k-flip
+    neighbours come in the order of the reference generators, which test
+    every edge index and search recursively."""
     rng = random.Random(29)
     checked = 0
     for _ in range(8):
@@ -138,12 +149,70 @@ def test_kflip_neighbor_masks_against_flips():
         for ms in all_matchings_by_size(g).values():
             for m in ms:
                 mask = space.to_mask(m)
+                assert space.to_edges(mask) == m
                 four = _neighbors(space, mask, kflip(4))
                 assert sorted(four) == sorted(space.flip_neighbor_masks(mask))
                 six = _neighbors(space, mask, kflip(6))
                 assert len(six) == len(set(six))
                 checked += len(six)
+                for k in (4, 6, 8):
+                    assert (_neighbors(space, mask, kflip(k))
+                            == reference_kflip_neighbor_masks(space, mask, k))
+                slides = _neighbors(space, mask, FLIP_SLIDE)[len(space.flip_neighbor_masks(mask)):]
+                assert slides == reference_slide_neighbor_masks(space, mask)
     assert checked > 0
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(st.booleans(), st.sampled_from([FLIP_ONLY, FLIP_SLIDE, kflip(4), kflip(6)]),
+       st.integers(0, 2**32 - 1))
+def test_reachable_matches_one_ended_reference(largest, mode, seed):
+    # the two-ended search answers as a plain BFS from the start does, at
+    # the same distance, and its path is a verified sequence of that length;
+    # pairs are of the largest size (perfect when the graph has a perfect
+    # matching) or of a random size, distinct where the size allows
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(2, 8), rng.uniform(0.3, 1.0))
+    by_size = all_matchings_by_size(g)
+    sizes = [s for s in sorted(by_size) if len(by_size[s]) > 1] or sorted(by_size)
+    ms = by_size[sizes[-1] if largest else rng.choice(sizes)]
+    a, b = rng.sample(ms, 2) if len(ms) > 1 and rng.random() < 0.95 else (ms[0], ms[0])
+    expect = reference_distance(g, a, b, mode)
+    res = reachable(g, a, b, mode, want_path=True)
+    assert res.reachable == (expect is not None)
+    if res.reachable:
+        assert res.distance == expect == len(res.sequence)
+        assert verify_sequence(g, a, res.sequence, b).ok
+
+
+def test_two_ended_search_expands_fewer_and_repeats(monkeypatch):
+    # the reduced k4_or machine from its first configuration to every other
+    # one in its component
+    machine = k4_or_machine()
+    confs = enumerate_configurations(machine)
+    comp = configuration_components(machine)
+    insts = [reduce_ncl_to_pmr(machine, confs[0], c) for c in confs[1:] if comp[c] == comp[confs[0]]]
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return _neighbors(*args)
+
+    monkeypatch.setattr("matchflip.oracle._neighbors", counting)
+    assert len(insts) >= 20
+    ours = theirs = 0
+    for inst in insts:
+        calls[0] = 0
+        res = reachable(inst.graph, inst.m_ini, inst.m_tar)
+        ours += calls[0]
+        calls[0] = 0
+        assert res.distance == reference_distance(inst.graph, inst.m_ini, inst.m_tar, FLIP_ONLY)
+        theirs += calls[0]
+    assert ours < theirs
+    far = max(insts, key=lambda i: len(i.m_ini ^ i.m_tar))
+    first, again = (reachable(far.graph, far.m_ini, far.m_tar, want_path=True) for _ in range(2))
+    assert first.sequence == again.sequence
+    assert verify_sequence(far.graph, far.m_ini, first.sequence, far.m_tar).ok
 
 
 def test_enumeration_deep_path(tmp_path, capsys):
