@@ -14,7 +14,6 @@ from matchflip import (
     build_cotree,
     check_conditions,
     edge_set,
-    max_matching,
     reachable,
     root_partition,
     solve_cograph,
@@ -43,7 +42,7 @@ print("C4 size-1:", res.sequence.moves)
 # random cograph, random equal-size matchings, cross-checked
 rng = random.Random(11)
 g = random_cotree_graph(9, rng)
-print("random cograph: n =", g.n, "m =", g.m, "max matching =", len(max_matching(g)))
+print("random cograph: n =", g.n, "m =", g.m, "max matching =", build_cotree(g).nu)
 a, b = random_matching_pair(g, rng)
 res = solve_cograph(g, a, b)
 orc = reachable(g, a, b, FLIP_SLIDE)

@@ -35,7 +35,6 @@ from .oracle import (
     reconfiguration_components,
     reconfiguration_stats,
 )
-from .blossom import max_matching
 from .strongly_orderable import (
     OrderCheck,
     StrongOrder,

@@ -8,6 +8,15 @@ Comput. 1985).  Each node records its vertex count and maximum matching
 size nu (Yu & Yang, IPL 1993): a union adds the nu of its sides; a join
 of G1 and G2 with n1 >= n2 has nu = min(floor((n1+n2)/2), nu1+n2).
 
+The same bottom-up pass builds such a matching without ever using an
+edge inside the smaller side of a join.  A union concatenates its
+parts' matchings.  A join keeps G1's matching; G2's vertices take G1's
+free vertices first, then break G1's matched edges, two G2-vertices
+each (every break adds one edge).  With f free vertices in G1 this
+stops at nu1+n2 when n2 <= f, and otherwise at nu1+f+floor((n2-f)/2) =
+floor((n1+n2)/2), which needs only floor((n2-f)/2) <= nu1 breaks: that
+holds because n2 <= n1 = 2*nu1+f.  Either way the size is the join's nu.
+
 A connected piece completely joins the larger side A of its cotree root
 to the smaller side B.  Its size-k matchings are classified by C1 (some
 keeps an edge inside B) and C2 (some leaves a B-vertex unmatched).
@@ -18,7 +27,9 @@ min(floor((n-1)/2), nu(A)+|B|-1) >= k; any B-edge (B-vertex) witnesses.
 
 Under either condition every two size-k matchings are connected by a
 short sequence routed through an explicitly constructed anchor matching
-(``transform_with_B_edge`` / ``transform_with_free_B_vertex``).  When
+(``transform_with_B_edge`` / ``transform_with_free_B_vertex``): A's
+cotree matching with the B-vertices the anchor leaves over joined on as
+above, so its only B-edge is the one C1 fixes.  When
 both fail, every size-k matching covers B entirely, B is matched into A,
 and reachability reduces to the matchings induced on A, with A-side
 moves lifted back by turning blocked slides into flips and repairing the
@@ -41,13 +52,13 @@ start, still scans that matching once per push.
 from __future__ import annotations
 
 import weakref
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from heapq import heapify, heappop, heappush
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Optional, Sequence
 
-from .blossom import max_matching
 from .errors import (
     ConditionViolatedError,
     CycleInDifferenceError,
@@ -235,6 +246,55 @@ def root_partition(g: Graph, cotree: Optional[CotreeNode] = None) -> RootPartiti
     return RootPartition(a.leaves(), b.leaves())
 
 
+def _join_onto(matching: deque[Edge], free: deque[int], small: list[int]) -> None:
+    """Join the vertices ``small`` onto a maximum matching of a side at
+    least as large and that side's free vertices, in place and in order:
+    they take the free vertices first, then break matched edges two at a
+    time."""
+    ys = iter(small)
+    take = min(len(free), len(small))
+    pairs = [edge(free.popleft(), y) for y in islice(ys, take)]
+    for _ in range(min((len(small) - take) // 2, len(matching))):
+        x, y = matching.popleft()
+        pairs += (edge(x, next(ys)), edge(y, next(ys)))
+    matching += pairs
+    free += ys
+
+
+def _cotree_matching(tree: CotreeNode) -> tuple[deque[Edge], deque[int]]:
+    """A maximum matching of the cograph below ``tree`` and its free
+    vertices, built bottom-up (module docstring); each node's larger
+    child's lists absorb the smaller one's."""
+    done: list = []  # (matching, free) of each finished subtree, left first
+    todo = [(tree, False)]
+    while todo:
+        t, ready = todo.pop()
+        if t.kind == "leaf":
+            done.append((deque(), deque((t.vertex,))))
+        elif not ready:
+            todo += ((t, True), (t.right, False), (t.left, False))
+        else:
+            right, left = done.pop(), done.pop()
+            (bm, bf), (sm, sf) = (right, left) if t.left.size < t.right.size else (left, right)
+            if t.kind == "union":
+                bm += sm
+                bf += sf
+            else:
+                _join_onto(bm, bf, [*(v for e in sm for v in e), *sf])
+            done.append((bm, bf))
+    matching, free = done.pop()
+    if len(matching) != tree.nu:
+        raise RuntimeError(f"internal: cotree matching of size {len(matching)}, nu {tree.nu}")
+    return matching, free
+
+
+def _side_matching(g: Graph, side) -> tuple[list[Edge], list[int]]:
+    """:func:`_cotree_matching` of ``g[side]``, in ``g``'s labels."""
+    sub, vmap = induced_subgraph(g, side)
+    matching, free = _cotree_matching(build_cotree(sub))
+    return [edge(vmap[u], vmap[v]) for u, v in matching], [vmap[v] for v in free]
+
+
 # ---------------------------------------------------------------------------
 # conditions
 
@@ -266,13 +326,14 @@ def _b_edges(g: Graph, b: frozenset[int]):
 
 def check_conditions(g: Graph, part: RootPartition, k: int) -> Conditions:
     """C1: some size-k matching has an edge inside B.  C2: some size-k
-    matching misses a B-vertex.  In closed form; ``part`` must completely
-    join a larger side A to a nonempty B covering ``g`` (as from
-    :func:`root_partition`), else :class:`ValueError`."""
+    matching misses a B-vertex.  In closed form, with nu(A) read off the
+    cotree of ``g[A]`` (:class:`NotACographError` when A is no cograph);
+    ``part`` must completely join a larger side A to a nonempty B covering
+    ``g`` (as from :func:`root_partition`), else :class:`ValueError`."""
     a, b = part.a, part.b
     if not (b and len(a) >= len(b) and a | b == set(range(g.n)) and all(b <= g.adj[v] for v in a)):
         raise ValueError("conditions need a larger side completely joined to a nonempty one")
-    nu_a = len(max_matching(g, a))
+    nu_a = build_cotree(induced_subgraph(g, a)[0]).nu
     return _conditions(g.n, len(b), nu_a, next(_b_edges(g, b), None) is not None, k)
 
 
@@ -424,23 +485,18 @@ def _resolve_single_pair(g: Graph, s1: _Side, e1: Edge, e2: Edge) -> None:
 # anchored transformations (C1: a fixed B-edge, C2: a free B-vertex)
 
 
-def _anchor(g: Graph, removed, size: int) -> list[Edge]:
-    """The first ``size`` edges of a maximum matching of g minus ``removed``."""
-    return sorted(max_matching(g, set(range(g.n)).difference(removed)))[:size]
+def _anchor(part: RootPartition, a_matching, removed, size: int) -> list[Edge]:
+    """The first ``size`` edges of ``a_matching`` (a maximum matching of
+    g[A] and A's free vertices) with B minus ``removed`` joined on: a
+    maximum matching of g minus ``removed`` that has no B-edge."""
+    matching, free = map(deque, a_matching)
+    _join_onto(matching, free, sorted(part.b.difference(removed)))
+    return sorted(matching)[:size]
 
 
-def _through_anchor(route, g: Graph, part: RootPartition, x, anchor, m1, m2) -> ReconfigSequence:
+def _through_anchor(route, g: Graph, part: RootPartition, x, anchor, m1, m2) -> list[Move]:
     """Route both matchings to the anchor and join the two halves."""
-    moves = _meet(route(g, part, x, anchor, m1), route(g, part, x, anchor, m2))
-    return ReconfigSequence(MODE_FLIP_SLIDE, tuple(moves))
-
-
-def _normalize_anchor(g: Graph, part: RootPartition, e: Edge, m: set[Edge]) -> set[Edge]:
-    """Rewrite the anchor so e is its only edge inside B (ours to choose)."""
-    s = _Side(g, m)
-    while _push_b_edge_out(part, s, e):
-        pass
-    return s.m
+    return _meet(route(g, part, x, anchor, m1), route(g, part, x, anchor, m2))
 
 
 def _enforce_claim_assumptions(part: RootPartition, e: Edge, sm: _Side, si: _Side) -> None:
@@ -503,11 +559,11 @@ def _near(nbr: dict[int, set[int]], touched: set[int], hops: int) -> set[Edge]:
     return {edge(v, w) for v in ball for w in nbr[v]}
 
 
-def _push_b_edge_out(part: RootPartition, s: _Side, keep: Optional[Edge] = None) -> bool:
-    """Move the least B-edge of ``s`` but ``keep`` across the join: flip it
-    with the least A-edge, else slide it to the least free A-vertex."""
+def _push_b_edge_out(part: RootPartition, s: _Side) -> bool:
+    """Move the least B-edge of ``s`` across the join: flip it with the
+    least A-edge, else slide it to the least free A-vertex."""
     a_side, b_side = part.a, part.b
-    bad = sorted(f for f in s.m if f != keep and f[0] in b_side and f[1] in b_side)
+    bad = sorted(f for f in s.m if f[0] in b_side and f[1] in b_side)
     if not bad:
         return False
     x, y = bad[0]
@@ -606,38 +662,43 @@ def _route_to_b_edge_anchor(
 
 def transform_with_B_edge(g: Graph, part: RootPartition, m1, m2) -> ReconfigSequence:
     """Sequence between two equal-size matchings when condition C1 holds,
-    routed through an anchor whose only B-edge is fixed."""
+    routed through an anchor whose only B-edge is fixed, built on the
+    maximum matching read off the cotree of g[A]."""
     m1, m2 = _pair(m1, m2)
+    moves = _via_b_edge(g, part, _side_matching(g, part.a), m1, m2)
+    return ReconfigSequence(MODE_FLIP_SLIDE, tuple(moves))
+
+
+def _via_b_edge(g: Graph, part: RootPartition, a_matching, m1, m2) -> list[Move]:
+    # the anchor joins B minus e onto A, so with A the larger side every
+    # B-edge e leaves as many edges: the first is the only try
     k = len(m1)
-    # the first B-edge that leaves k-1 more edges; at a root join (larger
-    # side A) every B-edge does if one does, so the first is the only try
-    for e in _b_edges(g, part.b) if k >= 1 else ():
-        if len(rest := _anchor(g, e, k - 1)) == k - 1:
-            break
-    else:
+    e = next(_b_edges(g, part.b), None)
+    if k < 1 or e is None or len(rest := _anchor(part, a_matching, e, k - 1)) < k - 1:
         raise ConditionViolatedError("condition C1 does not hold")
-    anchor = frozenset(_normalize_anchor(g, part, e, {e, *rest}))
+    anchor = frozenset((e, *rest))
     return _through_anchor(_route_to_b_edge_anchor, g, part, e, anchor, m1, m2)
 
 
 def transform_with_free_B_vertex(g: Graph, part: RootPartition, m1, m2) -> ReconfigSequence:
     """Sequence between two equal-size matchings when C2 holds and C1
     fails: difference cycles unwind by sliding through a B-vertex the
-    anchor leaves unmatched."""
+    anchor leaves unmatched (the anchor as for :func:`transform_with_B_edge`)."""
     m1, m2 = _pair(m1, m2)
     cond = check_conditions(g, part, len(m1))
     if cond.c1 or not cond.c2:
         raise ConditionViolatedError("needs C2 and not C1")
-    return _via_free_b_vertex(g, part, m1, m2)
+    moves = _via_free_b_vertex(g, part, _side_matching(g, part.a), m1, m2)
+    return ReconfigSequence(MODE_FLIP_SLIDE, tuple(moves))
 
 
-def _via_free_b_vertex(g: Graph, part: RootPartition, m1, m2) -> ReconfigSequence:
+def _via_free_b_vertex(g: Graph, part: RootPartition, a_matching, m1, m2) -> list[Move]:
     # C1 fails, so no size-k matching uses a B-edge: without them the
     # B-vertices are twins, and any one witnesses C2
     b = part.b
     work = graph_from_adjacency([a - b if v in b else a for v, a in enumerate(g.adj)])
     v = min(b)
-    anchor = frozenset(_anchor(work, {v}, len(m1)))
+    anchor = frozenset(_anchor(part, a_matching, {v}, len(m1)))
     return _through_anchor(_route_via_free_vertex, work, part, v, anchor, m1, m2)
 
 
@@ -703,15 +764,21 @@ def _union_pieces(node: CotreeNode, vs: set[int], ms, partners) -> list[tuple]:
     return out
 
 
-def _anchored(g: Graph, vs: set[int], b: frozenset[int], c1: bool, m1, m2) -> list[Move]:
-    """The anchored transformation on the piece ``vs`` with smaller side
-    ``b``, relabeled."""
+def _anchored(g: Graph, vs: set[int], node: CotreeNode, c1: bool, m1, m2) -> list[Move]:
+    """The anchored transformation on the piece ``vs`` below the join
+    ``node``, with A's matching read off its larger side; relabeled
+    unless the piece is all of ``g``."""
+    a, small = node.sides()
+    b = small.leaves()
+    am, free = _cotree_matching(a)
     sub, vmap = induced_subgraph(g, vs)
-    idx = {v: i for i, v in enumerate(vmap)}
-    part = RootPartition(frozenset(idx[v] for v in vs - b), frozenset(idx[v] for v in b))
-    l1, l2 = (frozenset(edge(idx[u], idx[v]) for (u, v) in m) for m in (m1, m2))
-    seq = (transform_with_B_edge if c1 else _via_free_b_vertex)(sub, part, l1, l2)
-    return _map_moves(seq.moves, vmap.__getitem__)
+    if sub is not g:
+        idx = {v: i for i, v in enumerate(vmap)}
+        am, m1, m2 = ([edge(idx[u], idx[v]) for u, v in m] for m in (am, m1, m2))
+        b, free = frozenset(idx[v] for v in b), [idx[v] for v in free]
+    part = RootPartition(frozenset(range(sub.n)) - b, b)
+    moves = (_via_b_edge if c1 else _via_free_b_vertex)(sub, part, (am, free), *_pair(m1, m2))
+    return moves if sub is g else _map_moves(moves, vmap.__getitem__)
 
 
 def _solve_tree(g: Graph, tree: CotreeNode, m1: frozenset[Edge], m2: frozenset[Edge], partners):
@@ -738,11 +805,11 @@ def _solve_tree(g: Graph, tree: CotreeNode, m1: frozenset[Edge], m2: frozenset[E
         if node.kind == "leaf" or not m1:
             continue  # no edges on either side
         cond = _node_conditions(node, len(m1))
+        if cond.c1 or cond.c2:
+            out += _anchored(g, vs, node, cond.c1, m1, m2)
+            continue
         a, small = node.sides()
         b = small.leaves()
-        if cond.c1 or cond.c2:
-            out += _anchored(g, vs, b, cond.c1, m1, m2)
-            continue
         todo.append((b, frozenset(m1), frozenset(m2), len(out)))
         vs -= b
         for m, p in zip((m1, m2), partners):

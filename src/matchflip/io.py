@@ -87,7 +87,9 @@ def load_instance(source: Union[str, dict]) -> Instance:
     them; any other input takes the relabelling path, which reports faults."""
     data, maybe_bool = _load_json(source)
     try:
-        n, edges = int(data["n"]), data["edges"]
+        n, edges = data["n"], data["edges"]
+        if type(n) is not int:  # a float, string or bool is no vertex count
+            raise TypeError(f"n must be an integer, not {n!r}")
         ini, tar = data.get("m_ini", []), data.get("m_tar", [])
         hints = data.get("hints", {}) or {}
         orders = {k: list(hints[k]) for k in ("strong_order", "boundary_order")

@@ -2,7 +2,7 @@
 
 Matchings are encoded as bitmasks over a global edge index so BFS states
 hash in O(1); a mask is read back one set bit at a time.  Flip neighbors
-come from a 4-cycle table precomputed once per graph; k-flip neighbors
+come from a 4-cycle table built lazily once per graph; k-flip neighbors
 are found by DFS over alternating cycles.  Neighbors are masks only: the
 moves of a returned path are rebuilt from the difference of consecutive
 masks.  Reachability is a two-ended BFS, one search from each matching
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Literal, Optional, Union
 
 from .errors import BudgetExceededError, SizeMismatchError
@@ -190,13 +191,19 @@ class MaskSpace:
         self.g = g
         self.edges = g.sorted_edges()
         self.index = {e: i for i, e in enumerate(self.edges)}
-        self.cycle_masks: list[tuple[int, int, int]] = []
-        for a, b, c, d in four_cycles(g):
+
+    @cached_property
+    def cycle_masks(self) -> list[tuple[int, int, int]]:
+        """Per 4-cycle: its two alternate edge pairs and all four edges,
+        built when flips are first asked for (k-flips never read it)."""
+        out = []
+        for a, b, c, d in four_cycles(self.g):
             e1 = 1 << self.index[edge(a, b)]
             e2 = 1 << self.index[edge(b, c)]
             e3 = 1 << self.index[edge(c, d)]
             e4 = 1 << self.index[edge(d, a)]
-            self.cycle_masks.append((e1 | e3, e2 | e4, e1 | e2 | e3 | e4))
+            out.append((e1 | e3, e2 | e4, e1 | e2 | e3 | e4))
+        return out
 
     def to_mask(self, edges: Iterable[Edge]) -> int:
         m = 0

@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from matchflip.blossom import max_matching
 from matchflip.cli import main
 from matchflip.cograph import (
     Conditions,
@@ -54,6 +53,7 @@ from helpers import (
     path_graph,
     petersen_graph,
     random_graph,
+    reference_max_matching,
 )
 
 
@@ -101,9 +101,9 @@ def test_witnesses_on_random_noncographs():
 
 
 def test_max_matching_examples():
-    assert len(max_matching(C4)) == 2
-    assert len(max_matching(Graph(3, [(0, 1), (1, 2), (0, 2)]))) == 1
-    assert len(max_matching(petersen_graph())) == 5
+    assert len(reference_max_matching(C4)) == 2
+    assert len(reference_max_matching(Graph(3, [(0, 1), (1, 2), (0, 2)]))) == 1
+    assert len(reference_max_matching(petersen_graph())) == 5
     # cross-check Petersen by exhaustive enumeration
     assert enumerate_matchings(petersen_graph(), "perfect")
 
@@ -119,7 +119,7 @@ def test_max_matching_random_brute_force():
                 best = k
                 break
             k -= 1
-        mm = max_matching(g)
+        mm = reference_max_matching(g)
         assert len(mm) == best
         cov = set()
         for u, v in mm:
@@ -358,7 +358,7 @@ def test_cotree_nu_equals_blossom(n, seed, data):
     g = random_cotree_graph(n, random.Random(seed))
     removed = data.draw(st.sets(st.integers(0, n - 1), max_size=min(2, n - 1)))
     sub, _ = induced_subgraph(g, set(range(n)) - removed)
-    assert build_cotree(sub).nu == len(max_matching(sub))
+    assert build_cotree(sub).nu == len(reference_max_matching(sub))
 
 
 def _conditions_by_definition(by_size, b, k) -> Conditions:
@@ -409,6 +409,11 @@ def test_check_conditions_any_partition():
         for k in range(g.n // 2 + 2):
             want = _conditions_by_definition(by_size, part.b, k)
             assert check_conditions(g, part, k) == want, (sorted(g.edges), part, k)
+    # nu(A) is read off A's cotree, so a side A holding an induced P4 is
+    # refused as the cograph it is not
+    p4_apex = Graph(5, [(0, 1), (1, 2), (2, 3)] + [(v, 4) for v in range(4)])
+    with pytest.raises(NotACographError):
+        check_conditions(p4_apex, RootPartition(frozenset(range(4)), frozenset({4})), 1)
     k4_part = RootPartition(frozenset({0, 1}), frozenset({2, 3}))
     with pytest.raises(ConditionViolatedError):  # C1 holds
         transform_with_free_B_vertex(K4, k4_part, [(0, 1), (2, 3)], [(0, 2), (1, 3)])
@@ -442,9 +447,10 @@ def test_deep_threshold_cograph(tmp_path, capsys):
 
 def test_solver_output_pinned():
     # The emitted sequences, hashed.  The cases run C1 anchors with every
-    # claim fix (cycles inside A in 30/65 and 60/20, W-patterns in 20/47
-    # and 120/2), a C2 anchor with a lift (40/1) and lone-edge pairs on a
-    # threshold graph; any change to a choice rule changes the hash.
+    # claim fix (cycles inside A in 30/65 and 60/20, W-patterns in
+    # 120/2), a C2 anchor with a lift (40/1) and lone-edge pairs on a
+    # threshold graph; any change to a choice rule or to the anchors
+    # changes the hash.
     cases = []
     for n, seed in ((20, 47), (30, 65), (40, 1), (60, 20), (120, 2)):
         inst = load_instance(random_cograph_instance(n, seed))
@@ -457,7 +463,7 @@ def test_solver_output_pinned():
     for g, a, b in cases:
         seq = solve_cograph(g, a, b).sequence
         h.update(json.dumps(sequence_to_dict(seq), sort_keys=True).encode())
-    assert h.hexdigest() == "5c5efa9bc067b377a3031a0a23e6f5d135e1f6f44a507b0932ca449f208dee62"
+    assert h.hexdigest() == "9a05133835a72c7b39e0f0545600ebc8cbe29548ad1d23a8adb028c722a06d61"
 
 
 def _random_move(g: Graph, side, rng: random.Random) -> bool:

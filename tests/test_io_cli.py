@@ -299,6 +299,9 @@ def test_cli_malformed_input(tmp_path, capsys):
         {"hints": [1]},
         {"hints": {"strong_order": 5}},
         {"hints": {"strong_order": 0}},
+        {"n": 2.9},
+        {"n": "2"},
+        {"n": True},
     ]
     for i, shape in enumerate(shapes):
         path3 = _write(tmp_path, f"shape{i}.json", {**base, **shape})

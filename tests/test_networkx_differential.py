@@ -1,7 +1,8 @@
 """Differential tests against networkx (a test-only dependency): the
 component search of a graph and of its complement, the block
-decomposition and the maximum matching on random graphs that hold
-isolated vertices and bridges; outerplanarity against planarity of the
+decomposition and the reference maximum matching on random graphs that
+hold isolated vertices and bridges; the cotree matching and the cograph
+anchors on random cographs; outerplanarity against planarity of the
 graph plus an apex vertex; and cograph recognition against a
 brute-force search for an induced P4."""
 
@@ -13,11 +14,21 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchflip.blossom import max_matching
-from matchflip.cograph import _split, is_cograph
+from matchflip.cograph import (
+    _anchor,
+    _b_edges,
+    _cotree_matching,
+    _side_matching,
+    _split,
+    build_cotree,
+    is_cograph,
+    root_partition,
+)
 from matchflip.generators import random_cotree_graph, random_outerplanar_graph
-from matchflip.graph import Graph, edge, matching_partners
+from matchflip.graph import Graph, edge, graph_from_adjacency, induced_subgraph, matching_partners
 from matchflip.outerplanar import biconnected_blocks, is_outerplanar, verify_boundary_order
+
+from helpers import reference_max_matching
 
 nx = pytest.importorskip("networkx")
 
@@ -72,12 +83,50 @@ def test_biconnected_blocks_match_networkx(g, data):
 @given(graphs, st.data())
 def test_max_matching_size_matches_networkx(g, data):
     keep = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1)) | {0, g.n - 2, g.n - 1}
-    m = max_matching(g, keep)
+    m = reference_max_matching(g, keep)
     assert matching_partners(g, m) is not None
     assert all(u in keep and v in keep for u, v in m)
     assert len(m) == len(nx.max_weight_matching(_nx(g, keep), maxcardinality=True))
     if len(keep) == g.n:
-        assert len(max_matching(g)) == len(m)
+        assert len(reference_max_matching(g)) == len(m)
+
+
+def _nu(g: Graph) -> int:
+    return len(nx.max_weight_matching(_nx(g, range(g.n)), maxcardinality=True))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.data())
+def test_cotree_matching_is_maximum(n, seed, data):
+    # on a random cograph G, on G - S for |S| <= 2 and on G with the inner
+    # edges of its smaller root side B removed (the graph a C2 anchor lives
+    # in), the cotree matching is a matching of the graph, as large as
+    # networkx's, and its free list holds exactly the unmatched vertices
+    g = random_cotree_graph(n, random.Random(seed))
+    removed = data.draw(st.sets(st.integers(0, n - 1), max_size=min(2, n - 1)))
+    graphs = [g, induced_subgraph(g, set(range(n)) - removed)[0]]
+    tree = build_cotree(g)
+    if tree.kind == "join":
+        part = root_partition(g, tree)
+        b = part.b
+        graphs.append(graph_from_adjacency([a - b if v in b else a for v, a in enumerate(g.adj)]))
+    for h in graphs:
+        matching, free = _cotree_matching(build_cotree(h))
+        assert matching_partners(h, matching) is not None
+        covered = {v for e in matching for v in e}
+        assert len(covered) == 2 * len(matching)
+        assert sorted(free) == sorted(set(range(h.n)) - covered)
+        assert len(matching) == _nu(h)
+    # the anchors: A's matching with B minus a B-edge (C1) or minus a
+    # B-vertex (C2) joined on is a maximum matching of G minus those
+    # vertices, and holds no B-edge
+    if tree.kind == "join":
+        a_matching = _side_matching(g, part.a)
+        for s in filter(None, (next(_b_edges(g, b), None), (min(b),))):
+            anchor = _anchor(part, a_matching, s, n)
+            assert matching_partners(g, anchor) is not None
+            assert not any(u in s or v in s or (u in b and v in b) for u, v in anchor)
+            assert len(anchor) == _nu(induced_subgraph(g, set(range(n)) - set(s))[0])
 
 
 def _near_outerplanar(n: int, seed: int, cut: float, extra: int) -> tuple[Graph, list[int]]:

@@ -15,6 +15,7 @@ from matchflip.hardness import (
     k4_or_machine,
     reduce_ncl_to_pmr,
 )
+from matchflip import oracle
 from matchflip.io import instance_to_dict
 from matchflip.oracle import (
     FLIP_ONLY,
@@ -183,6 +184,38 @@ def test_reachable_matches_one_ended_reference(largest, mode, seed):
     if res.reachable:
         assert res.distance == expect == len(res.sequence)
         assert verify_sequence(g, a, res.sequence, b).ok
+
+
+def test_kflip_search_leaves_cycle_table_unbuilt(monkeypatch):
+    # k-flip neighbours come from the alternating-cycle search alone, so a
+    # k-flip call never builds the 4-cycle table; a flip call builds it,
+    # and a 4-flip is a flip: the distances agree with a one-ended search
+    spaces = []
+
+    class Recording(oracle.MaskSpace):
+        def __init__(self, g):
+            super().__init__(g)
+            spaces.append(self)
+
+    monkeypatch.setattr(oracle, "MaskSpace", Recording)
+    rng = random.Random(41)
+    pairs = 0
+    while pairs < 25:
+        g = random_graph(rng, rng.randint(4, 8), rng.uniform(0.4, 1.0))
+        ms = max(all_matchings_by_size(g).items())[1]
+        if len(ms) < 2:
+            continue
+        a, b = rng.sample(ms, 2)
+        pairs += 1
+        for k in (4, 6):
+            del spaces[:]
+            res = reachable(g, a, b, kflip(k))
+            assert res.distance == reference_distance(g, a, b, kflip(k))
+            assert spaces and all("cycle_masks" not in vars(s) for s in spaces)
+        del spaces[:]
+        res = reachable(g, a, b, FLIP_ONLY)
+        assert res.distance == reference_distance(g, a, b, kflip(4))
+        assert "cycle_masks" in vars(spaces[0])  # reachable's own space
 
 
 def test_two_ended_search_expands_fewer_and_repeats(monkeypatch):
