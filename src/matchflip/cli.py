@@ -6,6 +6,11 @@ too), 3 = budget exceeded, 4 = internal error.  The first stdout line of `solve`
 is machine-parsable (YES / NO / Accept / Reject).  The budget of
 `oracle` and `stats` is --budget when given, else the MATCHFLIP_BUDGET
 environment variable when set, else oracle.DEFAULT_BUDGET.
+
+:func:`main` runs each command with the cyclic garbage collector paused
+and restores it on every exit, which is safe because what a command builds
+holds no reference cycle (reference counting frees it all); the library
+functions leave the collector to their caller.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import json
 import os
 import sys
@@ -290,6 +296,8 @@ _parser = functools.cache(build_parser)  # built once per process
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except BudgetExceededError as exc:
@@ -301,6 +309,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except Exception as exc:  # a fault of ours must not read as NO (exit 1)
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -96,7 +96,9 @@ _CLAIM_CAP_FACTOR = 10
 # cotree
 
 
-@dataclass(frozen=True)
+# compared, hashed and shown by identity: a threshold cograph's cotree is
+# as deep as the graph is large, too deep for the recursive dataclass methods
+@dataclass(frozen=True, eq=False, repr=False)
 class CotreeNode:
     kind: str  # "leaf" | "union" | "join"
     vertex: Optional[int] = None
@@ -146,9 +148,18 @@ class CotreeNode:
         return frozenset(out)
 
     def to_json(self):
-        if self.kind == "leaf":
-            return self.vertex
-        return {self.kind: [self.left.to_json(), self.right.to_json()]}
+        """A leaf as its vertex, any other node as {kind: [left, right]}."""
+        out = [None]
+        stack = [(self, out, 0)]
+        while stack:
+            t, slot, i = stack.pop()
+            if t.kind == "leaf":
+                slot[i] = t.vertex
+            else:
+                kids = [None, None]
+                slot[i] = {t.kind: kids}
+                stack += ((t.left, kids, 0), (t.right, kids, 1))
+        return out[0]
 
 
 @dataclass(frozen=True)

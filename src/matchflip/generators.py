@@ -142,21 +142,16 @@ def random_cotree_graph(n: int, rng: random.Random) -> Graph:
     labels = list(range(n))
     rng.shuffle(labels)
     edges: list[Edge] = []
-
-    def build(verts: list[int], force_join: bool):
+    stack = [(labels, n > 1)]  # cotree nodes in preorder, left before right
+    while stack:
+        verts, force_join = stack.pop()
         if len(verts) == 1:
-            return
+            continue
         cut = rng.randint(1, len(verts) - 1)
         left, right = verts[:cut], verts[cut:]
-        kind = "join" if force_join or rng.random() < 0.5 else "union"
-        if kind == "join":
-            for u in left:
-                for v in right:
-                    edges.append(edge(u, v))
-        build(left, False)
-        build(right, False)
-
-    build(labels, n > 1)
+        if force_join or rng.random() < 0.5:  # a join
+            edges.extend(edge(u, v) for u in left for v in right)
+        stack += ((right, False), (left, False))
     return Graph(n, set(edges))
 
 

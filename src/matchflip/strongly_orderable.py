@@ -55,6 +55,14 @@ def _check_permutation(g: Graph, order) -> tuple[int, ...]:
     return order
 
 
+def _positions(order: tuple[int, ...]) -> list[int]:
+    """The position of each vertex in ``order``, a permutation."""
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
+    return pos
+
+
 def verify_strong_ordering(g: Graph, order: Sequence[int]) -> OrderCheck:
     """Check the strong-ordering implication by the next-one rule.
 
@@ -80,8 +88,11 @@ def verify_strong_ordering(g: Graph, order: Sequence[int]) -> OrderCheck:
     """
     order = _check_permutation(g, order)
     adj = g.adj
-    pos = {v: i for i, v in enumerate(order)}
-    rows = [sorted([pos[w] for w in adj[v]]) for v in order]
+    pos = _positions(order)
+    rows = [[] for _ in order]  # rows[p]: the neighbour positions of order[p], ascending
+    for i, v in enumerate(order):
+        for w in adj[v]:
+            rows[pos[w]].append(i)
     for i, row in enumerate(rows):
         for t in range(len(row) - 1):
             k, l = row[t], row[t + 1]
@@ -97,8 +108,12 @@ def verify_strong_ordering(g: Graph, order: Sequence[int]) -> OrderCheck:
 def canonical_matching(g: Graph, order: Sequence[int]) -> frozenset[Edge]:
     """Greedy perfect matching: repeatedly match the earliest unmatched
     vertex to its earliest unmatched neighbor (positions in ``order``)."""
-    order = _check_permutation(g, order)
-    pos = {v: i for i, v in enumerate(order)}
+    return _greedy_matching(g, _check_permutation(g, order))
+
+
+def _greedy_matching(g: Graph, order: tuple[int, ...]) -> frozenset[Edge]:
+    """:func:`canonical_matching` for an order already checked."""
+    pos = _positions(order)
     matched = [False] * g.n
     out: set[Edge] = set()
     for i, v in enumerate(order):
@@ -169,7 +184,7 @@ def solve_strongly_orderable(
     """
     order = _check_permutation(g, order)
     p_ini, p_tar = partner_maps(g, m_ini, m_tar)
-    canon = canonical_matching(g, order)
+    canon = _greedy_matching(g, order)
     fwd = _route_to_canonical(g, order, canon, p_ini)
     bwd = _route_to_canonical(g, order, canon, p_tar)
     return ReconfigSequence(MODE_FLIP, tuple(_meet(fwd, bwd)))

@@ -85,6 +85,30 @@ def test_cotree_json_roundtrippable():
     assert isinstance(j, dict) and "join" in j
 
 
+def test_deep_cotree_methods_do_not_recurse():
+    # the star K_{1,n-1}, a threshold cograph (n - 1 isolated vertices, then
+    # a dominating one): its cotree folds the leaves' union into a path, of
+    # depth n - 1 in all, beyond the interpreter's recursion limit
+    n = 1500
+    edges = [(v, n - 1) for v in range(n - 1)]
+    t, twin = build_cotree(Graph(n, edges)), build_cotree(Graph(n, edges))
+    stack, leaves, depth = [(t, t.to_json(), 0)], [], 0
+    while stack:
+        node, js, d = stack.pop()
+        depth = max(depth, d)
+        if node.kind == "leaf":
+            assert js == node.vertex
+            leaves.append(js)
+        else:
+            assert list(js) == [node.kind]
+            (left, right), = js.values()
+            stack += ((node.left, left, d + 1), (node.right, right, d + 1))
+    assert depth == n - 1 and sorted(leaves) == list(range(n))
+    # equal in structure, yet nodes compare and hash by identity
+    assert t == t and t != twin and hash(t) == hash(t)
+    assert "CotreeNode" in repr(t) and len(repr(t)) < 100
+
+
 def test_witnesses_on_random_noncographs():
     rng = random.Random(8)
     found = 0

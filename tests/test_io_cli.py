@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import importlib
 import importlib.util
 import json
@@ -10,7 +11,11 @@ import pytest
 
 from matchflip.cli import main
 from matchflip.errors import MalformedInputError
-from matchflip.generators import random_outerplanar_instance
+from matchflip.generators import (
+    random_cograph_instance,
+    random_interval_instance,
+    random_outerplanar_instance,
+)
 from matchflip.graph import Flip, Slide, edge_set
 from matchflip.io import (
     dumps_canonical,
@@ -549,6 +554,90 @@ def test_cli_internal_fault_exits_4(tmp_path, capsys, monkeypatch, fault):
     assert captured.out == ""
     assert captured.err.startswith("internal error:") and captured.err.count("\n") == 1
     assert type(fault).__name__ in captured.err
+
+
+def test_cli_commands_leave_no_cyclic_garbage(tmp_path, capsys):
+    # main runs each command with the collector paused, which is safe only
+    # while what a command builds is freed by reference counting alone.  The
+    # warm-up call pays the one-time costs: the first main builds the cached
+    # parser, the first gen-random imports the generators.
+    f = {
+        "interval": _write(tmp_path, "iv.json", random_interval_instance(40, 1)),
+        "outer": _write(tmp_path, "op.json", random_outerplanar_instance(40, 1)),
+        "cograph": _write(tmp_path, "cg.json", random_cograph_instance(40, 2)),
+        "c6": _write(tmp_path, "c6.json", C6_INSTANCE),
+        "2k2": _write(tmp_path, "2k2.json", {"n": 4, "edges": [[0, 1], [2, 3]],
+                                            "m_ini": [[0, 1]], "m_tar": [[2, 3]]}),
+        "k4": _write(tmp_path, "k4.json", K4_INSTANCE),
+        "k4bad": _write(tmp_path, "k4bad.json", dict(K4_INSTANCE, m_tar=[[0, 3], [1, 2]])),
+        "ncl": _write(tmp_path, "m.json", TWO_OR_MACHINE),
+        "bad": _write(tmp_path, "bad.json", dict(K4_INSTANCE, edges=[[0, 1], [1, 1]])),
+        "seq": str(tmp_path / "seq.json"),
+        "out": str(tmp_path / "out.json"),
+    }
+    cases = [
+        (["solve", "--class", "strongly_orderable", f["interval"]], 0),
+        (["solve", "--class", "outerplanar", f["outer"]], 0),
+        (["solve", "--class", "outerplanar", f["c6"]], 1),
+        (["solve", "--class", "cograph", f["cograph"]], 0),
+        (["solve", "--class", "cograph", f["2k2"]], 1),
+        (["solve", f["k4"], "--emit-sequence", f["seq"]], 0),
+        (["verify", f["k4"], f["seq"]], 0),
+        (["verify", f["k4bad"], f["seq"]], 1),
+        (["oracle", f["k4"], "--want-path"], 0),
+        (["oracle", f["c6"]], 1),
+        (["oracle", f["k4"], "--budget", "1"], 3),
+        (["stats", f["c6"]], 0),
+        *((["gen-random", "--class", c, "--n", "20", "--seed", "1", "-o", f["out"]], 0)
+          for c in ("interval", "outerplanar", "cograph")),
+        (["gen-ncl", f["ncl"], "--k", "6", "-o", f["out"]], 0),
+        (["solve", f["bad"]], 2),
+    ]
+    for argv, code in cases:
+        assert main(argv) == code, argv
+        capsys.readouterr()
+        gc.collect()
+        assert main(argv) == code, argv
+        assert gc.collect() == 0, argv
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_cli_restores_the_collector(tmp_path, capsys, monkeypatch, collecting):
+    # paused while a command runs, then as it was before main, on every exit
+    k4 = _write(tmp_path, "k4.json", K4_INSTANCE)
+    c6 = _write(tmp_path, "c6.json", C6_INSTANCE)
+    bad = _write(tmp_path, "bad.json", "{")
+    import matchflip.cli as cli
+
+    seen = []
+
+    def broken(*args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("internal: boom")
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        for argv, code in (([k4], 0), ([c6], 1), ([bad], 2), (["--budget", "1", k4], 3)):
+            assert main(["oracle"] + argv) == code
+            assert gc.isenabled() is collecting
+        with pytest.raises(SystemExit):
+            main(["oracle", k4, "--mode", "nope"])  # refused by argparse
+        assert gc.isenabled() is collecting
+        monkeypatch.setattr(cli, "solve_cograph", broken)
+        assert main(["solve", "--class", "cograph", k4]) == 4
+        assert seen == [False] and gc.isenabled() is collecting
+        monkeypatch.setattr(cli, "solve_cograph", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["solve", "--class", "cograph", k4])
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", [
