@@ -238,7 +238,34 @@ def build_cotree(g: Graph) -> CotreeNode:
     return nodes[0]
 
 
+def _probe_p4(g: Graph) -> Optional[tuple[int, int, int, int]]:
+    """An induced P4 (a, b, c, d) whose middle edge bc is 0-x or x-y, with
+    x vertex 0's greatest neighbour and y x's, or None.  A few set
+    operations on the neighbourhoods of those vertices: sparse graphs
+    offer such a P4 almost always, and a cograph never does."""
+    adj = g.adj
+    if not g.n or not adj[0]:
+        return None
+    x = max(adj[0])
+    for b, c in ((0, x), (x, max(adj[x]))):
+        left = adj[b].difference(adj[c], (c,))
+        right = adj[c].difference(adj[b], (b,))
+        if left and right:
+            a = max(left)
+            rest = right - adj[a]
+            if rest:
+                d = max(rest)
+                if (b in adj[a] and c in adj[b] and d in adj[c]
+                        and c not in adj[a] and d not in adj[b] and d not in adj[a]):
+                    return a, b, c, d
+    return None
+
+
 def is_cograph(g: Graph) -> bool:
+    """Whether ``g`` is P4-free.  A P4 found by :func:`_probe_p4` answers
+    no at once; otherwise the cotree decides, and stays cached."""
+    if _probe_p4(g):
+        return False
     try:
         if g.n:
             build_cotree(g)

@@ -43,12 +43,19 @@ verbatim.  The emitted sequence is the chronological list of initial-side
 square flips, then the target-side ones in reverse order, less a shared
 tail.  No work is ordered by a ring's start or direction, so the output
 depends on the graph and the matchings alone.
+
+The live graph is lists indexed by vertex: live neighbour sets, liveness
+flags and ring neighbours.  Each reduction is recorded as a tuple (step
+class, its fields); :class:`ReductionTrace` builds the typed steps from
+these the first time ``steps`` is read, so a caller that never reads the
+trace, as the command line does not, never pays for them.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import NotOuterplanarError, NotTwoConnectedError
@@ -115,9 +122,23 @@ TraceStep = Union[
 ]
 
 
-@dataclass
 class ReductionTrace:
-    steps: list[TraceStep] = field(default_factory=list)
+    """The reductions of one solve, in the order they fired, recorded as
+    tuples (step class, its fields); ``steps`` builds the typed steps from
+    them when first read.  Equality and repr go by ``steps``."""
+
+    def __init__(self):
+        self.records: list[tuple] = []
+
+    @cached_property
+    def steps(self) -> list[TraceStep]:
+        return [r[0](*r[1:]) for r in self.records]
+
+    def __eq__(self, other):
+        return isinstance(other, ReductionTrace) and self.steps == other.steps
+
+    def __repr__(self) -> str:
+        return f"ReductionTrace(steps={self.steps!r})"
 
 
 @dataclass(frozen=True)
@@ -130,6 +151,8 @@ class SubInstance:
 
 @dataclass(frozen=True)
 class OuterplanarResult:
+    """The answer, a flip sequence on YES, and the reductions made."""
+
     yes: bool
     sequence: Optional[ReconfigSequence]
     trace: ReductionTrace
@@ -214,9 +237,10 @@ def _boundary_cycle(adj, vertices: set[int]) -> Optional[dict[int, int]]:
     its neighbors, then unwinds the contractions to rebuild the cycle.
     """
     n = len(vertices)
-    work = {v: set(adj[v]) & vertices for v in vertices}
-    if n < 3 or sum(map(len, work.values())) > 2 * (2 * n - 3):
+    local = {v: adj[v] & vertices for v in vertices}
+    if n < 3 or sum(map(len, local.values())) > 2 * (2 * n - 3):
         return None
+    work = {v: set(nv) for v, nv in local.items()}
     stack2 = [v for v in work if len(work[v]) == 2]
     insertions: list[tuple[int, int, int]] = []
     while len(work) > 3:
@@ -245,36 +269,36 @@ def _boundary_cycle(adj, vertices: set[int]) -> Optional[dict[int, int]]:
     out = [x]
     while nxt[out[-1]] != x:
         out.append(nxt[out[-1]])
-    return _positions(adj, out)
+    return _positions(local, out)
 
 
 def _positions(adj, order: list[int]) -> Optional[dict[int, int]]:
     """The vertex -> position map of ``order`` if it is a boundary cycle:
-    consecutive vertices adjacent, and chords nested (no chords (a, c),
-    (b, d) with a < b < c < d); else None."""
+    vertices distinct, consecutive ones adjacent, and chords nested (no
+    chords (a, c), (b, d) with a < b < c < d); else None.  Each ``adj[v]``
+    must lie inside ``order``.  The far ends of the open chords sit on a
+    stack, nearest on top: a chord opening at p crosses one iff it reaches
+    past the top, and the chords closing at p are the top entries p."""
     n = len(order)
-    if any(order[i - 1] not in adj[v] for i, v in enumerate(order)):
-        return None
     pos = dict(zip(order, range(n)))
-    open_at: list[list[int]] = [[] for _ in range(n)]
-    close_at: list[list[int]] = [[] for _ in range(n)]
-    for v in order:
-        for w in adj[v]:
-            if w in pos and pos[v] < pos[w]:
-                i, j = pos[v], pos[w]
-                if j - i in (1, n - 1):
-                    continue
-                open_at[i].append(j)
-                close_at[j].append(i)
-    stack: list[int] = []
-    for p in range(n):
-        for _ in close_at[p]:
-            if not stack or stack[-1] != p:
-                return None
+    if len(pos) < n or order[0] not in adj[order[-1]]:
+        return None
+    at = pos.__getitem__
+    stack = [n]
+    for p in range(n - 1):
+        nv = adj[order[p]]
+        while stack[-1] == p:
             stack.pop()
-        for j in sorted(open_at[p], reverse=True):
-            stack.append(j)
-    return None if stack else pos
+        if order[p + 1] not in nv:
+            return None
+        if len(nv) > 2:
+            far = sorted(map(at, nv), reverse=True)
+            i = far.index(p + 1)  # far[:i]: the chords opening at p
+            if i:
+                if far[0] > stack[-1]:
+                    return None
+                stack += far[:i]
+    return pos
 
 
 _structures = weakref.WeakKeyDictionary()  # graphs are immutable and hash by identity
@@ -331,7 +355,9 @@ def verify_boundary_order(g: Graph, order) -> bool:
     if isinstance(order, BoundaryOrder):
         order = order.order
     order = list(order)
-    pos = _positions(g.adj, order) if g.n >= 3 and sorted(order) == list(range(g.n)) else None
+    n = g.n  # n entries in 0..n-1, which _positions sees are distinct
+    ok = n >= 3 and len(order) == n and 0 <= min(order) <= max(order) < n
+    pos = _positions(g.adj, order) if ok else None
     if pos is None:
         return False
     _structures[g] = [pos], _by_vertex(g.n, [pos])
@@ -402,9 +428,12 @@ def solve_outerplanar(
         raise NotOuterplanarError("graph is not outerplanar")
     blocks, found = struct
     trace = ReductionTrace()
-    adj: dict[int, set[int]] = dict(enumerate(map(set, g.adj)))  # live vertices only
+    record = trace.records.append
+    n = g.n
+    adj = list(map(set, g.adj))  # a vertex's live neighbours, while it lives
+    live = [True] * n
     pre, post = [], []  # square flips on the initial and the target side
-    low = [v for v in adj if len(adj[v]) <= 1]  # vertices whose degree may have dropped to <= 1
+    low = [v for v in range(n) if len(adj[v]) <= 1]  # vertices whose degree may have dropped to <= 1
     cand: list[int] = []  # vertices whose degree may be exactly 2
     gaps: list[int] = []  # vertices whose ring neighbours may not be adjacent
 
@@ -412,8 +441,8 @@ def solve_outerplanar(
     # one holding its matched edge; its ring is that block's cycle restricted
     # to the live vertices living there, laid after the first split
     home = [maps[0] for maps in found]
-    cuts = [v for v in range(g.n) if len(found[v]) > 1]
-    nxt, prv = dict(zip(adj, adj)), dict(zip(adj, adj))  # ring neighbours
+    cuts = [v for v in range(n) if len(found[v]) > 1]
+    nxt, prv = list(range(n)), list(range(n))  # ring neighbours
 
     def lose(t: int, v: int) -> None:
         """t loses its edge to v; queue t by the degree left."""
@@ -434,25 +463,26 @@ def solve_outerplanar(
         c, d = prv[w], nxt[w]
         nxt[c], prv[d] = d, c
         # both leave the live graph before either's neighbours are touched
-        for v, nbrs in [(u, adj.pop(u)), (w, adj.pop(w))]:
-            for t in nbrs:
-                if t in adj:
+        live[u] = live[w] = False
+        for v in (u, w):
+            for t in adj[v]:
+                if live[t]:
                     lose(t, v)
         for a, b in ((a, b), (c, d)):
-            if a in adj and b in adj:  # else u and w were ring neighbours
+            if live[a] and live[b]:  # else u and w were ring neighbours
                 gap(a, b)
 
     def sever(c: int, keep: set[int]) -> None:
         """Drop c's edges outside ``keep``, when c has any."""
         if len(keep) < len(adj[c]):
-            trace.steps.append(SplitStep(c, tuple(sorted(keep))))
+            record((SplitStep, c, tuple(sorted(keep))))
             for t in adj[c] - keep:
                 lose(c, t)
                 lose(t, c)
 
-    def fire_pair(u: int, w: int) -> None:
-        (x,) = adj[u] - {w}
-        (y,) = adj[w] - {u}
+    def fire_pair(u: int, w: int, x: int) -> None:  # x: u's other neighbour
+        y, z = adj[w]
+        y = z if y == u else y
         e1, e2 = p1[u] == w, p2[u] == w
         if x != y and y in adj[x]:
             # contract the pair onto the chord xy: a side matching ux and wy
@@ -463,18 +493,18 @@ def solve_outerplanar(
                         raise RuntimeError("internal: degree-two pair not matched as forced")
                     p[x], p[y] = y, x
                     moves.append(canonical_flip((x, u, w, y)))
-            trace.steps.append(Case2Step((u, w), x, y, e1, e2))
+            record((Case2Step, (u, w), x, y, e1, e2))
         elif e1 != e2 or (x == y and not e1):
             # off every 4-cycle e's matched status never changes, and a
             # triangle tip's e is in every perfect matching
             raise _No()
         elif not e1:  # u and w then leave as forced pairs
-            trace.steps.append(Case1DropStep(edge(u, w)))
+            record((Case1DropStep, edge(u, w)))
             lose(u, w)
             lose(w, u)
             return
         else:
-            trace.steps.append(Case1RemoveStep(edge(u, w)))
+            record((Case1RemoveStep, edge(u, w)))
         kill_pair(u, w)
 
     def split(a: int, z: int) -> None:
@@ -501,7 +531,7 @@ def solve_outerplanar(
         while True:
             if low:
                 v = low.pop()
-                if v in adj:
+                if live[v]:
                     if not adj[v]:
                         raise RuntimeError("internal: isolated vertex with live matching")
                     (t,) = adj[v]
@@ -509,62 +539,75 @@ def solve_outerplanar(
                     # its chord: both stay perfect on the live graph, so v's edge is in both
                     if p1[v] != t or p2[v] != t:
                         raise RuntimeError("internal: a degree-one vertex's edge is unmatched")
-                    trace.steps.append(ForcedPairStep(edge(v, t)))
+                    record((ForcedPairStep, (v, t) if v < t else (t, v)))
                     kill_pair(v, t)
             elif splits and gaps:
                 v = gaps.pop()
-                ends = [t for t in (nxt[v], prv[v]) if t not in adj[v]] if v in adj else ()
-                if ends:
-                    split(v, min(ends))  # by label: the ring's direction stays unseen
+                if live[v] and (nxt[v] not in adj[v] or prv[v] not in adj[v]):
+                    # the gap end by label: the ring's direction stays unseen
+                    split(v, min(t for t in (nxt[v], prv[v]) if t not in adj[v]))
             elif pairs and cand:
                 v = cand.pop()
-                mate = [w for w in adj[v] if len(adj[w]) == 2] if len(adj.get(v, ())) == 2 else ()
-                if mate:
-                    fire_pair(v, mate[0])
+                if live[v] and len(adj[v]) == 2:
+                    a, b = adj[v]
+                    if len(adj[a]) == 2:
+                        fire_pair(v, a, b)
+                    elif len(adj[b]) == 2:
+                        fire_pair(v, b, a)
             else:
                 return
 
     try:
         run(False, False)
         for v in cuts:  # the first split, at the input's cut vertices
-            if v in adj:
+            if live[v]:
                 home[v] = next(pos for pos in found[v] if p1[v] in pos)
                 if p2[v] not in home[v]:
                     raise RuntimeError("internal: matched partners straddle blocks")
                 sever(v, adj[v].intersection(home[v]))
         for pos in blocks:
-            ring = [v for v in pos if v in adj and home[v] is pos]
+            ring = [v for v in pos if live[v] and home[v] is pos]
             if ring:
                 rot = ring[1:] + ring[:1]
-                nxt.update(zip(ring, rot))
-                prv.update(zip(rot, ring))
+                for a, b in zip(ring, rot):
+                    nxt[a] = b
+                    prv[b] = a
                 if len(ring) < len(pos):  # around a vertex gone or living elsewhere
                     gaps.extend(t for a, b in zip(ring, rot) if b not in adj[a] for t in (a, b))
         gaps.sort()  # by label, as all work: never by a ring's start or direction
         run(False, True)
-        # every ring is a cycle now: colour it alternately and purge the
-        # chords whose ends share a colour, the even ones, once
-        black: set[int] = set()
-        seen: set[int] = set()
-        for v in adj:
-            if v not in seen:
-                ring = [v]
-                while nxt[ring[-1]] != v:
-                    ring.append(nxt[ring[-1]])
-                if len(ring) % 2:
+        # every ring is a cycle now: colour it alternately, 1 from its least
+        # vertex, and purge the chords whose ends share a colour, the even
+        # ones, once; only a vertex of degree three or more has a chord
+        colour = [0] * n
+        for v in range(n):
+            if live[v] and not colour[v]:
+                c, u = 1, v
+                while not colour[u]:
+                    colour[u] = c
+                    c ^= 3
+                    u = nxt[u]
+                if c != 1:
                     raise RuntimeError("internal: odd component with perfect matchings")
-                seen.update(ring)
-                black.update(ring[::2])
-        for v, nv in adj.items():
-            for w in [w for w in (nv & black if v in black else nv - black) if v < w]:
-                if p1[v] == w or p2[v] == w:
-                    raise RuntimeError("internal: even chord inside a matching")
-                trace.steps.append(RemoveEvenChordStep((v, w)))
-                nv.discard(w)
-                adj[w].discard(v)
-        cand[:] = [v for v in adj if len(adj[v]) == 2]
+        cand.clear()  # refilled by label: a vertex's degree is final once passed
+        for v, nv in enumerate(adj):
+            if not live[v]:
+                continue
+            if len(nv) > 2:
+                cv = colour[v]
+                chords = [w for w in nv if v < w and colour[w] == cv]
+                if len(chords) > 1:  # as a set of nv's same-coloured members iterates them
+                    chords = [w for w in {w for w in nv if colour[w] == cv} if v < w]
+                for w in chords:
+                    if p1[v] == w or p2[v] == w:
+                        raise RuntimeError("internal: even chord inside a matching")
+                    record((RemoveEvenChordStep, (v, w)))
+                    nv.discard(w)
+                    adj[w].discard(v)
+            if len(nv) == 2:
+                cand.append(v)
         run(True, True)
-        if adj:
+        if True in live:
             raise RuntimeError("internal: reduction stalled (no degree-two pair)")
     except _No:
         return OuterplanarResult(False, None, trace)

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import re
 from pathlib import Path
+from typing import get_args
 
 import pytest
 
@@ -17,6 +18,7 @@ from matchflip.generators import (
     random_outerplanar_instance,
 )
 from matchflip.graph import Flip, Slide, edge_set
+from matchflip.outerplanar import TraceStep, solve_outerplanar
 from matchflip.io import (
     dumps_canonical,
     instance_to_dict,
@@ -665,3 +667,11 @@ def test_traced_entry_points_resolve():
     assert spans.TARGETS
     for name, (module, attr, _) in spans.TARGETS.items():
         assert callable(getattr(importlib.import_module(module), attr, None)), name
+    # the solve span counts trace steps by class name off a real result, as
+    # a --trace 1 run does
+    inst = load_instance(random_outerplanar_instance(200, 3))
+    res = solve_outerplanar(inst.graph, inst.m_ini, inst.m_tar)
+    counts = spans.TARGETS["outerplanar.solve"][2]((), {}, res)
+    assert {"Case2Step", "ForcedPairStep", "RemoveEvenChordStep", "SplitStep"} <= set(counts)
+    assert set(counts) <= {cls.__name__ for cls in get_args(TraceStep)}
+    assert sum(counts.values()) == len(res.trace.steps)

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from matchflip.cograph import (
     _anchor,
+    _probe_p4,
     _b_edges,
     _cotree_matching,
     _side_matching,
@@ -159,21 +160,28 @@ def test_is_outerplanar_matches_apex_planarity(case, hinted):
     assert is_outerplanar(g) == planar
 
 
+def _is_induced_p4(g: Graph, a: int, b: int, c: int, d: int) -> bool:
+    return (b in g.adj[a] and c in g.adj[b] and d in g.adj[c]
+            and c not in g.adj[a] and d not in g.adj[b] and d not in g.adj[a])
+
+
 def _has_induced_p4(g: Graph) -> bool:
-    for quad in itertools.combinations(range(g.n), 4):
-        for a, b, c, d in itertools.permutations(quad):
-            if (a < d and b in g.adj[a] and c in g.adj[b] and d in g.adj[c]
-                    and c not in g.adj[a] and d not in g.adj[b] and d not in g.adj[a]):
-                return True
-    return False
+    return any(a < d and _is_induced_p4(g, a, b, c, d)
+               for quad in itertools.combinations(range(g.n), 4) for a, b, c, d in itertools.permutations(quad))
 
 
-def _maybe_cograph(n: int, p: float, seed: int, from_cotree: bool) -> Graph:
-    """A random graph, or a random cograph with one pair toggled at random
-    (which may or may not leave a cograph)."""
+def _maybe_cograph(n: int, p: float, seed: int, kind: str) -> Graph:
+    """A random graph; a random cograph with one pair toggled at random
+    (which may or may not leave a cograph); or a sparse connected graph, a
+    random tree plus a few edges, where ``_probe_p4`` mostly finds a P4."""
     rng = random.Random(seed)
-    if not from_cotree:
+    if kind == "random":
         return Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p])
+    if kind == "sparse":
+        perm = rng.sample(range(n), n)
+        es = {edge(perm[v], perm[rng.randrange(v)]) for v in range(1, n)}
+        es |= {edge(*rng.sample(range(n), 2)) for _ in range(int(p * n / 2))}
+        return Graph(n, es)
     es = set(random_cotree_graph(n, rng).edges)
     if n > 1 and rng.random() < 0.5:
         es ^= {edge(*rng.sample(range(n), 2))}
@@ -182,6 +190,9 @@ def _maybe_cograph(n: int, p: float, seed: int, from_cotree: bool) -> Graph:
 
 @settings(max_examples=400, deadline=None, database=None, derandomize=True)
 @given(st.builds(_maybe_cograph, st.integers(4, 8), st.floats(0.0, 1.0),
-                 st.integers(0, 2**32 - 1), st.booleans()))
+                 st.integers(0, 2**32 - 1), st.sampled_from(["random", "cotree", "sparse"])))
 def test_is_cograph_matches_induced_p4_search(g):
+    # a P4 the probe offers must be one: it answers before the cotree
+    witness = _probe_p4(g)
+    assert witness is None or _is_induced_p4(g, *witness)
     assert is_cograph(g) == (not _has_induced_p4(g))

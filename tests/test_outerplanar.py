@@ -280,8 +280,8 @@ def test_trace_replay_reaches_reduced_instance():
 def test_outerplanar_output_pinned():
     # Emitted sequences and the sorted trace steps, hashed: chord_drop 0,
     # 0.3, 0.6 and 0.9, two blocks joined by a bridge (cut vertices at both
-    # ends), a NO pair and scrambled labels; any change to a reduction rule
-    # changes the hash.  The order of trace steps is not pinned.
+    # ends), a NO pair and scrambled labels, then n = 2000; any change to a
+    # reduction rule changes a hash.  The order of trace steps is not pinned.
     cases = []
     for n, seed, drop in ((40, 3, 0.0), (60, 8, 0.3), (80, 5, 0.6), (120, 2, 0.9), (300, 11, 0.3)):
         inst = load_instance(random_outerplanar_instance(n, seed, drop))
@@ -307,6 +307,13 @@ def test_outerplanar_output_pinned():
         h.update(json.dumps(sorted(map(repr, res.trace.steps))).encode())
     assert answers == [True] * 6 + [False, True]
     assert h.hexdigest() == "119a09cccda95060e821b491c4a77fff99e1dd583aea9b2ef0e79c10a2ad5a1f"
+    # one instance at the size the benchmark times, hashed on its own
+    inst = load_instance(random_outerplanar_instance(2000, 13))
+    res = solve_outerplanar(inst.graph, inst.m_ini, inst.m_tar)
+    h = hashlib.sha256(json.dumps(sequence_to_dict(res.sequence)).encode())
+    h.update(json.dumps(sorted(map(repr, res.trace.steps))).encode())
+    assert res.yes and len(res.sequence) == 118
+    assert h.hexdigest() == "6b74e62e84bd98a22baef231531f5b32a0dcd3bc55fd978c64d9bb6d426f3429"
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
