@@ -6,6 +6,8 @@ outerplanar and cograph inputs, a brute-force reconfiguration-graph
 oracle for validation, and an NCL-gadget hard-instance generator.
 """
 
+from importlib import import_module
+
 from . import errors
 from .graph import (
     DiffComponent,
@@ -22,18 +24,6 @@ from .graph import (
     matching_partners,
     symmetric_difference_components,
     verify_sequence,
-)
-from .oracle import (
-    FLIP_ONLY,
-    FLIP_SLIDE,
-    Mode,
-    ReachResult,
-    ReconfigGraphStats,
-    enumerate_matchings,
-    kflip,
-    reachable,
-    reconfiguration_components,
-    reconfiguration_stats,
 )
 from .strongly_orderable import (
     OrderCheck,
@@ -60,21 +50,6 @@ from .cograph import (
     root_partition,
     solve_cograph,
 )
-from .hardness import (
-    GadgetInstance,
-    GadgetReport,
-    KFactorInstance,
-    NclMachine,
-    SAMPLE_MACHINES,
-    enumerate_configurations,
-    gadget_selftest,
-    k_factor_instance,
-    reduce_ncl_to_pmr,
-    split_completion,
-    subdivide_for_kflip,
-    validate_machine,
-    validate_ncl,
-)
 from .io import (
     Instance,
     instance_to_dict,
@@ -85,3 +60,27 @@ from .io import (
 )
 
 __version__ = "0.1.0"
+
+# name -> the submodule it comes from, imported on first access (PEP 562) so
+# that a process which only solves or verifies never loads the oracle or NCL code
+_LAZY = {name: module for module, names in (
+    ("oracle", ("oracle", "FLIP_ONLY", "FLIP_SLIDE", "Mode", "ReachResult",
+                "ReconfigGraphStats", "enumerate_matchings", "kflip", "reachable",
+                "reconfiguration_components", "reconfiguration_stats")),
+    ("hardness", ("hardness", "GadgetInstance", "GadgetReport", "KFactorInstance",
+                  "NclMachine", "SAMPLE_MACHINES", "enumerate_configurations",
+                  "gadget_selftest", "k_factor_instance", "reduce_ncl_to_pmr",
+                  "split_completion", "subdivide_for_kflip", "validate_machine",
+                  "validate_ncl")),
+) for name in names}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"{__name__}.{_LAZY[name]}")
+    return module if name == _LAZY[name] else getattr(module, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

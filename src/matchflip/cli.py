@@ -5,7 +5,9 @@ unsupported input (a bad or negative budget or an unwritable output file
 too), 3 = budget exceeded, 4 = internal error.  The first stdout line of `solve`, `verify` and `oracle`
 is machine-parsable (YES / NO / Accept / Reject).  The budget of
 `oracle` and `stats` is --budget when given, else the MATCHFLIP_BUDGET
-environment variable when set, else oracle.DEFAULT_BUDGET.
+environment variable when set, else oracle.DEFAULT_BUDGET.  The oracle
+and the NCL reduction are imported by the commands that run them, so a
+`solve` or `verify` process never loads them.
 
 :func:`main` runs each command with the cyclic garbage collector paused
 and restores it on every exit, which is safe because what a command builds
@@ -22,9 +24,8 @@ import gc
 import json
 import os
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import oracle
 from .cograph import is_cograph, solve_cograph
 from .errors import (
     BudgetExceededError,
@@ -32,7 +33,6 @@ from .errors import (
     MatchFlipError,
 )
 from .graph import MODE_FLIP, MODES, ReconfigSequence, _map_moves, verify_sequence
-from .hardness import reduce_ncl_to_pmr, subdivide_for_kflip
 from .io import (
     Instance,
     dump_json,
@@ -46,6 +46,9 @@ from .io import (
 from .outerplanar import is_outerplanar, solve_outerplanar, verify_boundary_order
 from .strongly_orderable import solve_strongly_orderable, verify_strong_ordering
 
+if TYPE_CHECKING:
+    from . import oracle
+
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_BAD_INPUT = 2
@@ -54,6 +57,8 @@ EXIT_INTERNAL = 4
 
 
 def _budget(args) -> int:
+    from . import oracle
+
     budget, env = args.budget, os.environ.get("MATCHFLIP_BUDGET")
     if budget is None:
         try:
@@ -66,6 +71,8 @@ def _budget(args) -> int:
 
 
 def _mode(args) -> oracle.Mode:
+    from . import oracle
+
     try:
         return oracle.Mode(args.mode, args.k)
     except ValueError as exc:  # --k without kflip; with kflip, none, odd or above the cap
@@ -163,6 +170,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle
+
     inst = load_instance(args.instance)
     mode = _mode(args)
     res = oracle.reachable(
@@ -183,6 +192,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from . import oracle
+
     inst = load_instance(args.instance)
     mode = _mode(args)
     try:
@@ -200,6 +211,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_gen_ncl(args) -> int:
+    from .hardness import reduce_ncl_to_pmr, subdivide_for_kflip
+
     machine, c_ini, c_tar = load_ncl(args.machine)
     if c_ini is None or c_tar is None:
         raise MalformedInputError("machine file must carry c_ini and c_tar")

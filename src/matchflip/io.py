@@ -40,7 +40,6 @@ from .graph import (
     edge,
     edge_set,
 )
-from .hardness import NclMachine, validate_machine
 
 
 @dataclass
@@ -191,7 +190,10 @@ def load_sequence(source: Union[str, dict]) -> ReconfigSequence:
 
 
 def load_ncl(source: Union[str, dict]):
-    """Returns (machine, c_ini, c_tar); configurations may be None."""
+    """Returns (machine, c_ini, c_tar); configurations may be None.  The NCL
+    module is imported here, so a process that only loads instances skips it."""
+    from .hardness import NclMachine, validate_machine
+
     data = _load_json(source)[0]
     try:
         vmeta = data["vertices"]

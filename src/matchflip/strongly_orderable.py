@@ -28,8 +28,7 @@ from .graph import (
     _meet,
     _step,
     canonical_flip,
-    edge,
-    partner_map,
+    edge_set,
     partner_maps,
 )
 
@@ -108,46 +107,45 @@ def verify_strong_ordering(g: Graph, order: Sequence[int]) -> OrderCheck:
 def canonical_matching(g: Graph, order: Sequence[int]) -> frozenset[Edge]:
     """Greedy perfect matching: repeatedly match the earliest unmatched
     vertex to its earliest unmatched neighbor (positions in ``order``)."""
-    return _greedy_matching(g, _check_permutation(g, order))
+    return edge_set(_greedy_partners(g, _check_permutation(g, order)).items())
 
 
-def _greedy_matching(g: Graph, order: tuple[int, ...]) -> frozenset[Edge]:
-    """:func:`canonical_matching` for an order already checked."""
+def _greedy_partners(g: Graph, order: tuple[int, ...]) -> dict[int, int]:
+    """:func:`canonical_matching` for an order already checked, as a
+    vertex -> partner map."""
     pos = _positions(order)
-    matched = [False] * g.n
-    out: set[Edge] = set()
-    for i, v in enumerate(order):
-        if matched[v]:
+    partner: dict[int, int] = {}
+    for v in order:
+        if v in partner:
             continue
         best = None
         for w in g.adj[v]:
-            if not matched[w] and (best is None or pos[w] < pos[best]):
+            if w not in partner and (best is None or pos[w] < pos[best]):
                 best = w
         if best is None:
             raise NoPerfectMatchingError(
                 f"greedy leaves vertex {v} unmatched; no perfect matching"
             )
-        matched[v] = matched[best] = True
-        out.add(edge(v, best))
-    return frozenset(out)
+        partner[v] = best
+        partner[best] = v
+    return partner
 
 
 def _route_to_canonical(
     g: Graph,
     order: tuple[int, ...],
-    canonical: frozenset[Edge],
+    cpart: dict[int, int],
     npart: dict[int, int],
 ) -> list:
     """Flips turning the perfect matching held as the partner map
-    ``npart`` (updated in place) into ``canonical``, one greedy pair at a
-    time.
+    ``npart`` (updated in place) into the canonical one, held as the
+    partner map ``cpart``, one greedy pair at a time.
 
     At each step the earliest live vertex v1 is matched to v_p in the
     canonical matching and to v_q in the current one.  If they differ, the
     strong ordering guarantees the 4-cycle v1, v_q, v_r, v_p (v_r the
     current partner of v_p), and flipping it aligns the pair.
     """
-    cpart = partner_map(canonical)
     moves = []
     done = [False] * g.n
     for v1 in order:
@@ -184,7 +182,7 @@ def solve_strongly_orderable(
     """
     order = _check_permutation(g, order)
     p_ini, p_tar = partner_maps(g, m_ini, m_tar)
-    canon = _greedy_matching(g, order)
-    fwd = _route_to_canonical(g, order, canon, p_ini)
-    bwd = _route_to_canonical(g, order, canon, p_tar)
+    cpart = _greedy_partners(g, order)
+    fwd = _route_to_canonical(g, order, cpart, p_ini)
+    bwd = _route_to_canonical(g, order, cpart, p_tar)
     return ReconfigSequence(MODE_FLIP, tuple(_meet(fwd, bwd)))

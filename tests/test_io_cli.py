@@ -4,7 +4,10 @@ import gc
 import importlib
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from typing import get_args
 
@@ -675,3 +678,100 @@ def test_traced_entry_points_resolve():
     assert {"Case2Step", "ForcedPairStep", "RemoveEvenChordStep", "SplitStep"} <= set(counts)
     assert set(counts) <= {cls.__name__ for cls in get_args(TraceStep)}
     assert sum(counts.values()) == len(res.trace.steps)
+
+
+_FRESH_PROCESS = """
+import json, sys
+import matchflip.cli as cli
+f = json.loads(sys.argv[1])
+for argv in (["solve", f["cograph"]], ["solve", f["outer"]],
+             ["solve", "--class", "strongly_orderable", f["interval"]],
+             ["solve", f["k4"], "--emit-sequence", f["seq"]], ["verify", f["k4"], f["seq"]]):
+    assert cli.main(argv) == 0, argv
+loaded = [sorted(m for m in sys.modules if m.startswith("matchflip."))]
+assert cli.main(["oracle", f["k4"]]) == 0
+loaded.append(sorted(m for m in sys.modules if m.startswith("matchflip.")))
+print(json.dumps(loaded))
+"""
+
+
+def test_solve_and_verify_never_import_the_oracle_or_ncl_modules(tmp_path):
+    # a solve or verify process loads neither the oracle nor the NCL
+    # reduction nor the generators; oracle loads its module when it runs
+    f = {
+        "cograph": _write(tmp_path, "cg.json", random_cograph_instance(40, 2)),
+        "outer": _write(tmp_path, "op.json", random_outerplanar_instance(40, 1)),
+        "interval": _write(tmp_path, "iv.json", random_interval_instance(40, 1)),
+        "k4": _write(tmp_path, "k4.json", K4_INSTANCE),
+        "seq": str(tmp_path / "seq.json"),
+    }
+    src = Path(importlib.import_module("matchflip").__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROCESS, json.dumps(f)], capture_output=True,
+        text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    solving, after_oracle = json.loads(proc.stdout.splitlines()[-1])
+    lazy = {"matchflip.oracle", "matchflip.hardness", "matchflip.generators"}
+    assert "matchflip.cograph" in solving and not lazy & set(solving)
+    assert lazy & set(after_oracle) == {"matchflip.oracle"}
+
+
+# the names `matchflip` exports, by defining module; those of the oracle and
+# the NCL reduction resolve on first access
+PUBLIC_API = {
+    "graph": [
+        "DiffComponent", "Flip", "Graph", "Move", "ReconfigSequence", "Slide",
+        "Verdict", "apply_move", "canonical_flip", "edge", "edge_set",
+        "matching_partners", "symmetric_difference_components", "verify_sequence",
+    ],
+    "oracle": [
+        "FLIP_ONLY", "FLIP_SLIDE", "Mode", "ReachResult", "ReconfigGraphStats",
+        "enumerate_matchings", "kflip", "reachable", "reconfiguration_components",
+        "reconfiguration_stats",
+    ],
+    "strongly_orderable": [
+        "OrderCheck", "StrongOrder", "canonical_matching", "solve_strongly_orderable",
+        "verify_strong_ordering",
+    ],
+    "outerplanar": [
+        "BoundaryOrder", "OuterplanarResult", "boundary_order", "is_outerplanar",
+        "solve_outerplanar", "split_at_cut_vertices",
+    ],
+    "cograph": [
+        "CographResult", "CotreeNode", "build_cotree", "check_conditions", "is_cograph",
+        "reachability_class", "root_partition", "solve_cograph",
+    ],
+    "hardness": [
+        "GadgetInstance", "GadgetReport", "KFactorInstance", "NclMachine",
+        "SAMPLE_MACHINES", "enumerate_configurations", "gadget_selftest",
+        "k_factor_instance", "reduce_ncl_to_pmr", "split_completion",
+        "subdivide_for_kflip", "validate_machine", "validate_ncl",
+    ],
+    "io": [
+        "Instance", "instance_to_dict", "load_instance", "load_ncl", "load_sequence",
+        "sequence_to_dict",
+    ],
+}
+
+
+def test_package_exports_resolve():
+    import matchflip
+
+    listed = dir(matchflip)
+    for module, names in PUBLIC_API.items():
+        mod = importlib.import_module(f"matchflip.{module}")
+        for name in names:
+            ns = {}
+            exec(f"from matchflip import {name}", ns)
+            assert ns[name] is getattr(mod, name) is getattr(matchflip, name), name
+            assert name in listed, name
+    from matchflip import errors, hardness, oracle
+
+    assert (errors, hardness, oracle) == tuple(
+        importlib.import_module(f"matchflip.{m}") for m in ("errors", "hardness", "oracle"))
+    assert {"errors", "hardness", "oracle", "__version__"} <= set(listed)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        matchflip.no_such_name
+    with pytest.raises(ImportError):
+        exec("from matchflip import no_such_name", {})
