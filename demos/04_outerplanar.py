@@ -12,7 +12,6 @@ from matchflip import (
     edge_set,
     reachable,
     solve_outerplanar,
-    split_at_cut_vertices,
     verify_sequence,
 )
 
@@ -36,7 +35,11 @@ print("reduction trace:")
 for step in res.trace.steps:
     print("  ", step)
 
-# cut vertices split instances into independent blocks
-p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
-m = edge_set([(0, 1), (2, 3)])
-print("P4 splits into:", [(s.graph.n, s.vertex_map) for s in split_at_cut_vertices(p4, m, m)])
+# the solver severs a cut vertex from the blocks its matched edge avoids:
+# two 4-cycles on a bridge flip independently
+g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6), (6, 7), (7, 4)])
+a = edge_set([(0, 1), (2, 3), (4, 5), (6, 7)])
+b = edge_set([(1, 2), (3, 0), (5, 6), (7, 4)])
+res = solve_outerplanar(g, a, b)
+print("two C4s on a bridge:", [mv.cycle for mv in res.sequence.moves])
+print("first step:", res.trace.steps[0])

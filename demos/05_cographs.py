@@ -12,10 +12,8 @@ from matchflip import (
     FLIP_SLIDE,
     Graph,
     build_cotree,
-    check_conditions,
     edge_set,
     reachable,
-    root_partition,
     solve_cograph,
     verify_sequence,
 )
@@ -23,17 +21,13 @@ from matchflip.errors import NotACographError
 from matchflip.generators import random_cotree_graph, random_matching_pair
 
 c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-print("cotree of C4:", build_cotree(c4).to_json())
+tree = build_cotree(c4)
+print("cotree of C4:", tree.kind, "of", [sorted(side.leaves()) for side in tree.sides()])
 
 try:
     build_cotree(Graph(4, [(0, 1), (1, 2), (2, 3)]))
 except NotACographError as exc:
     print("P4 rejected with witness:", exc.witness)
-
-part = root_partition(c4)
-print("root partition:", sorted(part.a), sorted(part.b))
-print("conditions at k=2:", check_conditions(c4, part, 2))
-print("conditions at k=1:", check_conditions(c4, part, 1))
 
 # size-1 matchings of C4 move by slides through the free side
 res = solve_cograph(c4, edge_set([(0, 1)]), edge_set([(2, 3)]))

@@ -38,16 +38,13 @@ from .outerplanar import (
     boundary_order,
     is_outerplanar,
     solve_outerplanar,
-    split_at_cut_vertices,
 )
 from .cograph import (
     CographResult,
     CotreeNode,
     build_cotree,
-    check_conditions,
     is_cograph,
     reachability_class,
-    root_partition,
     solve_cograph,
 )
 from .io import (

@@ -26,10 +26,10 @@ edge and min(floor((n-2)/2), nu(A)+|B|-2) >= k-1; C2 iff
 min(floor((n-1)/2), nu(A)+|B|-1) >= k; any B-edge (B-vertex) witnesses.
 
 Under either condition every two size-k matchings are connected by a
-short sequence routed through an explicitly constructed anchor matching
-(``transform_with_B_edge`` / ``transform_with_free_B_vertex``): A's
-cotree matching with the B-vertices the anchor leaves over joined on as
-above, so its only B-edge is the one C1 fixes.  When
+short sequence routed through an explicitly constructed anchor matching:
+A's cotree matching with the B-vertices the anchor leaves over joined on
+as above, so its only B-edge is the one C1 fixes (under C2 a B-vertex
+it leaves free takes the cycles).  When
 both fail, every size-k matching covers B entirely, B is matched into A,
 and reachability reduces to the matchings induced on A, with A-side
 moves lifted back by turning blocked slides into flips and repairing the
@@ -59,14 +59,7 @@ from heapq import heapify, heappop, heappush
 from itertools import islice, repeat
 from typing import Optional, Sequence
 
-from .errors import (
-    ConditionViolatedError,
-    CycleInDifferenceError,
-    InvalidFlipError,
-    InvalidSlideError,
-    NotACographError,
-    SizeMismatchError,
-)
+from .errors import InvalidFlipError, InvalidSlideError, NotACographError
 from .graph import (
     Edge,
     Flip,
@@ -147,21 +140,8 @@ class CotreeNode:
                 stack += (t.left, t.right)
         return frozenset(out)
 
-    def to_json(self):
-        """A leaf as its vertex, any other node as {kind: [left, right]}."""
-        out = [None]
-        stack = [(self, out, 0)]
-        while stack:
-            t, slot, i = stack.pop()
-            if t.kind == "leaf":
-                slot[i] = t.vertex
-            else:
-                kids = [None, None]
-                slot[i] = {t.kind: kids}
-                stack += ((t.left, kids, 0), (t.right, kids, 1))
-        return out[0]
 
-
+# the two completely joined sides of a piece, larger side A first
 @dataclass(frozen=True)
 class RootPartition:
     a: frozenset[int]
@@ -274,16 +254,6 @@ def is_cograph(g: Graph) -> bool:
         return False
 
 
-def root_partition(g: Graph, cotree: Optional[CotreeNode] = None) -> RootPartition:
-    """The two completely joined sides under a connected cograph's root
-    join node, larger side first."""
-    tree = cotree if cotree is not None else build_cotree(g)
-    if tree.kind != "join":
-        raise ValueError("root partition needs a connected cograph on >= 2 vertices")
-    a, b = tree.sides()
-    return RootPartition(a.leaves(), b.leaves())
-
-
 def _join_onto(matching: deque[Edge], free: deque[int], small: list[int]) -> None:
     """Join the vertices ``small`` onto a maximum matching of a side at
     least as large and that side's free vertices, in place and in order:
@@ -326,13 +296,6 @@ def _cotree_matching(tree: CotreeNode) -> tuple[deque[Edge], deque[int]]:
     return matching, free
 
 
-def _side_matching(g: Graph, side) -> tuple[list[Edge], list[int]]:
-    """:func:`_cotree_matching` of ``g[side]``, in ``g``'s labels."""
-    sub, vmap = induced_subgraph(g, side)
-    matching, free = _cotree_matching(build_cotree(sub))
-    return [edge(vmap[u], vmap[v]) for u, v in matching], [vmap[v] for v in free]
-
-
 # ---------------------------------------------------------------------------
 # conditions
 
@@ -360,19 +323,6 @@ def _b_edges(g: Graph, b: frozenset[int]):
     """The edges inside ``b`` in sorted order, lazily."""
     for u in sorted(b):
         yield from ((u, w) for w in sorted(g.adj[u] & b) if u < w)
-
-
-def check_conditions(g: Graph, part: RootPartition, k: int) -> Conditions:
-    """C1: some size-k matching has an edge inside B.  C2: some size-k
-    matching misses a B-vertex.  In closed form, with nu(A) read off the
-    cotree of ``g[A]`` (:class:`NotACographError` when A is no cograph);
-    ``part`` must completely join a larger side A to a nonempty B covering
-    ``g`` (as from :func:`root_partition`), else :class:`ValueError`."""
-    a, b = part.a, part.b
-    if not (b and len(a) >= len(b) and a | b == set(range(g.n)) and all(b <= g.adj[v] for v in a)):
-        raise ValueError("conditions need a larger side completely joined to a nonempty one")
-    nu_a = build_cotree(induced_subgraph(g, a)[0]).nu
-    return _conditions(g.n, len(b), nu_a, next(_b_edges(g, b), None) is not None, k)
 
 
 class _Side:
@@ -419,13 +369,6 @@ def _sides(g: Graph, m1, m2) -> tuple[_Side, _Side]:
     return s1, s2
 
 
-def _pair(m1, m2) -> tuple[frozenset[Edge], frozenset[Edge]]:
-    m1, m2 = (frozenset(edge(*e) for e in m) for m in (m1, m2))
-    if len(m1) != len(m2):
-        raise SizeMismatchError("matchings must have equal size")
-    return m1, m2
-
-
 def _cycles_through(nbr: dict[int, set[int]], vertices) -> list[tuple[int, ...]]:
     """The difference cycles through ``vertices``, each once, by least
     vertex, in the order of ``symmetric_difference_components``."""
@@ -446,25 +389,10 @@ def _glue(fwd: _Side, bwd: _Side) -> list[Move]:
     return _meet(list(fwd.moves), list(bwd.moves))
 
 
-# ---------------------------------------------------------------------------
-# cycle-free transformation (difference contains no cycle)
-
-
-def transform_cycle_free(g: Graph, m1, m2) -> ReconfigSequence:
-    """Flip+slide sequence of length <= 2|M1 (triangle) M2| when the
-    difference is acyclic.  Paths retract from their endpoints; leftover
-    lone-edge pairs travel via an adjacent edge or a distance-2 midpoint."""
-    s1, s2 = _sides(g, *_pair(m1, m2))
-    if _cycles_through(s1.diff, s1.diff):
-        raise CycleInDifferenceError("difference contains a cycle")
-    _make_equal_cycle_free(g, s1, s2)
-    return ReconfigSequence(MODE_FLIP_SLIDE, tuple(_glue(s1, s2)))
-
-
 def _make_equal_cycle_free(g: Graph, s1: _Side, s2: _Side) -> None:
     """Equalise two sides whose shared difference has no cycle: retract the
     path with the least end from that end while paths are left, then pair
-    each side's least lone edge in a graph component."""
+    the lone edges of the two sides in sorted order."""
     nbr = s1.diff
     # Retraction drops the two edges at a path's end, so the only new path
     # end is the vertex two steps in; stale heap entries are skipped.
@@ -484,12 +412,11 @@ def _make_equal_cycle_free(g: Graph, s1: _Side, s2: _Side) -> None:
     lone = sorted({edge(u, w) for u, ws in nbr.items() for w in ws})
     lone1 = [f for f in lone if f in s1.m]
     lone2 = [f for f in lone if f not in s1.m]
-    if lone1:
-        comps = _split(g.adj, set(range(g.n)), False)
-        comp_id = {v: i for i, comp in enumerate(comps) for v in comp}
-    for e1 in lone1:
-        i = next(i for i, f in enumerate(lone2) if comp_id[f[0]] == comp_id[e1[0]])
-        _resolve_single_pair(g, s1, e1, lone2.pop(i))
+    # ``g`` is connected (a piece below a join, or the C2 work graph, where
+    # every B-vertex still sees all of a nonempty A), so all lone edges lie
+    # in one component and pair in sorted order
+    for e1, e2 in zip(lone1, lone2):
+        _resolve_single_pair(g, s1, e1, e2)
 
 
 def _resolve_single_pair(g: Graph, s1: _Side, e1: Edge, e2: Edge) -> None:
@@ -698,36 +625,15 @@ def _route_to_b_edge_anchor(
     return _glue(si, sm)
 
 
-def transform_with_B_edge(g: Graph, part: RootPartition, m1, m2) -> ReconfigSequence:
-    """Sequence between two equal-size matchings when condition C1 holds,
-    routed through an anchor whose only B-edge is fixed, built on the
-    maximum matching read off the cotree of g[A]."""
-    m1, m2 = _pair(m1, m2)
-    moves = _via_b_edge(g, part, _side_matching(g, part.a), m1, m2)
-    return ReconfigSequence(MODE_FLIP_SLIDE, tuple(moves))
-
-
 def _via_b_edge(g: Graph, part: RootPartition, a_matching, m1, m2) -> list[Move]:
     # the anchor joins B minus e onto A, so with A the larger side every
     # B-edge e leaves as many edges: the first is the only try
     k = len(m1)
     e = next(_b_edges(g, part.b), None)
     if k < 1 or e is None or len(rest := _anchor(part, a_matching, e, k - 1)) < k - 1:
-        raise ConditionViolatedError("condition C1 does not hold")
+        raise RuntimeError("internal: condition C1 does not hold")
     anchor = frozenset((e, *rest))
     return _through_anchor(_route_to_b_edge_anchor, g, part, e, anchor, m1, m2)
-
-
-def transform_with_free_B_vertex(g: Graph, part: RootPartition, m1, m2) -> ReconfigSequence:
-    """Sequence between two equal-size matchings when C2 holds and C1
-    fails: difference cycles unwind by sliding through a B-vertex the
-    anchor leaves unmatched (the anchor as for :func:`transform_with_B_edge`)."""
-    m1, m2 = _pair(m1, m2)
-    cond = check_conditions(g, part, len(m1))
-    if cond.c1 or not cond.c2:
-        raise ConditionViolatedError("needs C2 and not C1")
-    moves = _via_free_b_vertex(g, part, _side_matching(g, part.a), m1, m2)
-    return ReconfigSequence(MODE_FLIP_SLIDE, tuple(moves))
 
 
 def _via_free_b_vertex(g: Graph, part: RootPartition, a_matching, m1, m2) -> list[Move]:
@@ -815,7 +721,8 @@ def _anchored(g: Graph, vs: set[int], node: CotreeNode, c1: bool, m1, m2) -> lis
         am, m1, m2 = ([edge(idx[u], idx[v]) for u, v in m] for m in (am, m1, m2))
         b, free = frozenset(idx[v] for v in b), [idx[v] for v in free]
     part = RootPartition(frozenset(range(sub.n)) - b, b)
-    moves = (_via_b_edge if c1 else _via_free_b_vertex)(sub, part, (am, free), *_pair(m1, m2))
+    route = _via_b_edge if c1 else _via_free_b_vertex
+    moves = route(sub, part, (am, free), frozenset(m1), frozenset(m2))
     return moves if sub is g else _map_moves(moves, vmap.__getitem__)
 
 

@@ -63,14 +63,6 @@ class NotACographError(MatchFlipError):
         self.witness = witness
 
 
-class CycleInDifferenceError(MatchFlipError):
-    pass
-
-
-class ConditionViolatedError(MatchFlipError):
-    pass
-
-
 class MalformedMachineError(MatchFlipError):
     pass
 

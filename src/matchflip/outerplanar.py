@@ -67,7 +67,6 @@ from .graph import (
     _meet,
     canonical_flip,
     edge,
-    induced_subgraph,
     partner_maps,
 )
 
@@ -139,14 +138,6 @@ class ReductionTrace:
 
     def __repr__(self) -> str:
         return f"ReductionTrace(steps={self.steps!r})"
-
-
-@dataclass(frozen=True)
-class SubInstance:
-    graph: Graph
-    m_ini: frozenset[Edge]
-    m_tar: frozenset[Edge]
-    vertex_map: tuple[int, ...]  # local index -> original vertex
 
 
 @dataclass(frozen=True)
@@ -367,44 +358,6 @@ def verify_boundary_order(g: Graph, order) -> bool:
 def is_outerplanar(g: Graph) -> bool:
     """Every biconnected block admits a certified boundary cycle."""
     return _structure(g) is not None
-
-
-# ---------------------------------------------------------------------------
-# cut-vertex splitting (public operation)
-
-
-def split_at_cut_vertices(
-    g: Graph, m_ini: frozenset[Edge], m_tar: frozenset[Edge]
-) -> list[SubInstance]:
-    """Split at cut vertices into 2-connected (or K2) sub-instances with
-    restricted matchings, listed by least vertex.  Every perfect matching
-    pairs a cut vertex into its unique odd side, the branch through the
-    block holding its matched edge; its edges into other blocks can never
-    be matched or flipped, so each cut vertex of a component is severed
-    from them at once, and the components left are split again until none
-    has a cut vertex."""
-    p_ini, p_tar = partner_maps(g, m_ini, m_tar)
-    adj = {v: set(g.adj[v]) for v in range(g.n)}
-    blocks, cuts, _ = biconnected_blocks(adj, range(g.n))
-    while cuts:
-        for blk in blocks:
-            for v in cuts.intersection(blk):
-                if (p_ini[v] in blk) != (p_tar[v] in blk):
-                    raise RuntimeError("internal: matched partners straddle blocks")
-                if p_ini[v] not in blk:
-                    for t in adj[v] & blk:
-                        adj[v].discard(t)
-                        adj[t].discard(v)
-        blocks, cuts, _ = biconnected_blocks(adj, range(g.n))
-    out = []
-    # without cut vertices, each component is one block
-    for piece in sorted(map(sorted, blocks)):
-        sub, vmap = induced_subgraph(g, piece)
-        idx = {v: i for i, v in enumerate(vmap)}
-        # no cut vertex severs its matched edges, so partners share a piece
-        local = [frozenset(edge(i, idx[p[v]]) for i, v in enumerate(vmap)) for p in (p_ini, p_tar)]
-        out.append(SubInstance(sub, *local, vmap))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,28 +10,24 @@ from matchflip.cli import main
 from matchflip.cograph import (
     Conditions,
     RootPartition,
+    _cotree_matching,
+    _glue,
+    _make_equal_cycle_free,
     _node_conditions,
     _Side,
     _sides,
+    _via_b_edge,
     build_cotree,
-    check_conditions,
     is_cograph,
     reachability_class,
-    root_partition,
     solve_cograph,
-    transform_cycle_free,
-    transform_with_B_edge,
-    transform_with_free_B_vertex,
 )
-from matchflip.errors import (
-    ConditionViolatedError,
-    CycleInDifferenceError,
-    MatchFlipError,
-    NotACographError,
-)
+from matchflip.errors import MatchFlipError, NotACographError
 from matchflip.generators import random_cograph_instance, random_cotree_graph, random_matching_pair
 from matchflip.graph import (
+    MODE_FLIP_SLIDE,
     Graph,
+    ReconfigSequence,
     Slide,
     edge_set,
     induced_subgraph,
@@ -57,6 +53,11 @@ from helpers import (
 )
 
 
+# the join of two 2K2s: {0, 1, 2, 3} and {4, 5, 6, 7}
+JOIN_2K2S = Graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)]
+                  + [(a, b) for a in range(4) for b in range(4, 8)])
+
+
 def test_cotree_c4():
     t = build_cotree(C4)
     assert t.kind == "join"
@@ -79,12 +80,6 @@ def test_cotree_single_vertex():
     assert t.kind == "leaf" and t.vertex == 0
 
 
-def test_cotree_json_roundtrippable():
-    t = build_cotree(C4)
-    j = t.to_json()
-    assert isinstance(j, dict) and "join" in j
-
-
 def test_deep_cotree_methods_do_not_recurse():
     # the star K_{1,n-1}, a threshold cograph (n - 1 isolated vertices, then
     # a dominating one): its cotree folds the leaves' union into a path, of
@@ -92,17 +87,14 @@ def test_deep_cotree_methods_do_not_recurse():
     n = 1500
     edges = [(v, n - 1) for v in range(n - 1)]
     t, twin = build_cotree(Graph(n, edges)), build_cotree(Graph(n, edges))
-    stack, leaves, depth = [(t, t.to_json(), 0)], [], 0
+    stack, leaves, depth = [(t, 0)], [], 0
     while stack:
-        node, js, d = stack.pop()
+        node, d = stack.pop()
         depth = max(depth, d)
         if node.kind == "leaf":
-            assert js == node.vertex
-            leaves.append(js)
+            leaves.append(node.vertex)
         else:
-            assert list(js) == [node.kind]
-            (left, right), = js.values()
-            stack += ((node.left, left, d + 1), (node.right, right, d + 1))
+            stack += ((node.left, d + 1), (node.right, d + 1))
     assert depth == n - 1 and sorted(leaves) == list(range(n))
     # equal in structure, yet nodes compare and hash by identity
     assert t == t and t != twin and hash(t) == hash(t)
@@ -152,48 +144,44 @@ def test_max_matching_random_brute_force():
 
 
 def test_check_conditions_examples():
-    part = root_partition(C4)
-    assert check_conditions(C4, part, 2) == Conditions(False, False)
-    assert check_conditions(C4, part, 1).c2 is True
-    part = RootPartition(frozenset({0, 1}), frozenset({2, 3}))
-    assert check_conditions(K4, part, 2).c1 is True
+    # the cotree puts the larger side A first: C4 joins {0, 2} to {1, 3},
+    # K4 joins {0, 1, 2} to {3}, and the join of two 2K2s has a B-edge
+    assert _node_conditions(build_cotree(C4), 2) == Conditions(False, False)
+    assert _node_conditions(build_cotree(C4), 1).c2 is True
+    assert _node_conditions(build_cotree(K4), 2) == Conditions(False, False)
+    assert _node_conditions(build_cotree(K4).sides()[0], 1).c2 is True
+    assert _node_conditions(build_cotree(JOIN_2K2S), 4).c1 is True
+
+
+def _cycle_free(g: Graph, m1, m2) -> ReconfigSequence:
+    """The sequence between two matchings whose difference has no cycle."""
+    s1, s2 = _sides(g, m1, m2)
+    _make_equal_cycle_free(g, s1, s2)
+    return ReconfigSequence(MODE_FLIP_SLIDE, tuple(_glue(s1, s2)))
 
 
 def test_transform_cycle_free_examples():
     p3 = path_graph(3)
-    seq = transform_cycle_free(p3, [(0, 1)], [(1, 2)])
+    seq = _cycle_free(p3, edge_set([(0, 1)]), edge_set([(1, 2)]))
     assert len(seq) == 1 and isinstance(seq.moves[0], Slide)
     assert verify_sequence(p3, edge_set([(0, 1)]), seq, edge_set([(1, 2)])).ok
 
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    seq = transform_cycle_free(star, [(0, 1)], [(0, 2)])
+    seq = _cycle_free(star, edge_set([(0, 1)]), edge_set([(0, 2)]))
     assert len(seq) == 1
     assert verify_sequence(star, edge_set([(0, 1)]), seq, edge_set([(0, 2)])).ok
 
-    assert len(transform_cycle_free(C4, C4_PM1, C4_PM1)) == 0
-
-
-def test_transform_cycle_free_rejects_cycles():
-    with pytest.raises(CycleInDifferenceError):
-        transform_cycle_free(C4, C4_PM1, C4_PM2)
-
-
-def test_transform_cycle_free_pairs_lone_edges_within_components():
-    # two disjoint K4s: the sorted lone edges 01 < 23 < 45 < 67 alternate
-    # between the components, so 01 must travel to 67 and 23 to 45
-    k4s = [(0, 1, 6, 7), (2, 3, 4, 5)]
-    g = Graph(8, [(u, v) for q in k4s for i, u in enumerate(q) for v in q[i + 1:]])
-    m1, m2 = edge_set([(0, 1), (2, 3)]), edge_set([(4, 5), (6, 7)])
-    seq = transform_cycle_free(g, m1, m2)
-    assert verify_sequence(g, m1, seq, m2).ok
-    assert len(seq) <= 2 * len(m1 ^ m2)
+    assert len(_cycle_free(C4, C4_PM1, C4_PM1)) == 0
 
 
 def test_transform_cycle_free_random():
+    # on connected cographs, as the solver calls it
     rng = random.Random(77)
     done = 0
     for _ in range(400):
         g = random_cotree_graph(rng.randint(2, 9), rng)
+        if build_cotree(g).kind == "union":
+            continue
         ms = all_matchings_by_size(g)
         sizes = [k for k in ms if k > 0]
         if not sizes:
@@ -202,7 +190,7 @@ def test_transform_cycle_free_random():
         a, b = rng.choice(ms[k]), rng.choice(ms[k])
         if any(c.kind == "even_cycle" for c in symmetric_difference_components(a, b)):
             continue
-        seq = transform_cycle_free(g, a, b)
+        seq = _cycle_free(g, a, b)
         assert verify_sequence(g, a, seq, b).ok
         assert len(seq) <= 2 * len(a ^ b)
         done += 1
@@ -210,44 +198,49 @@ def test_transform_cycle_free_random():
 
 
 def test_transform_with_b_edge_k4():
-    part = RootPartition(frozenset({0, 1}), frozenset({2, 3}))
+    # K4's root has B = {3}, so its perfect matchings lift to side A = K3,
+    # where one matched edge is anchored through the free B-vertex 2
     m1 = edge_set([(0, 1), (2, 3)])
     m2 = edge_set([(0, 2), (1, 3)])
-    seq = transform_with_B_edge(K4, part, m1, m2)
-    assert verify_sequence(K4, m1, seq, m2).ok
-    assert len(transform_with_B_edge(K4, part, m1, m1)) == 0
+    assert _node_conditions(build_cotree(K4).sides()[0], 1).c2
+    res = solve_cograph(K4, m1, m2)
+    assert res.yes and verify_sequence(K4, m1, res.sequence, m2).ok
+    assert len(solve_cograph(K4, m1, m1).sequence) == 0
 
 
 def test_transform_with_b_edge_condition_checked():
-    part = root_partition(C4)
-    with pytest.raises(ConditionViolatedError):
-        transform_with_B_edge(C4, part, C4_PM1, C4_PM2)
+    # the solver enters the B-edge anchor only under C1: C4's perfect
+    # matchings break it, and that is a fault of the solver
+    tree = build_cotree(C4)
+    a, b = (side.leaves() for side in tree.sides())
+    assert not _node_conditions(tree, 2).c1
+    with pytest.raises(RuntimeError, match="^internal: ") as info:
+        _via_b_edge(C4, RootPartition(a, b), _cotree_matching(tree.sides()[0]), C4_PM1, C4_PM2)
+    assert not isinstance(info.value, MatchFlipError)
 
 
 def test_transform_with_b_edge_join_of_2k2s():
     # join of 2K2 and 2K2: B-side has edges, C1 holds for perfect matchings
-    edges = [(0, 1), (2, 3), (4, 5), (6, 7)]
-    edges += [(a, b) for a in range(4) for b in range(4, 8)]
-    g = Graph(8, edges)
-    part = root_partition(g)
-    assert check_conditions(g, part, 4).c1
+    g = JOIN_2K2S
+    assert _node_conditions(build_cotree(g), 4).c1
     pms = enumerate_matchings(g, "perfect")
     comp = reconfiguration_components(g, pms, FLIP_SLIDE)
     assert len(set(comp)) == 1
     rng = random.Random(3)
     for _ in range(15):
         a, b = rng.choice(pms), rng.choice(pms)
-        seq = transform_with_B_edge(g, part, a, b)
-        assert verify_sequence(g, a, seq, b).ok
-        assert len(seq) <= 40 * g.n
+        res = solve_cograph(g, a, b)
+        assert res.yes and verify_sequence(g, a, res.sequence, b).ok
+        assert len(res.sequence) <= 40 * g.n
 
 
 def test_transform_with_free_b_vertex_examples():
-    part = root_partition(C4)
     m1, m2 = edge_set([(0, 1)]), edge_set([(1, 2)])
-    seq = transform_with_free_B_vertex(C4, part, m1, m2)
-    assert verify_sequence(C4, m1, seq, m2).ok
-    assert len(transform_with_free_B_vertex(C4, part, m1, m1)) == 0
+    cond = _node_conditions(build_cotree(C4), 1)
+    assert cond.c2 and not cond.c1
+    res = solve_cograph(C4, m1, m2)
+    assert res.yes and verify_sequence(C4, m1, res.sequence, m2).ok
+    assert len(solve_cograph(C4, m1, m1).sequence) == 0
 
 
 def test_star_matchings_two_slides():
@@ -258,12 +251,6 @@ def test_star_matchings_two_slides():
     res = solve_cograph(star, [(0, 1)], [(0, 4)])
     assert res.yes and len(res.sequence) <= 2
     assert verify_sequence(star, edge_set([(0, 1)]), res.sequence, edge_set([(0, 4)])).ok
-
-
-def test_transform_with_free_b_vertex_condition_checked():
-    part = root_partition(C4)
-    with pytest.raises(ConditionViolatedError):
-        transform_with_free_B_vertex(C4, part, C4_PM1, C4_PM2)
 
 
 def test_solve_2k2_no():
@@ -327,14 +314,14 @@ def test_lift_equivalence_when_conditions_fail():
     seen = 0
     for _ in range(300):
         g = random_cotree_graph(rng.randint(2, 7), rng)
-        if build_cotree(g).kind != "join":  # connected on >= 2 vertices
+        tree = build_cotree(g)
+        if tree.kind != "join":  # connected on >= 2 vertices
             continue
-        part = root_partition(g)
         by_size = all_matchings_by_size(g)
         for k, ms in by_size.items():
             if k == 0:
                 continue
-            cond = check_conditions(g, part, k)
+            cond = _node_conditions(tree, k)
             if cond.c1 or cond.c2:
                 continue
             seen += 1
@@ -401,46 +388,13 @@ def test_closed_form_conditions_match_brute_force():
         if g.n < 2:
             continue
         tree = build_cotree(g)
-        part = root_partition(g, tree)
+        b = tree.sides()[1].leaves()
         by_size = all_matchings_by_size(g)
         for k in range(g.n // 2 + 2):
-            want = _conditions_by_definition(by_size, part.b, k)
-            assert check_conditions(g, part, k) == want, (sorted(g.edges), k)
+            want = _conditions_by_definition(by_size, b, k)
             assert _node_conditions(tree, k) == want, (sorted(g.edges), k)
             checked += 1
     assert checked > 500
-
-
-def test_check_conditions_any_partition():
-    # a partition other than a root join (smaller side first, B a subset,
-    # a graph that is not a cograph) is refused; swapping equal sides
-    # gives a root join again, answered as the definition answers
-    cases, swapped_joins = [], []
-    for g in connected_cographs(6):
-        if g.n >= 2:
-            part = root_partition(g)
-            swapped = (g, RootPartition(part.b, part.a))
-            (cases if len(part.a) > len(part.b) else swapped_joins).append(swapped)
-            cases.append((g, RootPartition(part.a, part.b - {min(part.b)})))
-    cases += [(path_graph(5), RootPartition(frozenset({0, 2, 4}), frozenset({1, 3}))),
-              (petersen_graph(), RootPartition(frozenset(range(5)), frozenset(range(5, 10))))]
-    assert len(cases) > 100 and swapped_joins
-    for g, part in cases:
-        with pytest.raises(ValueError):
-            check_conditions(g, part, g.n // 2)
-    for g, part in swapped_joins:
-        by_size = all_matchings_by_size(g)
-        for k in range(g.n // 2 + 2):
-            want = _conditions_by_definition(by_size, part.b, k)
-            assert check_conditions(g, part, k) == want, (sorted(g.edges), part, k)
-    # nu(A) is read off A's cotree, so a side A holding an induced P4 is
-    # refused as the cograph it is not
-    p4_apex = Graph(5, [(0, 1), (1, 2), (2, 3)] + [(v, 4) for v in range(4)])
-    with pytest.raises(NotACographError):
-        check_conditions(p4_apex, RootPartition(frozenset(range(4)), frozenset({4})), 1)
-    k4_part = RootPartition(frozenset({0, 1}), frozenset({2, 3}))
-    with pytest.raises(ConditionViolatedError):  # C1 holds
-        transform_with_free_B_vertex(K4, k4_part, [(0, 1), (2, 3)], [(0, 2), (1, 3)])
 
 
 def test_deep_threshold_cograph(tmp_path, capsys):

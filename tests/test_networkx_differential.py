@@ -15,15 +15,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matchflip.cograph import (
+    RootPartition,
     _anchor,
     _probe_p4,
     _b_edges,
     _cotree_matching,
-    _side_matching,
     _split,
     build_cotree,
     is_cograph,
-    root_partition,
 )
 from matchflip.generators import random_cotree_graph, random_outerplanar_graph
 from matchflip.graph import Graph, edge, graph_from_adjacency, induced_subgraph, matching_partners
@@ -108,7 +107,7 @@ def test_cotree_matching_is_maximum(n, seed, data):
     graphs = [g, induced_subgraph(g, set(range(n)) - removed)[0]]
     tree = build_cotree(g)
     if tree.kind == "join":
-        part = root_partition(g, tree)
+        part = RootPartition(*(side.leaves() for side in tree.sides()))
         b = part.b
         graphs.append(graph_from_adjacency([a - b if v in b else a for v, a in enumerate(g.adj)]))
     for h in graphs:
@@ -122,7 +121,7 @@ def test_cotree_matching_is_maximum(n, seed, data):
     # B-vertex (C2) joined on is a maximum matching of G minus those
     # vertices, and holds no B-edge
     if tree.kind == "join":
-        a_matching = _side_matching(g, part.a)
+        a_matching = _cotree_matching(tree.sides()[0])
         for s in filter(None, (next(_b_edges(g, b), None), (min(b),))):
             anchor = _anchor(part, a_matching, s, n)
             assert matching_partners(g, anchor) is not None

@@ -23,13 +23,13 @@ from matchflip.outerplanar import (
     Case1RemoveStep,
     Case2Step,
     ForcedPairStep,
+    SplitStep,
     _boundary_cycle,
     _structure,
     biconnected_blocks,
     boundary_order,
     is_outerplanar,
     solve_outerplanar,
-    split_at_cut_vertices,
     verify_boundary_order,
 )
 
@@ -94,38 +94,44 @@ def test_is_outerplanar():
     assert not is_outerplanar(K4)
 
 
+def _forced_edges(res) -> set:
+    """The matched edges that ``res``'s trace peeled as forced pairs."""
+    assert all(isinstance(step, ForcedPairStep) for step in res.trace.steps)
+    return {step.edge for step in res.trace.steps}
+
+
 def test_split_p4():
-    p4 = path_graph(4)
-    subs = split_at_cut_vertices(p4, edge_set([(0, 1), (2, 3)]), edge_set([(0, 1), (2, 3)]))
-    assert [s.vertex_map for s in subs] == [(0, 1), (2, 3)]
-    assert all(s.graph.n == 2 for s in subs)
+    # P4 falls into two K2 pieces at its cut vertices, each a forced pair
+    m = edge_set([(0, 1), (2, 3)])
+    res = solve_outerplanar(path_graph(4), m, m)
+    assert res.yes and len(res.sequence) == 0
+    assert _forced_edges(res) == {(0, 1), (2, 3)}
 
 
 def test_split_two_connected_is_identity():
-    subs = split_at_cut_vertices(C4, C4_PM1, C4_PM2)
-    assert len(subs) == 1 and subs[0].graph.n == 4
+    res = solve_outerplanar(C4, C4_PM1, C4_PM2)
+    assert res.yes and len(res.sequence) == 1
+    assert not any(isinstance(step, SplitStep) for step in res.trace.steps)
 
 
 def test_split_k2():
-    k2 = Graph(2, [(0, 1)])
-    subs = split_at_cut_vertices(k2, edge_set([(0, 1)]), edge_set([(0, 1)]))
-    assert len(subs) == 1 and subs[0].graph.n == 2
+    m = edge_set([(0, 1)])
+    res = solve_outerplanar(Graph(2, [(0, 1)]), m, m)
+    assert res.yes and len(res.sequence) == 0 and _forced_edges(res) == {(0, 1)}
 
 
 def test_split_recursive_path():
-    p6 = path_graph(6)
     m = edge_set([(0, 1), (2, 3), (4, 5)])
-    subs = split_at_cut_vertices(p6, m, m)
-    assert [s.vertex_map for s in subs] == [(0, 1), (2, 3), (4, 5)]
-    assert all(s.m_ini == edge_set([(0, 1)]) for s in subs)
+    res = solve_outerplanar(path_graph(6), m, m)
+    assert res.yes and len(res.sequence) == 0
+    assert _forced_edges(res) == {(0, 1), (2, 3), (4, 5)}
 
 
 def test_split_long_path():
-    # deeper than the interpreter's recursion limit; one K2 per matched edge
+    # deeper than the interpreter's recursion limit; one piece per matched edge
     m = edge_set((2 * i, 2 * i + 1) for i in range(1200))
-    subs = split_at_cut_vertices(path_graph(2400), m, m)
-    assert [s.vertex_map for s in subs] == [(2 * i, 2 * i + 1) for i in range(1200)]
-    assert all(s.graph.n == 2 and s.m_ini == s.m_tar == edge_set([(0, 1)]) for s in subs)
+    res = solve_outerplanar(path_graph(2400), m, m)
+    assert res.yes and len(res.sequence) == 0 and _forced_edges(res) == m
 
 
 def test_solve_c6_no():
@@ -425,8 +431,6 @@ def test_solver_never_searches_for_blocks(monkeypatch):
     # cut vertices and at the cuts its own reductions open
     cases = [(g, enumerate_matchings(g, "perfect")) for g in _glued_blocks(random.Random(7), 30)]
     inst = load_instance(random_outerplanar_instance(300, 11, walk=60))
-    for g, pms in cases:
-        assert all(split_at_cut_vertices(g, a, b) for a, b in zip(pms, pms[::-1]))
     assert all(is_outerplanar(g) for g in [inst.graph] + [g for g, _ in cases])  # no hint: recognition runs
 
     def no_search(*args):
