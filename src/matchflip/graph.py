@@ -8,7 +8,9 @@ All values are immutable after construction and all public functions are
 pure.  :func:`matching_partners` checks a matching into its vertex ->
 partner map; ``_step`` alone checks and applies a move on such a map in
 O(move size), for every caller that moves a matching; ``_map_moves``
-renames the vertices of moves; :func:`check_mode` alone admits a (mode, k).
+renames the vertices of moves; ``_meet`` glues two halves of a route and is
+the one place where moves cancel, in one commute-and-cancel pass over the
+glued sequence; :func:`check_mode` alone admits a (mode, k).
 The difference M1 (triangle) M2 of two matchings is one vertex -> neighbours
 map that ``_toggle`` updates, ``_hop`` steps along and ``_walk`` lists a
 component of; :func:`symmetric_difference_components` and the cograph
@@ -206,19 +208,54 @@ def canonical_flip(cycle: Sequence[int]) -> Flip:
 
 
 def invert_move(move: Move) -> Move:
-    """The move undoing ``move`` (flips are involutions)."""
+    """The move undoing ``move`` (flips are involutions); a slide's edges
+    swap places, already checked, so the inverse skips the checks."""
     if isinstance(move, Flip):
         return move
-    return Slide(move.added, move.removed)
+    inv = object.__new__(Slide)
+    object.__setattr__(inv, "removed", move.added)
+    object.__setattr__(inv, "added", move.removed)
+    return inv
 
 
 def _meet(fwd: list[Move], bwd: list[Move]) -> list[Move]:
-    """``fwd`` then ``bwd`` reversed, both ending in one matching; equal
-    final moves come from the same pre-state, so matching tails cancel."""
-    while fwd and bwd and fwd[-1] == bwd[-1]:
-        fwd.pop()
-        bwd.pop()
-    return fwd + [invert_move(mv) for mv in reversed(bwd)]
+    """``fwd`` then ``bwd`` reversed and inverted, both ending in one
+    matching, less every move undone later past vertex-disjoint moves only.
+
+    A move reads and changes the matching on its own vertices alone, so
+    disjoint moves commute: such a move can be carried up to its inverse,
+    and the two cancel.  One O(L) pass keeps per vertex a stack of the
+    surviving moves at it; a move cancels the survivor that is its inverse
+    and tops every one of its vertices' stacks.  That is the fixpoint: a
+    move that blocks a pair shares a vertex with both members, and the
+    later one stays above it there, so it is never cancelled itself.
+    """
+    out: list[Optional[Move]] = []
+    stacks: dict[int, list[int]] = {}
+    get = stacks.get
+    for mv in fwd + [invert_move(mv) for mv in reversed(bwd)]:
+        flip = type(mv) is Flip
+        vs = mv.cycle if flip else mv.removed + mv.added
+        top = get(vs[0])
+        if top:
+            i = top[-1]
+            y = out[i]
+            if (type(y) is type(mv)
+                    and (y.cycle == vs if flip else y.removed == mv.added and y.added == mv.removed)
+                    and all(stacks[v][-1] == i for v in vs)):
+                for v in vs:
+                    stacks[v].pop()
+                out[i] = None
+                continue
+        i = len(out)
+        out.append(mv)
+        for v in vs:
+            s = get(v)
+            if s is None:
+                stacks[v] = [i]
+            else:
+                s.append(i)
+    return [mv for mv in out if mv is not None]
 
 
 def _step(g: Graph, partner: dict[int, int], move: Move) -> None:
@@ -267,8 +304,11 @@ def _map_moves(moves: Iterable[Move], f) -> list[Move]:
 
 def apply_move(g: Graph, matching: frozenset[Edge], move: Move) -> frozenset[Edge]:
     """Apply a flip or slide to ``matching`` in ``g``, validating all
-    preconditions as :func:`_step` does."""
-    partner = partner_map(matching)
+    preconditions as :func:`_step` does; :class:`SizeMismatchError` when
+    ``matching`` is not a matching, as :func:`partner_maps` raises."""
+    partner = matching_partners(g, matching)
+    if partner is None:
+        raise SizeMismatchError("input is not a matching")
     _step(g, partner, move)
     return frozenset((u, v) for u, v in partner.items() if u < v)
 

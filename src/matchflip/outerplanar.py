@@ -40,9 +40,10 @@ A pair contraction lifts with at most one extra flip on each side:
 flipping the square (x, u, w, y) toggles between "e matched" and
 "boundary edges matched", after which the reduced sequence replays
 verbatim.  The emitted sequence is the chronological list of initial-side
-square flips, then the target-side ones in reverse order, less a shared
-tail.  No work is ordered by a ring's start or direction, so the output
-depends on the graph and the matchings alone.
+square flips, then the target-side ones in reverse order, less each
+square flipped twice with only disjoint squares in between
+(``graph._meet``).  No work is ordered by a ring's start or
+direction, so the output depends on the graph and the matchings alone.
 
 The live graph is lists indexed by vertex: live neighbour sets, liveness
 flags and ring neighbours.  Each reduction is recorded as a tuple (step

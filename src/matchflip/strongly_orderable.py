@@ -176,7 +176,9 @@ def solve_strongly_orderable(
     """Flip sequence of length <= n between two perfect matchings.
 
     Routes both matchings to the canonical one and glues the two halves
-    (flips are involutions, so the target half is replayed in reverse).
+    (flips are involutions, so the target half is replayed in reverse);
+    ``graph._meet``, the one place where moves cancel, drops each flip that
+    the other half undoes past vertex-disjoint flips only.
     Expects a verified strong ordering; a violation encountered mid-run
     raises :class:`OrderInvalidError`.
     """

@@ -14,11 +14,16 @@ import sys
 import time
 from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
+
 from matchflip.cograph import reachability_class, solve_cograph
 from matchflip.generators import (
     mutate_by_flips,
+    random_cograph_instance,
     random_interval_graph,
+    random_interval_instance,
     random_outerplanar_graph,
+    random_outerplanar_instance,
     random_perfect_matching,
 )
 from matchflip.graph import (
@@ -45,6 +50,7 @@ from matchflip.hardness import (
     standalone_vertex_system,
     subdivide_edges,
 )
+from matchflip.io import load_instance
 from matchflip.oracle import (
     FLIP_ONLY,
     FLIP_SLIDE,
@@ -512,3 +518,30 @@ def test_ladder_1e5_solves_through_cli(tmp_path):
     assert proc.stdout.splitlines() == ["YES", "length 25000"]
     assert took < 20.0, f"ladder took {took:.1f} s"
     _report(10, f"ladder n=100000 through the CLI in {took:.1f} s")
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(["interval", "outerplanar", "cograph"]), st.integers(0, 2**32 - 1), st.data())
+def test_three_solvers_against_the_oracle(cls, seed, data):
+    """One draw across the three generators: every emitted sequence
+    verifies, interval and outerplanar ones have length <= n, none is
+    shorter than the oracle's distance, and the oracle, asked on every YES
+    and on every n <= 10, gives the same answer."""
+    n = data.draw(st.integers(2, 12 if cls == "cograph" else 16), label="n")
+    if cls == "interval":
+        inst = load_instance(random_interval_instance(n, seed))
+        seq = solve_strongly_orderable(inst.graph, inst.hints["strong_order"], inst.m_ini, inst.m_tar)
+    elif cls == "outerplanar":
+        inst = load_instance(random_outerplanar_instance(max(n, 4), seed))
+        seq = solve_outerplanar(inst.graph, inst.m_ini, inst.m_tar).sequence
+    else:
+        inst = load_instance(random_cograph_instance(n, seed))
+        seq = solve_cograph(inst.graph, inst.m_ini, inst.m_tar).sequence
+    g = inst.graph
+    if seq is not None:
+        assert verify_sequence(g, inst.m_ini, seq, inst.m_tar).ok
+        assert cls == "cograph" or len(seq) <= g.n
+    if seq is not None or g.n <= 10:
+        res = reachable(g, inst.m_ini, inst.m_tar, FLIP_SLIDE if cls == "cograph" else FLIP_ONLY)
+        assert res.reachable == (seq is not None)
+        assert seq is None or len(seq) >= res.distance

@@ -13,6 +13,7 @@ from matchflip.errors import (
     InvalidFlipError,
     InvalidSlideError,
     SelfLoopError,
+    SizeMismatchError,
     VertexOutOfRangeError,
 )
 from matchflip.graph import (
@@ -24,6 +25,7 @@ from matchflip.graph import (
     MODES,
     ReconfigSequence,
     Slide,
+    _meet,
     apply_move,
     canonical_flip,
     check_mode,
@@ -31,6 +33,7 @@ from matchflip.graph import (
     four_cycles,
     graph_from_adjacency,
     induced_subgraph,
+    invert_move,
     matching_partners,
     partner_map,
     symmetric_difference_components,
@@ -141,6 +144,15 @@ def test_slide_rejections():
     with pytest.raises(InvalidSlideError):
         # far endpoint already matched
         apply_move(g, edge_set([(0, 1), (2, 3)]), Slide((0, 1), (1, 2)))
+
+
+def test_apply_move_rejects_a_non_matching():
+    # three edges of C4 share vertices 1 and 2: no matching, as the
+    # verifier's invalid_matching says of the same input
+    with pytest.raises(SizeMismatchError, match="input is not a matching"):
+        apply_move(C4, edge_set([(0, 1), (1, 2), (2, 3)]), Flip((0, 1, 2, 3)))
+    seq = ReconfigSequence(MODE_FLIP, (Flip((0, 1, 2, 3)),))
+    assert verify_sequence(C4, edge_set([(0, 1), (1, 2), (2, 3)]), seq, C4_PM2).reason == "invalid_matching"
 
 
 def test_flip_involution_and_preservation_random():
@@ -459,3 +471,71 @@ def test_verifier_matches_reference_replay(n, seed, mode, mutation):
         moves = moves[:at]
     seq = ReconfigSequence(mode, tuple(moves), k)
     assert verify_sequence(g, m_ini, seq, m_tar) == reference_verify(g, m_ini, seq, m_tar)
+
+
+def test_meet_cancels_inverse_pairs_past_disjoint_moves():
+    a, b, c = Flip((0, 1, 2, 3)), Flip((4, 5, 6, 7)), Flip((2, 3, 4, 5))
+    assert _meet([a, b, a], []) == [b]  # b is disjoint from a
+    assert _meet([a, b], [a]) == [b]  # the backward half's a, inverted
+    assert _meet([a, c, a], []) == [a, c, a]  # c shares 2 and 3 with a
+    s, s_inv = Slide((0, 1), (1, 2)), Slide((1, 2), (0, 1))
+    assert _meet([s, s_inv], []) == [] and _meet([s], [s]) == []
+    assert _meet([s, b, s_inv], []) == [b]
+    assert _meet([s, s], []) == [s, s]  # a slide is not its own inverse
+    assert _meet([s, a, s_inv], []) == [s, a, s_inv]
+    # nested pairs a c c^-1 a^-1 vanish, also when c blocks a on its own
+    assert _meet([a, c], [a, c]) == []
+    assert _meet([s, c, c, s_inv], []) == []
+    assert _meet([s, a], []) == [s, a]  # a flip never undoes a slide
+    assert _meet([], []) == []
+
+
+def _cancel_to_fixpoint(moves: list) -> list:
+    """Cancel any move and a later inverse with only vertex-disjoint moves
+    between them, one pair at a time, until no pair is left."""
+    moves = list(moves)
+    verts = [set(mv.cycle) if isinstance(mv, Flip) else set(mv.removed + mv.added) for mv in moves]
+    found = True
+    while found:
+        found = False
+        for i in range(len(moves)):
+            for j in range(i + 1, len(moves)):
+                if moves[j] == invert_move(moves[i]):
+                    del moves[j], moves[i], verts[j], verts[i]
+                    found = True
+                    break
+                if verts[j] & verts[i]:
+                    break
+            if found:
+                break
+    return moves
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.integers(4, 9), st.integers(0, 2**32 - 1), st.sampled_from([MODE_FLIP, MODE_FLIP_SLIDE]))
+def test_meet_output_verifies_and_is_a_fixpoint(n, seed, mode):
+    """Random valid walks, with moves undone at random further on, split
+    into a forward and a backward half: the glued sequence verifies, is
+    never longer, a second pass changes nothing, and pair-at-a-time
+    cancellation reaches the same length."""
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.uniform(0.4, 0.95))
+    m_ini = cur = random_matching_of(g, rng)
+    moves = []
+    for _ in range(rng.randint(0, 14)):
+        options = _valid_moves(g, cur, mode, None)
+        undo = [invert_move(mv) for mv in moves if invert_move(mv) in options]
+        if undo and rng.random() < 0.5:
+            mv = rng.choice(undo)  # an inverse pair spliced in
+        elif options:
+            mv = rng.choice(options)
+        else:
+            break
+        cur = apply_move(g, cur, mv)
+        moves.append(mv)
+    k = rng.randint(0, len(moves))
+    out = _meet(moves[:k], [invert_move(mv) for mv in reversed(moves[k:])])
+    assert verify_sequence(g, m_ini, ReconfigSequence(mode, tuple(out)), cur).ok
+    assert len(out) <= len(moves)
+    assert _meet(list(out), []) == out
+    assert len(_cancel_to_fixpoint(moves)) == len(out)

@@ -287,7 +287,8 @@ def test_outerplanar_output_pinned():
     # Emitted sequences and the sorted trace steps, hashed: chord_drop 0,
     # 0.3, 0.6 and 0.9, two blocks joined by a bridge (cut vertices at both
     # ends), a NO pair and scrambled labels, then n = 2000; any change to a
-    # reduction rule changes a hash.  The order of trace steps is not pinned.
+    # reduction rule or to the cancelling pass (``graph._meet``) changes a
+    # hash.  The order of trace steps is not pinned.
     cases = []
     for n, seed, drop in ((40, 3, 0.0), (60, 8, 0.3), (80, 5, 0.6), (120, 2, 0.9), (300, 11, 0.3)):
         inst = load_instance(random_outerplanar_instance(n, seed, drop))
@@ -312,14 +313,14 @@ def test_outerplanar_output_pinned():
         h.update(json.dumps(sequence_to_dict(res.sequence) if res.yes else None).encode())
         h.update(json.dumps(sorted(map(repr, res.trace.steps))).encode())
     assert answers == [True] * 6 + [False, True]
-    assert h.hexdigest() == "119a09cccda95060e821b491c4a77fff99e1dd583aea9b2ef0e79c10a2ad5a1f"
+    assert h.hexdigest() == "4778a1f928b3ea1ea6a05528814365ab04ea9c41a9a729a59f4e2884413d29af"
     # one instance at the size the benchmark times, hashed on its own
     inst = load_instance(random_outerplanar_instance(2000, 13))
     res = solve_outerplanar(inst.graph, inst.m_ini, inst.m_tar)
     h = hashlib.sha256(json.dumps(sequence_to_dict(res.sequence)).encode())
     h.update(json.dumps(sorted(map(repr, res.trace.steps))).encode())
-    assert res.yes and len(res.sequence) == 118
-    assert h.hexdigest() == "6b74e62e84bd98a22baef231531f5b32a0dcd3bc55fd978c64d9bb6d426f3429"
+    assert res.yes and len(res.sequence) == 22
+    assert h.hexdigest() == "394896f41776c410e3a57861551f9f1609f9baee3ce536ddbdbd230205c670b9"
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
