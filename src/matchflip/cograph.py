@@ -34,8 +34,8 @@ both fail, every size-k matching covers B entirely, B is matched into A,
 and reachability reduces to the matchings induced on A, with A-side
 moves lifted back by turning blocked slides into flips and repairing the
 A-B assignment with at most 2|B| extra moves.  The solver and
-``reachability_class`` walk one cotree per call with explicit stacks,
-handing each piece's vertex and edge sets down and cutting them in place,
+``reachability_class`` read the events of one walk, ``_walk_cotree``,
+which hands each piece's vertex and edge sets down and cuts them in place,
 so only a join's smaller side and a union's smaller parts are listed.
 
 Within one transformation the two matchings share the neighbour map of
@@ -59,7 +59,7 @@ from heapq import heapify, heappop, heappush
 from itertools import islice, repeat
 from typing import Optional, Sequence
 
-from .errors import InvalidFlipError, InvalidSlideError, NotACographError
+from .errors import InvalidFlipError, InvalidSlideError, NotACographError, SizeMismatchError
 from .graph import (
     Edge,
     Flip,
@@ -78,6 +78,7 @@ from .graph import (
     edge,
     graph_from_adjacency,
     induced_subgraph,
+    matching_partners,
     partner_map,
     partner_maps,
 )
@@ -306,17 +307,14 @@ class Conditions:
     c2: bool
 
 
-def _conditions(n: int, nb: int, nu_a: int, b_edge: bool, k: int) -> Conditions:
-    """C1/C2 at the join of A and B on n vertices, |A| >= |B| = nb."""
-    return Conditions(
-        k >= 1 and b_edge and min((n - 2) // 2, nu_a + nb - 2) >= k - 1,
-        min((n - 1) // 2, nu_a + nb - 1) >= k,
-    )
-
-
 def _node_conditions(node: CotreeNode, k: int) -> Conditions:
+    """C1/C2 for size k at the join ``node`` of A and B, |A| >= |B|."""
     a, b = node.sides()
-    return _conditions(node.size, b.size, a.nu, b.nu > 0, k)
+    n = node.size
+    return Conditions(
+        k >= 1 and b.nu > 0 and min((n - 2) // 2, a.nu + b.size - 2) >= k - 1,
+        min((n - 1) // 2, a.nu + b.size - 1) >= k,
+    )
 
 
 def _b_edges(g: Graph, b: frozenset[int]):
@@ -457,11 +455,6 @@ def _anchor(part: RootPartition, a_matching, removed, size: int) -> list[Edge]:
     matching, free = map(deque, a_matching)
     _join_onto(matching, free, sorted(part.b.difference(removed)))
     return sorted(matching)[:size]
-
-
-def _through_anchor(route, g: Graph, part: RootPartition, x, anchor, m1, m2) -> list[Move]:
-    """Route both matchings to the anchor and join the two halves."""
-    return _meet(route(g, part, x, anchor, m1), route(g, part, x, anchor, m2))
 
 
 def _enforce_claim_assumptions(part: RootPartition, e: Edge, sm: _Side, si: _Side) -> None:
@@ -633,7 +626,7 @@ def _via_b_edge(g: Graph, part: RootPartition, a_matching, m1, m2) -> list[Move]
     if k < 1 or e is None or len(rest := _anchor(part, a_matching, e, k - 1)) < k - 1:
         raise RuntimeError("internal: condition C1 does not hold")
     anchor = frozenset((e, *rest))
-    return _through_anchor(_route_to_b_edge_anchor, g, part, e, anchor, m1, m2)
+    return _meet(*(_route_to_b_edge_anchor(g, part, e, anchor, m) for m in (m1, m2)))
 
 
 def _via_free_b_vertex(g: Graph, part: RootPartition, a_matching, m1, m2) -> list[Move]:
@@ -643,7 +636,7 @@ def _via_free_b_vertex(g: Graph, part: RootPartition, a_matching, m1, m2) -> lis
     work = graph_from_adjacency([a - b if v in b else a for v, a in enumerate(g.adj)])
     v = min(b)
     anchor = frozenset(_anchor(part, a_matching, {v}, len(m1)))
-    return _through_anchor(_route_via_free_vertex, work, part, v, anchor, m1, m2)
+    return _meet(*(_route_via_free_vertex(work, part, v, anchor, m) for m in (m1, m2)))
 
 
 def _route_via_free_vertex(
@@ -690,22 +683,61 @@ def _take(m: set[Edge], partner: dict[int, int], vertices) -> set[Edge]:
     return out
 
 
-def _union_pieces(node: CotreeNode, vs: set[int], ms, partners) -> list[tuple]:
-    """``(part, vertices, *matchings)`` for each part of a union, left to
-    right.  The largest part keeps the piece's own sets, from which every
+def _union_pieces(parts: list[CotreeNode], vs: set[int], ms, partners) -> list[tuple]:
+    """``(part, vertices, matchings)`` for each of a union's ``parts``, in
+    order.  The largest part keeps the piece's own sets, from which every
     other part's vertices and edges are taken, so each vertex is listed
     only in parts at most half its piece's size."""
-    parts = node.parts()
     big = max(parts, key=lambda t: t.size)
     out = []
     for t in parts:
         if t is big:
-            out.append((t, vs, *ms))
+            out.append((t, vs, ms))
             continue
         leaves = set(t.leaves())
         vs -= leaves
-        out.append((t, leaves, *(_take(m, p, leaves) for m, p in zip(ms, partners))))
+        out.append((t, leaves, [_take(m, p, leaves) for m, p in zip(ms, partners)]))
     return out
+
+
+def _walk_cotree(g: Graph, ms, partners):
+    """Walk the cotree of ``g`` depth first with one or two matchings
+    ``ms`` and their partner maps, cutting the pieces' sets in place, and
+    yield ``(event, node, vertices, matchings, info)`` per decision, before
+    any cut: ``"union"`` (``info`` its parts, walked next); ``"settled"``,
+    a piece decided where it is (``info`` the C1/C2 of a join, None for a
+    leaf or a piece with no edges); ``"reduced"``, a join walked on as side
+    A (``info`` B); ``"end"`` of that side's walk; and ``"mismatch"``, the
+    first piece whose matchings differ in size, which ends the walk."""
+    if not g.n:
+        yield "settled", None, set(), ms, None
+        return
+    todo: list = [(build_cotree(g), set(range(g.n)), [set(m) for m in ms])]
+    while todo:
+        node, vs, ms = todo.pop()
+        if node is None:
+            yield "end", None, None, None, None
+            continue
+        k = len(ms[0])
+        if any(len(m) != k for m in ms):
+            yield "mismatch", node, vs, ms, None
+            return
+        if node.kind == "union":
+            parts = node.parts()
+            yield "union", node, vs, ms, parts
+            todo += reversed(_union_pieces(parts, vs, ms, partners))
+            continue
+        cond = _node_conditions(node, k) if node.kind == "join" and k else None
+        if cond is None or cond.c1 or cond.c2:
+            yield "settled", node, vs, ms, cond
+            continue
+        a, small = node.sides()
+        b = small.leaves()
+        yield "reduced", node, vs, ms, b
+        vs -= b
+        for m, p in zip(ms, partners):
+            _take(m, p, b)
+        todo += ((None, None, None), (a, vs, ms))
 
 
 def _anchored(g: Graph, vs: set[int], node: CotreeNode, c1: bool, m1, m2) -> list[Move]:
@@ -726,40 +758,21 @@ def _anchored(g: Graph, vs: set[int], node: CotreeNode, c1: bool, m1, m2) -> lis
     return moves if sub is g else _map_moves(moves, vmap.__getitem__)
 
 
-def _solve_tree(g: Graph, tree: CotreeNode, m1: frozenset[Edge], m2: frozenset[Edge], partners):
-    """Moves from m1 to m2 (None on NO) over the cotree, depth first: a
-    union solves its components in order, a join where C1 or C2 holds is
-    anchored, any other join solves side A, then lifts ``out[start:]``.
-    A piece's vertices and matchings are sets handed down and cut in
-    place, found through ``partners``, the partner maps of m1 and m2;
-    only a join's smaller side and a union's smaller parts are listed."""
+def _solve_tree(g: Graph, m1, m2, partners) -> Optional[list[Move]]:
+    """Moves from m1 to m2 (None on NO) read off :func:`_walk_cotree`: a
+    settled join is anchored, a reduced one lifts its side A's moves."""
     out: list[Move] = []
-    todo: list = [(tree, set(range(g.n)), set(m1), set(m2))]
-    while todo:
-        item = todo.pop()
-        if isinstance(item[0], frozenset):  # a pending lift
-            b, m1, m2, start = item
-            out[start:] = _lift_from_a(g, b, m1, m2, out[start:])
-            continue
-        node, vs, m1, m2 = item
-        if len(m1) != len(m2):
+    lifts = []  # (B, the piece's two matchings, len(out)) per reduced join
+    for event, node, vs, ms, info in _walk_cotree(g, (m1, m2), partners):
+        if event == "mismatch":
             return None
-        if node.kind == "union":
-            todo += reversed(_union_pieces(node, vs, (m1, m2), partners))
-            continue
-        if node.kind == "leaf" or not m1:
-            continue  # no edges on either side
-        cond = _node_conditions(node, len(m1))
-        if cond.c1 or cond.c2:
-            out += _anchored(g, vs, node, cond.c1, m1, m2)
-            continue
-        a, small = node.sides()
-        b = small.leaves()
-        todo.append((b, frozenset(m1), frozenset(m2), len(out)))
-        vs -= b
-        for m, p in zip((m1, m2), partners):
-            _take(m, p, b)
-        todo.append((a, vs, m1, m2))
+        if event == "settled" and info is not None:
+            out += _anchored(g, vs, node, info.c1, *ms)
+        elif event == "reduced":
+            lifts.append((info, *map(frozenset, ms), len(out)))
+        elif event == "end":
+            b, a1, a2, start = lifts.pop()
+            out[start:] = _lift_from_a(g, b, a1, a2, out[start:])
     return out
 
 
@@ -806,9 +819,7 @@ def solve_cograph(g: Graph, m_ini, m_tar) -> CographResult:
     and produce a verified sequence on YES."""
     m_ini, m_tar = (frozenset(edge(*x) for x in m) for m in (m_ini, m_tar))
     partners = partner_maps(g, m_ini, m_tar, perfect=False)
-    if len(m_ini) != len(m_tar):
-        return CographResult(False, None)
-    moves = _solve_tree(g, build_cotree(g), m_ini, m_tar, partners) if g.n else []
+    moves = _solve_tree(g, m_ini, m_tar, partners) if len(m_ini) == len(m_tar) else None
     if moves is None:
         return CographResult(False, None)
     return CographResult(True, ReconfigSequence(MODE_FLIP_SLIDE, tuple(moves)))
@@ -817,29 +828,17 @@ def solve_cograph(g: Graph, m_ini, m_tar) -> CographResult:
 def reachability_class(g: Graph, m) -> tuple:
     """Invariant deciding reachability: two matchings of ``g`` are
     connected under flips+slides iff their classes are equal.  The class
-    is a flat tuple read depth first over the cotree: ``"u", c`` opens a
+    is a flat tuple of :func:`_walk_cotree`'s events: ``"u", c`` opens a
     union of c component classes, ``"l", k`` a size-k join whose class
-    is that of side A, and ``"k", k`` ends a size-k piece."""
+    is that of side A, and ``"k", k`` ends a size-k piece.  Raises
+    :class:`SizeMismatchError` when ``m`` is not a matching."""
     m = frozenset(edge(*x) for x in m)
-    partners = (partner_map(m),)
-    out: list = [] if g.n else ["k", 0]
-    todo = [(build_cotree(g), set(range(g.n)), set(m))] if g.n else []
-    while todo:
-        node, vs, mm = todo.pop()
-        k = len(mm)
-        if node.kind == "union":
-            pieces = _union_pieces(node, vs, (mm,), partners)
-            out += ("u", len(pieces))
-            todo += reversed(pieces)
-            continue
-        cond = _node_conditions(node, k) if node.kind == "join" and k else None
-        if cond is None or cond.c1 or cond.c2:
-            out += ("k", k)
-        else:
-            a, small = node.sides()
-            out += ("l", k)
-            b = small.leaves()
-            vs -= b
-            _take(mm, partners[0], b)
-            todo.append((a, vs, mm))
+    if (partner := matching_partners(g, m)) is None:
+        raise SizeMismatchError("input is not a matching")
+    out: list = []
+    for event, _, _, ms, info in _walk_cotree(g, (m,), (partner,)):
+        if event == "union":
+            out += ("u", len(info))
+        elif event in ("settled", "reduced"):
+            out += ("k" if event == "settled" else "l", len(ms[0]))
     return tuple(out)

@@ -94,8 +94,12 @@ def test_criterion_01_cograph_oracle_agreement():
 
     All-pairs coverage comes from partition equality: the solver's
     decision is exactly equality of reachability classes (one shared code
-    path), so class partition == oracle component partition covers every
-    pair; direct solver runs on samples also verify emitted sequences."""
+    path: ``solve_cograph`` and ``reachability_class`` both read the events
+    of ``cograph._walk_cotree``, and
+    ``test_cograph.py::test_decision_equals_class_equality`` holds the two
+    equal on NO pairs too), so class partition == oracle component
+    partition covers every pair; direct solver runs on samples also verify
+    emitted sequences."""
     rng = random.Random(0)
     graphs = connected_cographs(8)
     pair_count = 0

@@ -22,7 +22,7 @@ from matchflip.cograph import (
     reachability_class,
     solve_cograph,
 )
-from matchflip.errors import MatchFlipError, NotACographError
+from matchflip.errors import EdgeNotInGraphError, MatchFlipError, NotACographError, SizeMismatchError
 from matchflip.generators import random_cograph_instance, random_cotree_graph, random_matching_pair
 from matchflip.graph import (
     MODE_FLIP_SLIDE,
@@ -348,6 +348,73 @@ def test_solve_matches_oracle_random_cotrees():
         if res.yes:
             assert verify_sequence(g, a, res.sequence, b).ok
             assert len(res.sequence) <= 40 * g.n
+
+
+def _no_pair(shape: str, rng: random.Random):
+    """A cograph and two matchings of one size that are not connected.
+    "union": two random cotree graphs side by side, the matchings split
+    differently between them.  "join": the same two joined to an
+    independent set B, |B| < |A|, under perfect matchings that match B into
+    A, so that C1 and C2 fail at the root; they split differently on A."""
+    g1, g2 = (random_cotree_graph(rng.randint(2, 10 if shape == "join" else 20), rng)
+              for _ in range(2))
+    m1, m2 = (sorted(reference_max_matching(h)) for h in (g1, g2))
+    rng.shuffle(m1)
+    rng.shuffle(m2)
+    size = rng.randint(1, len(m1) + len(m2) - 1)
+    i, j = rng.sample(range(max(0, size - len(m2)), min(len(m1), size) + 1), 2)
+
+    def shift(es):
+        return [(u + g1.n, v + g1.n) for u, v in es]
+
+    n = g1.n + g2.n
+    edges = [*g1.edges, *shift(g2.edges)]
+    pair = [[*m1[:t], *shift(m2[:size - t])] for t in (i, j)]
+    if shape == "join":
+        bs = range(n, 2 * n - 2 * size)
+        edges += [(u, v) for u in range(n) for v in bs]
+        pair = [[*m, *zip(sorted(set(range(n)) - {x for e in m for x in e}), bs)]
+                for m in pair]
+        n += len(bs)
+    perm = rng.sample(range(n), n)
+    g = Graph(n, [(perm[u], perm[v]) for u, v in edges])
+    return (g, *(edge_set((perm[u], perm[v]) for u, v in m) for m in pair))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(["random", "union", "join"]), st.integers(0, 2**32 - 1))
+def test_decision_equals_class_equality(shape, seed):
+    # the solver's answer is equality of the two classes, on random pairs
+    # (almost always YES) and on the two NO shapes of ``_no_pair``; the
+    # oracle agrees up to 10 vertices
+    rng = random.Random(seed)
+    if shape == "random":
+        g = random_cotree_graph(rng.randint(1, 40), rng)
+        a, b = random_matching_pair(g, rng)
+    else:
+        g, a, b = _no_pair(shape, rng)
+        assert len(a) == len(b) and g.n <= 40
+        if shape == "join":
+            assert 2 * len(a) == g.n
+    res = solve_cograph(g, a, b)
+    assert res.yes == (reachability_class(g, a) == reachability_class(g, b))
+    if shape != "random":
+        assert not res.yes
+    elif res.yes:
+        assert verify_sequence(g, a, res.sequence, b).ok
+    if g.n <= 10:
+        assert reachable(g, a, b, FLIP_SLIDE).reachable == res.yes
+
+
+def test_class_rejects_a_non_matching():
+    k3 = complete_graph(3)
+    # two edges at vertex 1: not a matching
+    with pytest.raises(SizeMismatchError):
+        reachability_class(k3, [(0, 1), (1, 2)])
+    # (0, 5) is no edge of the 3-vertex graph
+    with pytest.raises(EdgeNotInGraphError):
+        reachability_class(k3, [(0, 1), (0, 5)])
+    assert reachability_class(k3, [(0, 1)]) == reachability_class(k3, [(1, 2)])
 
 
 def test_complete_graph_matchings_connected():
