@@ -12,6 +12,7 @@ from matchflip import (
     Slide,
     apply_move,
     edge_set,
+    errors,
     matching_partners,
     symmetric_difference_components,
     verify_sequence,
@@ -23,8 +24,15 @@ c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 m1 = edge_set([(0, 1), (2, 3)])
 m2 = edge_set([(1, 2), (3, 0)])
 
-partners = matching_partners(c4, m1)  # None if two edges share a vertex
-print("partners of m1:", partners, "perfect:", partners is not None and len(partners) == c4.n)
+# the one matching checker: with perfect=True it raises NotPerfectError
+# unless every vertex is matched once; without, SizeMismatchError when two
+# edges share a vertex
+partners = matching_partners(c4, m1, perfect=True)
+print("partners of m1:", partners, "perfect: True")
+try:
+    matching_partners(c4, [(0, 1), (1, 2)])
+except errors.SizeMismatchError as exc:
+    print("edges (0, 1) and (1, 2):", exc)
 print("difference m1 vs m2:", symmetric_difference_components(m1, m2))
 
 # one flip turns m1 into m2

@@ -59,7 +59,7 @@ from heapq import heapify, heappop, heappush
 from itertools import islice, repeat
 from typing import Optional, Sequence
 
-from .errors import InvalidFlipError, InvalidSlideError, NotACographError, SizeMismatchError
+from .errors import InvalidFlipError, InvalidSlideError, NotACographError
 from .graph import (
     Edge,
     Flip,
@@ -76,11 +76,10 @@ from .graph import (
     _walk,
     canonical_flip,
     edge,
+    edge_set,
     graph_from_adjacency,
     induced_subgraph,
     matching_partners,
-    partner_map,
-    partner_maps,
 )
 
 _CLAIM_CAP_FACTOR = 10
@@ -331,7 +330,7 @@ class _Side:
     def __init__(self, g: Graph, start):
         self.g = g
         self.m: set[Edge] = set(edge(*e) for e in start)
-        self.partner = partner_map(self.m)
+        self.partner = matching_partners(g, self.m)
         self.moves: list[Move] = []
         self.diff: Optional[dict[int, set[int]]] = None
 
@@ -793,7 +792,7 @@ def _lift_from_a(g: Graph, b: frozenset[int], m1, m2, a_moves) -> list[Move]:
             x = s.partner[far]
             other = mv.removed[0] if mv.removed[1] == piv else mv.removed[1]
             s.flip((other, piv, far, x))
-    tar = partner_map(m2)
+    tar = matching_partners(g, m2)
     # the A-vertices matched into B, read from B's side
     cur_a = {s.partner[v] for v in b if v in s.partner and s.partner[v] not in b}
     tar_a = {tar[v] for v in b if v in tar and tar[v] not in b}
@@ -817,9 +816,9 @@ def _lift_from_a(g: Graph, b: frozenset[int], m1, m2, a_moves) -> list[Move]:
 def solve_cograph(g: Graph, m_ini, m_tar) -> CographResult:
     """Decide flip+slide reachability between two matchings of a cograph
     and produce a verified sequence on YES."""
-    m_ini, m_tar = (frozenset(edge(*x) for x in m) for m in (m_ini, m_tar))
-    partners = partner_maps(g, m_ini, m_tar, perfect=False)
-    moves = _solve_tree(g, m_ini, m_tar, partners) if len(m_ini) == len(m_tar) else None
+    m_ini, m_tar = edge_set(m_ini), edge_set(m_tar)
+    partners = [matching_partners(g, m) for m in (m_ini, m_tar)]
+    moves = _solve_tree(g, m_ini, m_tar, partners)
     if moves is None:
         return CographResult(False, None)
     return CographResult(True, ReconfigSequence(MODE_FLIP_SLIDE, tuple(moves)))
@@ -832,11 +831,9 @@ def reachability_class(g: Graph, m) -> tuple:
     union of c component classes, ``"l", k`` a size-k join whose class
     is that of side A, and ``"k", k`` ends a size-k piece.  Raises
     :class:`SizeMismatchError` when ``m`` is not a matching."""
-    m = frozenset(edge(*x) for x in m)
-    if (partner := matching_partners(g, m)) is None:
-        raise SizeMismatchError("input is not a matching")
+    m = edge_set(m)
     out: list = []
-    for event, _, _, ms, info in _walk_cotree(g, (m,), (partner,)):
+    for event, _, _, ms, info in _walk_cotree(g, (m,), (matching_partners(g, m),)):
         if event == "union":
             out += ("u", len(info))
         elif event in ("settled", "reduced"):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .graph import Edge, Flip, Graph, _step, edge, four_cycles, partner_map
+from .graph import Edge, Flip, Graph, _step, edge, four_cycles, matching_partners
 from .strongly_orderable import canonical_matching
 
 
@@ -107,7 +107,7 @@ def random_outerplanar_graph(
 def mutate_by_flips(g: Graph, m: frozenset[Edge], rng: random.Random, steps: int):
     """Walk `steps` random flips from the matching m (fewer if none applies)."""
     cycles = four_cycles(g)
-    p = partner_map(m)
+    p = matching_partners(g, m)
     for _ in range(steps):
         rng.shuffle(cycles)
         for a, b, c, d in cycles:

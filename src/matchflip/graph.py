@@ -5,12 +5,14 @@ this module.  Vertices are dense integers ``0..n-1``; an edge is an ordered
 pair ``(u, v)`` with ``u < v``; a matching is a frozenset of such pairs.
 A :class:`Graph` holds its adjacency; its edge set is built on first use.
 All values are immutable after construction and all public functions are
-pure.  :func:`matching_partners` checks a matching into its vertex ->
-partner map; ``_step`` alone checks and applies a move on such a map in
-O(move size), for every caller that moves a matching; ``_map_moves``
-renames the vertices of moves; ``_meet`` glues two halves of a route and is
-the one place where moves cancel, in one commute-and-cancel pass over the
-glued sequence; :func:`check_mode` alone admits a (mode, k).
+pure.  :func:`matching_partners` alone checks a matching into its vertex
+-> partner map, and raises on an edge outside the graph, a shared vertex
+or (if asked) a matching that is not perfect; ``_step`` alone checks and
+applies a move on such a map in O(move size), for every caller that
+moves a matching; ``_map_moves`` renames the vertices of moves; ``_meet``
+glues two halves of a route and is the one place where moves cancel, in
+one commute-and-cancel pass over the glued sequence; :func:`check_mode`
+alone admits a (mode, k).
 The difference M1 (triangle) M2 of two matchings is one vertex -> neighbours
 map that ``_toggle`` updates, ``_hop`` steps along and ``_walk`` lists a
 component of; :func:`symmetric_difference_components` and the cograph
@@ -102,10 +104,12 @@ class Graph:
 # matchings
 
 
-def matching_partners(g: Graph, matching: Iterable[Sequence[int]]) -> Optional[dict[int, int]]:
-    """Vertex -> partner map of ``matching`` in one pass, or None when two
-    of its edges share a vertex (a repeated edge counts once); raises
-    :class:`EdgeNotInGraphError` if any edge is absent from ``g``."""
+def matching_partners(g: Graph, matching: Iterable[Sequence[int]], perfect: bool = False) -> dict[int, int]:
+    """Vertex -> partner map of ``matching`` in one pass (a repeated edge
+    counts once), checked in order: :class:`EdgeNotInGraphError` if any
+    edge is absent from ``g``; :class:`NotPerfectError` (``perfect``) when
+    it is not a perfect matching; :class:`SizeMismatchError` when two of
+    its edges share a vertex."""
     adj, n = g.adj, g.n
     p: dict[int, int] = {}
     clash = False
@@ -116,29 +120,10 @@ def matching_partners(g: Graph, matching: Iterable[Sequence[int]]) -> Optional[d
             clash = True
         p[u] = v
         p[v] = u
-    return None if clash else p
-
-
-def partner_maps(g: Graph, m1, m2, perfect: bool = True) -> tuple[dict[int, int], dict[int, int]]:
-    """The partner maps of two matchings of ``g``, checked in order:
-    :class:`NotPerfectError` (``perfect``) or :class:`SizeMismatchError`
-    when one is not a (perfect) matching."""
-    maps = []
-    for m in (m1, m2):
-        p = matching_partners(g, m)
-        if p is None or perfect and len(p) != g.n:
-            raise (NotPerfectError("both input matchings must be perfect") if perfect
-                   else SizeMismatchError("input is not a matching"))
-        maps.append(p)
-    return maps[0], maps[1]
-
-
-def partner_map(matching: Iterable[Edge]) -> dict[int, int]:
-    """Vertex -> matched partner lookup for a matching."""
-    p: dict[int, int] = {}
-    for u, v in matching:
-        p[u] = v
-        p[v] = u
+    if perfect and (clash or len(p) != n):
+        raise NotPerfectError("both input matchings must be perfect")
+    if clash:
+        raise SizeMismatchError("input is not a matching")
     return p
 
 
@@ -303,12 +288,9 @@ def _map_moves(moves: Iterable[Move], f) -> list[Move]:
 
 
 def apply_move(g: Graph, matching: frozenset[Edge], move: Move) -> frozenset[Edge]:
-    """Apply a flip or slide to ``matching`` in ``g``, validating all
-    preconditions as :func:`_step` does; :class:`SizeMismatchError` when
-    ``matching`` is not a matching, as :func:`partner_maps` raises."""
+    """Apply a flip or slide to ``matching`` in ``g``, checking both as
+    :func:`matching_partners` and :func:`_step` do."""
     partner = matching_partners(g, matching)
-    if partner is None:
-        raise SizeMismatchError("input is not a matching")
     _step(g, partner, move)
     return frozenset((u, v) for u, v in partner.items() if u < v)
 
@@ -478,9 +460,7 @@ def verify_sequence(
     """
     try:
         partner, final = matching_partners(g, m_ini), matching_partners(g, m_tar)
-    except EdgeNotInGraphError:
-        return Verdict(False, None, REASON_INPUT)
-    if partner is None or final is None:
+    except (EdgeNotInGraphError, SizeMismatchError):
         return Verdict(False, None, REASON_INPUT)
     want = seq.k if seq.mode == MODE_KFLIP else 4
     for i, move in enumerate(seq.moves):

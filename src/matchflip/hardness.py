@@ -32,9 +32,10 @@ from .errors import (
     KTooSmallError,
     MalformedMachineError,
     NotBipartiteError,
+    NotPerfectError,
     UnbalancedSidesError,
 )
-from .graph import Edge, Graph, edge, matching_partners, partner_maps
+from .graph import Edge, Graph, edge, matching_partners
 from .oracle import (
     DEFAULT_BUDGET,
     FLIP_ONLY,
@@ -486,9 +487,10 @@ def _encode(inst: GadgetInstance, config: Configuration) -> frozenset[Edge]:
         loc = eg.local_to_global
         chosen.update(edge(loc[a], loc[b]) for a, b in _class_table("edge")[side])
     out = _along_paths(chosen, inst.subdivision)
-    partners = matching_partners(inst.graph, out)
-    if partners is None or len(partners) != inst.graph.n:
-        raise RuntimeError("internal: encoding is not a perfect matching")
+    try:
+        matching_partners(inst.graph, out, perfect=True)
+    except NotPerfectError:
+        raise RuntimeError("internal: encoding is not a perfect matching") from None
     return out
 
 
@@ -698,7 +700,8 @@ def k_factor_instance(
     matching edge, and no 4-cycle through a gadget ever alternates."""
     if k < 2:
         raise KTooSmallError("k-factor lift needs k >= 2")
-    partner_maps(g, m_ini, m_tar)
+    for m in (m_ini, m_tar):
+        matching_partners(g, m, perfect=True)
     pairs = [(2 * i, 2 * i + 1) for i in range(g.n // 2)]
     edges = list(g.edges)
     nxt = g.n

@@ -31,7 +31,7 @@ from .graph import (
     check_mode,
     edge,
     four_cycles,
-    partner_maps,
+    matching_partners,
     symmetric_difference_components,
 )
 
@@ -384,9 +384,9 @@ def reachable(
     :class:`BudgetExceededError` when the two maps would hold more than
     ``budget`` matchings together, the start and the goal included.
     """
-    partner_maps(g, m1, m2, perfect=False)
-    if len(m1) != len(m2):
-        raise SizeMismatchError(f"matching sizes differ: {len(m1)} vs {len(m2)}")
+    p1, p2 = (matching_partners(g, m) for m in (m1, m2))
+    if len(p1) != len(p2):
+        raise SizeMismatchError(f"matching sizes differ: {len(p1) // 2} vs {len(p2) // 2}")
     space = MaskSpace(g)
     path = _shortest_path(space, space.to_mask(m1), space.to_mask(m2), mode, budget)
     if path is None:

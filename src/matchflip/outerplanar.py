@@ -68,7 +68,7 @@ from .graph import (
     _meet,
     canonical_flip,
     edge,
-    partner_maps,
+    matching_partners,
 )
 
 
@@ -376,7 +376,7 @@ def solve_outerplanar(
     produce a verified flip sequence of length at most n.  Raises
     :class:`NotOuterplanarError` up front unless ``g`` is outerplanar; the
     pieces it meets are read off ``g``'s structure, never searched for."""
-    p1, p2 = partner_maps(g, m_ini, m_tar)
+    p1, p2 = (matching_partners(g, m, perfect=True) for m in (m_ini, m_tar))
     struct = _structure(g)
     if struct is None:
         raise NotOuterplanarError("graph is not outerplanar")

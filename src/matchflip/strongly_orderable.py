@@ -29,7 +29,7 @@ from .graph import (
     _step,
     canonical_flip,
     edge_set,
-    partner_maps,
+    matching_partners,
 )
 
 
@@ -183,7 +183,7 @@ def solve_strongly_orderable(
     raises :class:`OrderInvalidError`.
     """
     order = _check_permutation(g, order)
-    p_ini, p_tar = partner_maps(g, m_ini, m_tar)
+    p_ini, p_tar = (matching_partners(g, m, perfect=True) for m in (m_ini, m_tar))
     cpart = _greedy_partners(g, order)
     fwd = _route_to_canonical(g, order, cpart, p_ini)
     bwd = _route_to_canonical(g, order, cpart, p_tar)

@@ -6,7 +6,13 @@ import itertools
 import random
 from collections import deque
 
-from matchflip.errors import InvalidFlipError, InvalidSlideError, NotOuterplanarError
+from matchflip.errors import (
+    InvalidFlipError,
+    InvalidSlideError,
+    NotOuterplanarError,
+    NotPerfectError,
+    SizeMismatchError,
+)
 from matchflip.graph import (
     MODE_FLIP,
     MODE_FLIP_SLIDE,
@@ -28,7 +34,6 @@ from matchflip.graph import (
     edge,
     edge_set,
     matching_partners,
-    partner_maps,
 )
 from matchflip.outerplanar import (
     Case1DropStep,
@@ -74,10 +79,23 @@ C6_PM1 = edge_set([(0, 1), (2, 3), (4, 5)])
 C6_PM2 = edge_set([(1, 2), (3, 4), (5, 0)])
 
 
+def is_matching(g: Graph, m) -> bool:
+    """True iff no two edges of ``m`` share a vertex; an edge outside
+    ``g`` raises, as :func:`matching_partners` does."""
+    try:
+        matching_partners(g, m)
+    except SizeMismatchError:
+        return False
+    return True
+
+
 def is_perfect(g: Graph, m) -> bool:
     """True iff ``m`` is a perfect matching of ``g``."""
-    p = matching_partners(g, m)
-    return p is not None and len(p) == g.n
+    try:
+        matching_partners(g, m, perfect=True)
+    except NotPerfectError:
+        return False
+    return True
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -564,7 +582,7 @@ def reference_solve_outerplanar(
     """The round-based outerplanar solver: each round re-runs the block
     search over every component a reduction touched, severs its cut
     vertices and purges the even chords of its 2-connected pieces."""
-    p1, p2 = partner_maps(g, m_ini, m_tar)
+    p1, p2 = (matching_partners(g, m, perfect=True) for m in (m_ini, m_tar))
     struct = _structure(g)
     if struct is None:
         raise NotOuterplanarError("graph is not outerplanar")

@@ -33,7 +33,6 @@ from matchflip.graph import (
     Slide,
     apply_move,
     edge,
-    matching_partners,
     verify_sequence,
 )
 from matchflip.hardness import (
@@ -50,7 +49,7 @@ from matchflip.hardness import (
     standalone_vertex_system,
     subdivide_edges,
 )
-from matchflip.io import load_instance
+from matchflip.io import instance_to_dict, load_instance
 from matchflip.oracle import (
     FLIP_ONLY,
     FLIP_SLIDE,
@@ -78,6 +77,7 @@ from helpers import (
     K4,
     all_matchings_by_size,
     connected_cographs,
+    is_matching,
     is_perfect,
     random_graph,
     random_outerplanar,
@@ -451,7 +451,7 @@ def test_criterion_09_verifier_mutation_soundness():
         genuinely_broken = (
             not valid
             or cur != new_tar
-            or matching_partners(g, new_tar) is None
+            or not is_matching(g, new_tar)
         )
         if not genuinely_broken:
             continue  # the corruption happened to produce another valid pair
@@ -524,19 +524,30 @@ def test_ladder_1e5_solves_through_cli(tmp_path):
     _report(10, f"ladder n=100000 through the CLI in {took:.1f} s")
 
 
-@settings(max_examples=400, deadline=None, database=None, derandomize=True)
-@given(st.sampled_from(["interval", "outerplanar", "cograph"]), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=540)
+@given(st.sampled_from(["interval", "outerplanar", "outerplanar pair", "cograph"]),
+       st.integers(0, 2**32 - 1), st.data())
 def test_three_solvers_against_the_oracle(cls, seed, data):
     """One draw across the three generators: every emitted sequence
     verifies, interval and outerplanar ones have length <= n, none is
-    shorter than the oracle's distance, and the oracle, asked on every YES
-    and on every n <= 10, gives the same answer."""
+    shorter than the oracle's distance, and the oracle, asked on every YES,
+    on every n <= 10 and on every outerplanar pair, gives the same answer.
+    An outerplanar pair is two independent random perfect matchings of a
+    random outerplanar graph (n 6-12), so it is often NO; the flip-walk
+    targets of the other draws are almost always YES."""
     n = data.draw(st.integers(2, 12 if cls == "cograph" else 16), label="n")
     if cls == "interval":
         inst = load_instance(random_interval_instance(n, seed))
         seq = solve_strongly_orderable(inst.graph, inst.hints["strong_order"], inst.m_ini, inst.m_tar)
     elif cls == "outerplanar":
         inst = load_instance(random_outerplanar_instance(max(n, 4), seed))
+        seq = solve_outerplanar(inst.graph, inst.m_ini, inst.m_tar).sequence
+    elif cls == "outerplanar pair":
+        rng = random.Random(seed)
+        g = random_outerplanar_graph(min(max(n, 6), 12) // 2 * 2, rng)
+        # every other boundary edge where the greedy draw fails (rarely)
+        pair = (random_perfect_matching(g, rng) or [(i, i + 1) for i in range(0, g.n, 2)] for _ in "ab")
+        inst = load_instance(instance_to_dict(g, *pair))
         seq = solve_outerplanar(inst.graph, inst.m_ini, inst.m_tar).sequence
     else:
         inst = load_instance(random_cograph_instance(n, seed))
@@ -545,7 +556,7 @@ def test_three_solvers_against_the_oracle(cls, seed, data):
     if seq is not None:
         assert verify_sequence(g, inst.m_ini, seq, inst.m_tar).ok
         assert cls == "cograph" or len(seq) <= g.n
-    if seq is not None or g.n <= 10:
+    if seq is not None or g.n <= 10 or cls == "outerplanar pair":
         res = reachable(g, inst.m_ini, inst.m_tar, FLIP_SLIDE if cls == "cograph" else FLIP_ONLY)
         assert res.reachable == (seq is not None)
         assert seq is None or len(seq) >= res.distance

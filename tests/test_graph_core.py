@@ -12,6 +12,7 @@ from matchflip.errors import (
     EdgeNotInGraphError,
     InvalidFlipError,
     InvalidSlideError,
+    NotPerfectError,
     SelfLoopError,
     SizeMismatchError,
     VertexOutOfRangeError,
@@ -35,7 +36,6 @@ from matchflip.graph import (
     induced_subgraph,
     invert_move,
     matching_partners,
-    partner_map,
     symmetric_difference_components,
     verify_sequence,
 )
@@ -48,6 +48,7 @@ from helpers import (
     C6,
     C6_PM1,
     C6_PM2,
+    is_matching,
     is_perfect,
     path_graph,
     random_graph,
@@ -112,14 +113,60 @@ def test_matching_partners():
     assert not is_perfect(C4, [(0, 1)])
     assert matching_partners(C4, [(0, 1), (1, 0), (0, 1)]) == {0: 1, 1: 0}
     assert matching_partners(C4, []) == {}
-    assert matching_partners(C4, [(0, 1), (1, 2)]) is None
-    assert matching_partners(C4, [(1, 2), (0, 1)]) is None
+    for shared in ([(0, 1), (1, 2)], [(1, 2), (0, 1)]):
+        with pytest.raises(SizeMismatchError, match="input is not a matching"):
+            matching_partners(C4, shared)
     # every edge is checked, also after a shared vertex
     with pytest.raises(EdgeNotInGraphError, match=r"edge \(0, 2\) not in graph"):
         matching_partners(C4, [(0, 1), (1, 2), (2, 0)])
     for bad in ([(0, 2)], [(0, 4)], [(-1, 0)], [(1, 1)]):
         with pytest.raises(EdgeNotInGraphError):
             matching_partners(C4, bad)
+    assert matching_partners(C4, C4_PM2, perfect=True) == {0: 3, 3: 0, 1: 2, 2: 1}
+    for bad in ([], [(0, 1)], [(0, 1), (1, 2)]):
+        with pytest.raises(NotPerfectError, match="both input matchings must be perfect"):
+            matching_partners(C4, bad, perfect=True)
+
+
+def test_every_entry_point_refuses_a_bad_matching_alike():
+    # C4 is a cograph, outerplanar and strongly orderable, so every entry
+    # point that takes a matching takes C4's; a bad matching on either side
+    # is refused with the same class everywhere
+    from matchflip.cograph import reachability_class, solve_cograph
+    from matchflip.hardness import k_factor_instance
+    from matchflip.oracle import reachable
+    from matchflip.outerplanar import solve_outerplanar
+    from matchflip.strongly_orderable import solve_strongly_orderable
+
+    flip = Flip((0, 1, 2, 3))
+    entry_points = [  # a call on two matchings, and whether it takes perfect ones only
+        (lambda a, b: [matching_partners(C4, m) for m in (a, b)], False),
+        (lambda a, b: [matching_partners(C4, m, perfect=True) for m in (a, b)], True),
+        (lambda a, b: [apply_move(C4, m, flip) for m in (a, b)], False),
+        (lambda a, b: [reachability_class(C4, m) for m in (a, b)], False),
+        (lambda a, b: reachable(C4, a, b), False),
+        (lambda a, b: solve_cograph(C4, a, b), False),
+        (lambda a, b: solve_outerplanar(C4, a, b), True),
+        (lambda a, b: solve_strongly_orderable(C4, (0, 1, 2, 3), a, b), True),
+        (lambda a, b: k_factor_instance(C4, a, b, 3), True),
+    ]
+    bad_inputs = [  # a bad matching, the error where any matching goes, where perfect ones only
+        ([(1, 2), (0, 2)], EdgeNotInGraphError, EdgeNotInGraphError),  # (0, 2) also shares vertex 2
+        ([(0, 1), (1, 2)], SizeMismatchError, NotPerfectError),
+        ([(0, 1)], None, NotPerfectError),
+    ]
+    empty = ReconfigSequence(MODE_FLIP, ())
+    for bad, error, perfect_error in bad_inputs:
+        for a, b in ((bad, C4_PM1), (C4_PM1, bad)):
+            for call, perfect in entry_points:
+                want = perfect_error if perfect else error
+                if want is not None:
+                    with pytest.raises(want):
+                        call(a, b)
+            if error is not None:
+                assert verify_sequence(C4, edge_set(a), empty, edge_set(b)).reason == "invalid_matching"
+    for call, _ in entry_points:  # the good pair passes everywhere
+        call(C4_PM1, C4_PM2)
 
 
 def test_apply_flip_c4():
@@ -172,7 +219,7 @@ def test_flip_involution_and_preservation_random():
             except InvalidFlipError:
                 continue
             assert len(m2) == len(m)
-            assert matching_partners(g, m2) is not None
+            assert is_matching(g, m2)
             assert apply_move(g, m2, fl) == m  # involution
             diff = symmetric_difference_components(m, m2)
             assert len(diff) == 1 and diff[0].kind == "even_cycle"
@@ -213,7 +260,7 @@ def test_symmetric_difference_structure_random():
                 assert a != b
 
 
-@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@settings(max_examples=400)
 @given(
     st.integers(0, 14),
     st.integers(0, 2**32 - 1),
@@ -376,7 +423,7 @@ def test_load_solve_verify_never_build_the_edge_set(tmp_path, capsys, monkeypatc
         else:
             seq = (solve_outerplanar if i == 1 else solve_cograph)(g, a, b).sequence
         assert verify_sequence(g, a, seq, b).ok
-        assert matching_partners(g, a) is not None
+        assert is_matching(g, a)
 
 
 def test_empty_graph_identity():
@@ -401,7 +448,7 @@ def _valid_moves(g: Graph, m: frozenset, mode: str, k: int) -> list:
     """Every flip of the mode's cycle length (and, under flip_slide, every
     slide) that applies to ``m``; cycles are lists of matched edges joined
     by graph edges."""
-    partner = partner_map(m)
+    partner = matching_partners(g, m)
     length = k if mode == MODE_KFLIP else 4
     moves = []
 
@@ -431,7 +478,7 @@ def _noise_move(rng: random.Random, n: int, k: int):
     return Flip(tuple(rng.sample(range(n), min(n, rng.choice([4, 6, k or 4])) // 2 * 2)))
 
 
-@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@settings(max_examples=400)
 @given(
     st.integers(4, 9),
     st.integers(0, 2**32 - 1),
@@ -511,7 +558,7 @@ def _cancel_to_fixpoint(moves: list) -> list:
     return moves
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@settings(max_examples=300)
 @given(st.integers(4, 9), st.integers(0, 2**32 - 1), st.sampled_from([MODE_FLIP, MODE_FLIP_SLIDE]))
 def test_meet_output_verifies_and_is_a_fixpoint(n, seed, mode):
     """Random valid walks, with moves undone at random further on, split

@@ -56,7 +56,7 @@ def test_enumerate_perfect_k4():
     ]
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@settings(max_examples=300)
 @given(st.integers(0, 10), st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
 def test_enumerators_yield_in_lexicographic_order(n, p, seed):
     # enumerate_matchings returns them as found: both searches must yield
@@ -164,7 +164,7 @@ def test_kflip_neighbor_masks_against_flips():
     assert checked > 0
 
 
-@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@settings(max_examples=400)
 @given(st.booleans(), st.sampled_from([FLIP_ONLY, FLIP_SLIDE, kflip(4), kflip(6)]),
        st.integers(0, 2**32 - 1))
 def test_reachable_matches_one_ended_reference(largest, mode, seed):

@@ -323,7 +323,7 @@ def test_outerplanar_output_pinned():
     assert h.hexdigest() == "394896f41776c410e3a57861551f9f1609f9baee3ce536ddbdbd230205c670b9"
 
 
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@settings(max_examples=200)
 @given(st.integers(3, 40), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.data())
 def test_inherited_order_matches_ear_contraction(n, seed, drop, data):
     # delete vertices and edges of an outerplanar graph: each 2-connected
@@ -347,7 +347,7 @@ def test_inherited_order_matches_ear_contraction(n, seed, drop, data):
         assert _same_cycle(inherited, _boundary_cycle(adj, blk))
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@settings(max_examples=300)
 @given(st.sampled_from(range(15)), st.integers(0, 2**32 - 1), st.sampled_from(
     ["cycle", "rotated", "reversed", "swapped", "not_permutation", "random"]), st.data())
 def test_verify_boundary_order_matches_reference(n, seed, kind, data):
@@ -450,7 +450,7 @@ def test_solver_never_searches_for_blocks(monkeypatch):
     assert solved > 10
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@settings(max_examples=300)
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.0, 1.0))
 def test_solver_matches_round_based_reference(seed, glued, drop):
     # the cycle-local solver, which purges each even chord once, against
@@ -477,7 +477,7 @@ def test_solver_matches_round_based_reference(seed, glued, drop):
         assert len(res.sequence) <= g.n
 
 
-@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@settings(max_examples=150)
 @given(st.integers(2, 30), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.integers(0, 59),
        st.booleans(), st.booleans())
 def test_output_does_not_depend_on_the_hint(half, seed, drop, turn, flip, walk):

@@ -71,7 +71,7 @@ def test_witness_is_a_real_violation():
     _assert_violation(C6, order, verify_strong_ordering(C6, order).witness)
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@settings(max_examples=300)
 @given(st.integers(4, 9), st.floats(0.1, 0.9), st.integers(0, 2**32 - 1))
 def test_next_one_rule_matches_exhaustive_check(n, p, seed):
     """The next-one rule accepts exactly the orders the exhaustive bitmask
