@@ -176,7 +176,7 @@ def _cmd_oracle(args) -> int:
     mode = _mode(args)
     res = oracle.reachable(
         inst.graph, inst.m_ini, inst.m_tar, mode,
-        want_path=args.want_path, budget=_budget(args),
+        want_path=args.want_path or bool(args.emit_sequence), budget=_budget(args),
     )
     if not res.reachable:
         print("NO")
@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--k", type=int, default=None)
     s.add_argument("--want-path", action="store_true")
     s.add_argument("--budget", type=int, default=None)
-    s.add_argument("--emit-sequence", default=None)
+    s.add_argument("--emit-sequence", default=None, help="implies --want-path")
     s.set_defaults(func=_cmd_oracle)
 
     s = sub.add_parser("stats", help="reconfiguration-graph statistics")

@@ -29,7 +29,9 @@ Under either condition every two size-k matchings are connected by a
 short sequence routed through an explicitly constructed anchor matching:
 A's cotree matching with the B-vertices the anchor leaves over joined on
 as above, so its only B-edge is the one C1 fixes (under C2 a B-vertex
-it leaves free takes the cycles).  When
+it leaves free takes the cycles).  C1 and C2 share one route,
+``_anchored``, and differ only in how they clear the difference of
+cycles; each side of it holds its matching as a partner map.  When
 both fail, every size-k matching covers B entirely, B is matched into A,
 and reachability reduces to the matchings induced on A, with A-side
 moves lifted back by turning blocked slides into flips and repairing the
@@ -323,16 +325,18 @@ def _b_edges(g: Graph, b: frozenset[int]):
 
 
 class _Side:
-    """A mutable matching that records the moves applied to it.  Two sides
-    made by :func:`_sides` share ``diff``, the neighbour map of their
-    symmetric difference, which each move updates in place."""
+    """A mutable matching, as its partner map, that records the moves applied
+    to it.  Two sides made by :func:`_sides` share ``diff``, the neighbour
+    map of their symmetric difference, which each move updates in place."""
 
     def __init__(self, g: Graph, start):
         self.g = g
-        self.m: set[Edge] = set(edge(*e) for e in start)
-        self.partner = matching_partners(g, self.m)
+        self.partner = matching_partners(g, start)
         self.moves: list[Move] = []
         self.diff: Optional[dict[int, set[int]]] = None
+
+    def edges(self) -> set[Edge]:
+        return {(u, w) for u, w in self.partner.items() if u < w}
 
     def flip(self, cycle: Sequence[int]) -> None:
         self._apply(canonical_flip, tuple(cycle))
@@ -341,18 +345,16 @@ class _Side:
         self._apply(Slide, removed, added)
 
     def _apply(self, make, *args) -> None:
-        """Build the move ``make(*args)``, apply it with ``_step`` and toggle
-        each edge it changes in ``m`` and in the shared difference.  A move
-        that is malformed or does not apply is a fault of the solver."""
+        """Build the move ``make(*args)``, apply it to ``partner`` with
+        ``_step`` and toggle each edge it changes in the shared difference.
+        A move that is malformed or does not apply is a fault of the solver."""
         try:
             mv = make(*args)
             _step(self.g, self.partner, mv)
         except (InvalidFlipError, InvalidSlideError) as exc:
             raise RuntimeError(f"internal: {exc}") from exc
-        changed = mv.cycle_edges() if isinstance(mv, Flip) else (mv.removed, mv.added)
-        self.m.symmetric_difference_update(changed)
         if self.diff is not None:
-            for e in changed:
+            for e in mv.cycle_edges() if isinstance(mv, Flip) else (mv.removed, mv.added):
                 _toggle(self.diff, e)
         self.moves.append(mv)
 
@@ -361,7 +363,7 @@ def _sides(g: Graph, m1, m2) -> tuple[_Side, _Side]:
     """Two sides sharing the neighbour map of their symmetric difference."""
     s1, s2 = _Side(g, m1), _Side(g, m2)
     s1.diff = s2.diff = {}
-    for e in s1.m ^ s2.m:
+    for e in s1.edges() ^ s2.edges():
         _toggle(s1.diff, e)
     return s1, s2
 
@@ -379,14 +381,7 @@ def _cycles_through(nbr: dict[int, set[int]], vertices) -> list[tuple[int, ...]]
     return sorted(out)
 
 
-def _glue(fwd: _Side, bwd: _Side) -> list[Move]:
-    """Moves from fwd's start to bwd's start, meeting in the middle."""
-    if fwd.m != bwd.m:
-        raise RuntimeError("internal: sides did not meet")
-    return _meet(list(fwd.moves), list(bwd.moves))
-
-
-def _make_equal_cycle_free(g: Graph, s1: _Side, s2: _Side) -> None:
+def _make_equal_cycle_free(s1: _Side, s2: _Side) -> None:
     """Equalise two sides whose shared difference has no cycle: retract the
     path with the least end from that end while paths are left, then pair
     the lone edges of the two sides in sorted order."""
@@ -400,20 +395,19 @@ def _make_equal_cycle_free(g: Graph, s1: _Side, s2: _Side) -> None:
         if len(nbr.get(v, ())) != 1 or len(nbr[u := min(nbr[v])]) != 2:
             continue  # gone, or a lone edge
         w = _hop(nbr, v, u)
-        first, second = edge(v, u), edge(u, w)
         # the path's end vertex is unmatched on the side missing its end
         # edge, so that side absorbs it with one slide
-        (s2 if first in s1.m else s1).slide(second, first)
+        (s2 if s1.partner.get(v) == u else s1).slide(edge(u, w), edge(v, u))
         heappush(ends, w)
     # only lone edges are left, and resolving a pair removes just those two
     lone = sorted({edge(u, w) for u, ws in nbr.items() for w in ws})
-    lone1 = [f for f in lone if f in s1.m]
-    lone2 = [f for f in lone if f not in s1.m]
-    # ``g`` is connected (a piece below a join, or the C2 work graph, where
+    lone1 = [f for f in lone if s1.partner.get(f[0]) == f[1]]
+    lone2 = [f for f in lone if s1.partner.get(f[0]) != f[1]]
+    # the graph is connected (a piece below a join, or the C2 work graph, where
     # every B-vertex still sees all of a nonempty A), so all lone edges lie
     # in one component and pair in sorted order
     for e1, e2 in zip(lone1, lone2):
-        _resolve_single_pair(g, s1, e1, e2)
+        _resolve_single_pair(s1.g, s1, e1, e2)
 
 
 def _resolve_single_pair(g: Graph, s1: _Side, e1: Edge, e2: Edge) -> None:
@@ -467,7 +461,7 @@ def _enforce_claim_assumptions(part: RootPartition, e: Edge, sm: _Side, si: _Sid
     the matches only near the vertices it touched.  Each fix keeps a heap
     holding every site where it matches (stale ones are dropped at the
     top) and the vertices moved since it last topped that heap up."""
-    cap = _CLAIM_CAP_FACTOR * (len(sm.m ^ si.m) + 2) + 20
+    cap = _CLAIM_CAP_FACTOR * (sum(map(len, sm.diff.values())) // 2 + 2) + 20
     while _push_b_edge_out(part, si):  # no later fix gives si a B-edge
         cap -= 1
     nbr, a = sm.diff, part.a
@@ -520,11 +514,11 @@ def _push_b_edge_out(part: RootPartition, s: _Side) -> bool:
     """Move the least B-edge of ``s`` across the join: flip it with the
     least A-edge, else slide it to the least free A-vertex."""
     a_side, b_side = part.a, part.b
-    bad = sorted(f for f in s.m if f[0] in b_side and f[1] in b_side)
+    bad = sorted(f for f in s.edges() if f[0] in b_side and f[1] in b_side)
     if not bad:
         return False
     x, y = bad[0]
-    a_edges = sorted(f for f in s.m if f[0] in a_side and f[1] in a_side)
+    a_edges = sorted(f for f in s.edges() if f[0] in a_side and f[1] in a_side)
     free_a = sorted(v for v in a_side if v not in s.partner)
     if a_edges:
         c, d = a_edges[0]
@@ -543,9 +537,9 @@ def _fix_a_cycle(part, e, sm: _Side, c: int) -> bool:
         return False
     xe, ye = e
     cyc = list(cycles[0])
-    if edge(cyc[-1], cyc[0]) not in sm.m:
+    if sm.partner.get(cyc[-1]) != cyc[0]:
         cyc = cyc[1:] + cyc[:1]
-    if edge(cyc[-1], cyc[0]) not in sm.m:
+    if sm.partner.get(cyc[-1]) != cyc[0]:
         raise RuntimeError("internal: cycle does not alternate")
     # rotate the anchor's B-edge around the cycle, restoring it at the end
     sm.flip((xe, ye, cyc[-1], cyc[0]))
@@ -568,8 +562,8 @@ def _fix_short_pattern(part, sm: _Side, si: _Side, site: Edge) -> bool:
         in_a = [t in part.a for t in (u, vv, ww, x)]
         pat3 = in_a == [False, True, True, True]
         pat4 = in_a[0] != in_a[1] != in_a[2] != in_a[3]
-        owner = sm if edge(u, vv) in sm.m else si
-        if (pat3 or pat4) and edge(ww, x) in owner.m:
+        owner = sm if sm.partner.get(u) == vv else si
+        if (pat3 or pat4) and owner.partner.get(ww) == x:
             owner.flip((u, vv, ww, x))
             return True
     return False
@@ -590,7 +584,8 @@ def _fix_w_pattern(part, e, sm: _Side, site: Edge) -> bool:
         uu, vv, w, x, y, z = walk
         if not (
             uu in part.b and x in part.b and part.a.issuperset((vv, w, y, z))
-            and {edge(uu, vv), edge(w, x), edge(y, z)} <= sm.m
+            and sm.partner.get(uu) == vv and sm.partner.get(w) == x
+            and sm.partner.get(y) == z
         ):
             continue
         if {xe, ye} & set(walk):
@@ -603,52 +598,27 @@ def _fix_w_pattern(part, e, sm: _Side, site: Edge) -> bool:
     return False
 
 
-def _route_to_b_edge_anchor(
-    g: Graph, part: RootPartition, e: Edge, anchor: frozenset[Edge], m: frozenset[Edge]
-) -> list[Move]:
-    sm, si = _sides(g, anchor, m)
+def _clear_b_edge(part: RootPartition, e: Edge, sm: _Side, si: _Side) -> None:
+    """C1: the claim's fixes, then a flip of the one 4-cycle through the
+    anchor's B-edge ``e`` that they may leave."""
     _enforce_claim_assumptions(part, e, sm, si)
     cycles = _cycles_through(sm.diff, sm.diff)
     if cycles:
         if len(cycles) != 1 or len(cycles[0]) != 4 or not set(e) <= set(cycles[0]):
             raise RuntimeError("internal: unexpected cycle structure after fixes")
         sm.flip(cycles[0])
-    _make_equal_cycle_free(g, si, sm)
-    return _glue(si, sm)
 
 
-def _via_b_edge(g: Graph, part: RootPartition, a_matching, m1, m2) -> list[Move]:
-    # the anchor joins B minus e onto A, so with A the larger side every
-    # B-edge e leaves as many edges: the first is the only try
-    k = len(m1)
-    e = next(_b_edges(g, part.b), None)
-    if k < 1 or e is None or len(rest := _anchor(part, a_matching, e, k - 1)) < k - 1:
-        raise RuntimeError("internal: condition C1 does not hold")
-    anchor = frozenset((e, *rest))
-    return _meet(*(_route_to_b_edge_anchor(g, part, e, anchor, m) for m in (m1, m2)))
-
-
-def _via_free_b_vertex(g: Graph, part: RootPartition, a_matching, m1, m2) -> list[Move]:
-    # C1 fails, so no size-k matching uses a B-edge: without them the
-    # B-vertices are twins, and any one witnesses C2
-    b = part.b
-    work = graph_from_adjacency([a - b if v in b else a for v, a in enumerate(g.adj)])
-    v = min(b)
-    anchor = frozenset(_anchor(part, a_matching, {v}, len(m1)))
-    return _meet(*(_route_via_free_vertex(work, part, v, anchor, m) for m in (m1, m2)))
-
-
-def _route_via_free_vertex(
-    g: Graph, part: RootPartition, v: int, anchor: frozenset[Edge], m: frozenset[Edge]
-) -> list[Move]:
-    sm, si = _sides(g, anchor, m)
+def _clear_free_vertex(part: RootPartition, v: int, sm: _Side, si: _Side) -> None:
+    """C2: unwind each difference cycle on the anchor side ``sm`` by slides
+    through the B-vertex ``v`` the anchor leaves free; ``si`` is untouched."""
     # unwinding one cycle leaves the others as they are
     for cycle in _cycles_through(sm.diff, sm.diff):
         # start at an A-vertex whose next edge is the anchor side's
         for cyc in (cycle, cycle[::-1]):
             starts = [
                 i for i, x in enumerate(cyc)
-                if x in part.a and edge(x, cyc[(i + 1) % len(cyc)]) in sm.m
+                if x in part.a and sm.partner.get(x) == cyc[(i + 1) % len(cyc)]
             ]
             if starts:
                 break
@@ -660,8 +630,6 @@ def _route_via_free_vertex(
         for i in range(1, t):
             sm.slide(edge(cyc[2 * i], cyc[2 * i + 1]), edge(cyc[2 * i - 1], cyc[2 * i]))
         sm.slide(edge(cyc[0], v), edge(cyc[-1], cyc[0]))
-    _make_equal_cycle_free(g, si, sm)
-    return _glue(si, sm)
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +710,8 @@ def _walk_cotree(g: Graph, ms, partners):
 def _anchored(g: Graph, vs: set[int], node: CotreeNode, c1: bool, m1, m2) -> list[Move]:
     """The anchored transformation on the piece ``vs`` below the join
     ``node``, with A's matching read off its larger side; relabeled
-    unless the piece is all of ``g``."""
+    unless the piece is all of ``g``.  m1 and m2 each meet the anchor: a
+    clearing step per condition, then the lone edges are paired."""
     a, small = node.sides()
     b = small.leaves()
     am, free = _cotree_matching(a)
@@ -752,8 +721,29 @@ def _anchored(g: Graph, vs: set[int], node: CotreeNode, c1: bool, m1, m2) -> lis
         am, m1, m2 = ([edge(idx[u], idx[v]) for u, v in m] for m in (am, m1, m2))
         b, free = frozenset(idx[v] for v in b), [idx[v] for v in free]
     part = RootPartition(frozenset(range(sub.n)) - b, b)
-    route = _via_b_edge if c1 else _via_free_b_vertex
-    moves = route(sub, part, (am, free), frozenset(m1), frozenset(m2))
+    k = len(m1)
+    if c1:
+        # the anchor joins B minus e onto A, so with A the larger side every
+        # B-edge e leaves as many edges: the first is the only try
+        e = next(_b_edges(sub, b), None)
+        if k < 1 or e is None or len(rest := _anchor(part, (am, free), e, k - 1)) < k - 1:
+            raise RuntimeError("internal: condition C1 does not hold")
+        work, anchor, clear = sub, (e, *rest), partial(_clear_b_edge, part, e)
+    else:
+        # C1 fails, so no size-k matching uses a B-edge: without them the
+        # B-vertices are twins, and any one witnesses C2
+        v = min(b)
+        work = graph_from_adjacency([ws - b if u in b else ws for u, ws in enumerate(sub.adj)])
+        anchor, clear = _anchor(part, (am, free), {v}, k), partial(_clear_free_vertex, part, v)
+    halves = []
+    for m in (m1, m2):
+        sm, si = _sides(work, anchor, m)
+        clear(sm, si)
+        _make_equal_cycle_free(si, sm)
+        if si.partner != sm.partner:
+            raise RuntimeError("internal: sides did not meet")
+        halves.append(_meet(si.moves, sm.moves))
+    moves = _meet(*halves)
     return moves if sub is g else _map_moves(moves, vmap.__getitem__)
 
 
@@ -808,7 +798,7 @@ def _lift_from_a(g: Graph, b: frozenset[int], m1, m2, a_moves) -> list[Move]:
             raise RuntimeError("internal: B-vertex unmatched though C2 fails")
         if have != want:
             s.flip((bvert, have, s.partner[want], want))
-    if s.m != set(m2):
+    if s.partner != tar:
         raise RuntimeError("internal: lift did not reach the target")
     return s.moves
 

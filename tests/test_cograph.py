@@ -10,14 +10,11 @@ from matchflip.cli import main
 from matchflip.cograph import (
     CographResult,
     Conditions,
-    RootPartition,
-    _cotree_matching,
-    _glue,
+    _anchored,
     _make_equal_cycle_free,
     _node_conditions,
     _Side,
     _sides,
-    _via_b_edge,
     build_cotree,
     is_cograph,
     reachability_class,
@@ -30,6 +27,7 @@ from matchflip.graph import (
     Graph,
     ReconfigSequence,
     Slide,
+    _meet,
     edge_set,
     induced_subgraph,
     symmetric_difference_components,
@@ -157,8 +155,9 @@ def test_check_conditions_examples():
 def _cycle_free(g: Graph, m1, m2) -> ReconfigSequence:
     """The sequence between two matchings whose difference has no cycle."""
     s1, s2 = _sides(g, m1, m2)
-    _make_equal_cycle_free(g, s1, s2)
-    return ReconfigSequence(MODE_FLIP_SLIDE, tuple(_glue(s1, s2)))
+    _make_equal_cycle_free(s1, s2)
+    assert s1.partner == s2.partner
+    return ReconfigSequence(MODE_FLIP_SLIDE, tuple(_meet(s1.moves, s2.moves)))
 
 
 def test_transform_cycle_free_examples():
@@ -213,10 +212,9 @@ def test_transform_with_b_edge_condition_checked():
     # the solver enters the B-edge anchor only under C1: C4's perfect
     # matchings break it, and that is a fault of the solver
     tree = build_cotree(C4)
-    a, b = (side.leaves() for side in tree.sides())
     assert not _node_conditions(tree, 2).c1
-    with pytest.raises(RuntimeError, match="^internal: ") as info:
-        _via_b_edge(C4, RootPartition(a, b), _cotree_matching(tree.sides()[0]), C4_PM1, C4_PM2)
+    with pytest.raises(RuntimeError, match="^internal: condition C1 does not hold$") as info:
+        _anchored(C4, set(range(4)), tree, True, C4_PM1, C4_PM2)
     assert not isinstance(info.value, MatchFlipError)
 
 
@@ -518,11 +516,12 @@ def test_solver_output_pinned():
 def _random_move(g: Graph, side, rng: random.Random) -> bool:
     """Apply a random valid slide or 4-cycle flip to ``side``, if any."""
     moves = []
-    for x, y in sorted(side.m):
+    edges = sorted((u, w) for u, w in side.partner.items() if u < w)
+    for x, y in edges:
         for piv, other in ((x, y), (y, x)):
             moves += [("slide", (x, y), (piv, w)) for w in sorted(g.adj[piv])
                       if w != other and w not in side.partner]
-        for c, d in sorted(side.m):
+        for c, d in edges:
             if (x, y) < (c, d):
                 if c in g.adj[x] and d in g.adj[y]:
                     moves.append(("flip", (x, y, d, c)))
@@ -540,7 +539,8 @@ def test_shared_difference_map_follows_moves():
     # move the neighbour map the sides keep must be the one read off the
     # difference's components
     def components(s1, s2):
-        comps = symmetric_difference_components(frozenset(s1.m), frozenset(s2.m))
+        comps = symmetric_difference_components(
+            *(frozenset((u, w) for u, w in s.partner.items() if u < w) for s in (s1, s2)))
         nbr: dict[int, set[int]] = {}
         for c in comps:
             vs = c.vertices
@@ -591,4 +591,4 @@ def test_side_move_that_does_not_apply_is_internal(move):
     with pytest.raises(RuntimeError, match="^internal: ") as info:
         getattr(side, move[0])(*move[1:])
     assert not isinstance(info.value, MatchFlipError)
-    assert side.m == set(C4_PM1) and side.moves == []
+    assert side.partner == {0: 1, 1: 0, 2: 3, 3: 2} and side.moves == []

@@ -169,6 +169,40 @@ def test_every_entry_point_refuses_a_bad_matching_alike():
         call(C4_PM1, C4_PM2)
 
 
+@pytest.mark.parametrize("cls", ["cograph", "outerplanar", "interval"])
+def test_solver_output_depends_only_on_the_sets(cls):
+    # a solver reads the graph and the two matchings as sets of edges:
+    # shuffling their edge lists and turning every pair round leaves the
+    # emitted sequence as it is
+    from matchflip.cograph import solve_cograph
+    from matchflip.generators import (
+        random_cograph_instance, random_interval_instance, random_outerplanar_instance,
+    )
+    from matchflip.outerplanar import solve_outerplanar
+    from matchflip.strongly_orderable import solve_strongly_orderable
+
+    make, solve = {
+        "cograph": (random_cograph_instance,
+                    lambda g, a, b, hints: solve_cograph(g, a, b).sequence),
+        "outerplanar": (random_outerplanar_instance,
+                        lambda g, a, b, hints: solve_outerplanar(g, a, b).sequence),
+        "interval": (random_interval_instance, lambda g, a, b, hints:
+                     solve_strongly_orderable(g, hints["strong_order"], a, b)),
+    }[cls]
+    rng = random.Random(17)
+    yes = 0
+    for seed in range(8):
+        data = make(rng.randint(10, 160), seed)
+        hints = data.get("hints")
+        want = solve(Graph(data["n"], data["edges"]), data["m_ini"], data["m_tar"], hints)
+        yes += want is not None
+        for _ in range(3):
+            edges, m1, m2 = ([[v, u] for u, v in rng.sample(data[key], len(data[key]))]
+                             for key in ("edges", "m_ini", "m_tar"))
+            assert solve(Graph(data["n"], edges), m1, m2, hints) == want, (cls, seed)
+    assert yes >= 3
+
+
 def test_apply_flip_c4():
     assert apply_move(C4, C4_PM1, Flip((0, 1, 2, 3))) == C4_PM2
 

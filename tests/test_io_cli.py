@@ -194,6 +194,22 @@ def test_cli_oracle_distance_and_reject(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("Reject")
 
 
+def test_cli_oracle_emit_sequence_implies_want_path(tmp_path, capsys):
+    # on C4 the two perfect matchings are one flip apart
+    path = _write(tmp_path, "c4.json", {
+        "n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]],
+        "m_ini": [[0, 1], [2, 3]], "m_tar": [[1, 2], [0, 3]],
+    })
+    spath = tmp_path / "seq.json"
+    assert main(["oracle", path, "--emit-sequence", str(spath)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert main(["oracle", path, "--want-path"]) == 0
+    assert capsys.readouterr().out.splitlines() == out
+    body = json.loads(out[1])
+    assert body["distance"] == 1 and json.loads(spath.read_text()) == body["sequence"]
+    assert main(["verify", path, str(spath)]) == 0
+
+
 def test_cli_oracle_no(tmp_path, capsys):
     path = _write(tmp_path, "c6.json", C6_INSTANCE)
     rc = main(["oracle", path])
