@@ -185,6 +185,8 @@ def canonical_flip(cycle: Sequence[int]) -> Flip:
     """Rotate/reflect a cycle so it starts at its smallest vertex and
     continues toward the smaller of that vertex's two cycle neighbors."""
     c = list(cycle)
+    if len(c) < 4:  # Flip refuses it too, but only after the rotation reads c[1]
+        raise InvalidFlipError(f"bad flip cycle {tuple(c)}")
     i = c.index(min(c))
     c = c[i:] + c[:i]
     if c[-1] < c[1]:

@@ -20,13 +20,13 @@ enumeration in :func:`gadget_selftest` rather than trusted.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Optional, Sequence
 
 from .errors import (
-    BudgetExceededError,
     InvalidConfigurationError,
     KOddError,
     KTooSmallError,
@@ -41,8 +41,8 @@ from .oracle import (
     FLIP_ONLY,
     MaskSpace,
     _adjacency,
-    _all_matchings,
     _components,
+    _factors,
     enumerate_matchings,
 )
 
@@ -172,15 +172,17 @@ def _class_table(kind: str) -> dict[frozenset[str], tuple[tuple[str, str], ...]]
     whose connector pair it covers.  Matchings that cover one vertex of a
     pair (11 for AND, 21 for OR, 2 for the edge gadget) exist but split
     that pair with the neighbouring gadget, which encodes no orientation,
-    so they are skipped."""
+    so they are skipped.  The oracle's one search lists the matchings of
+    each size; the sizes are merged into one lexicographic order."""
     gadget = EDGE_GADGET if kind == "edge" else VERTEX_GADGETS[kind]
     edges: list[Edge] = []
     g = Graph(_lay(gadget, {}, 0, edges, []), edges)
     names = gadget["vertices"]  # numbered in template order
     internals = set(names) - {v for pair in gadget["pairs"].values() for v in pair}
     table: dict[frozenset[str], tuple[tuple[str, str], ...]] = {}
-    # matchings come in lexicographic order, so the first of a class is least
-    for m in _all_matchings(g, DEFAULT_BUDGET):
+    # merged, the sizes keep lexicographic order, so the first of a class is least
+    sizes = (_factors(g, 1, spare, DEFAULT_BUDGET) for spare in range(g.n % 2, g.n + 1, 2))
+    for m in heapq.merge(*sizes):
         covered = {names[v] for e in m for v in e}
         if not internals <= covered:
             continue
@@ -629,9 +631,7 @@ def gadget_selftest(kind: str) -> GadgetReport:
             for t in valid
             if len(s ^ t) == 1
         )
-    counts: dict = {}
-    for c in classes:
-        counts[c] = counts.get(c, 0) + 1
+    counts = dict(Counter(classes))
     forbidden_empty = all(c in valid for c in classes)
     classes_nonempty = all(counts.get(c, 0) > 0 for c in valid)
     space = MaskSpace(g)
@@ -702,83 +702,27 @@ def k_factor_instance(
         raise KTooSmallError("k-factor lift needs k >= 2")
     for m in (m_ini, m_tar):
         matching_partners(g, m, perfect=True)
-    pairs = [(2 * i, 2 * i + 1) for i in range(g.n // 2)]
-    edges = list(g.edges)
+    forced: list[Edge] = []  # the gadget edges, numbered upwards, so each (u, v) has u < v
     nxt = g.n
-    forced: set[Edge] = set()
-    new_vertices = []
-    for x, y in pairs:
-        a_block = list(range(nxt, nxt + k - 1))
-        nxt += k - 1
-        b_block = list(range(nxt, nxt + k - 1))
-        nxt += k - 1
-        new_vertices.extend(a_block + b_block)
-        for a in a_block:
-            edges.append((x, a))
-            forced.add(edge(x, a))
-            for b in b_block:
-                edges.append((a, b))
-                forced.add(edge(a, b))
-        for b in b_block:
-            edges.append((y, b))
-            forced.add(edge(y, b))
-    graph = Graph(nxt, edges)
+    for x in range(0, g.n, 2):  # the pair x, x + 1
+        a_block = range(nxt, nxt + k - 1)
+        b_block = range(nxt + k - 1, nxt + 2 * k - 2)
+        nxt += 2 * k - 2
+        forced += [(x, a) for a in a_block] + [(x + 1, b) for b in b_block]
+        forced += [(a, b) for a in a_block for b in b_block]
+    graph = Graph(nxt, list(g.edges) + forced)
     return KFactorInstance(
         graph,
-        frozenset(m_ini) | forced,
-        frozenset(m_tar) | forced,
-        tuple(new_vertices),
+        frozenset(m_ini).union(forced),
+        frozenset(m_tar).union(forced),
+        tuple(range(g.n, nxt)),
     )
 
 
 def enumerate_k_factors(g: Graph, k: int, budget: int = 200_000) -> list[frozenset[Edge]]:
-    """All spanning subgraphs with every degree exactly k (test-scale).
-
-    Depth first over sorted edges, skipping an edge before taking it;
-    ``taken`` holds the decision on each edge before the current one."""
-    if g.n == 0:
-        return [frozenset()]
-    edges = g.sorted_edges()
-    remaining = [g.degree(v) for v in range(g.n)]
-    deg = [0] * g.n
-    out: list[frozenset[Edge]] = []
-    taken: list[bool] = []
-    while True:
-        if len(out) > budget:
-            raise BudgetExceededError("too many k-factors")
-        i = len(taken)
-        if i == len(edges):
-            if all(d == k for d in deg):
-                out.append(frozenset(e for e, t in zip(edges, taken) if t))
-        else:
-            u, v = edges[i]
-            remaining[u] -= 1
-            remaining[v] -= 1
-            if deg[u] + remaining[u] >= k and deg[v] + remaining[v] >= k:
-                taken.append(False)
-                continue
-            if deg[u] < k and deg[v] < k:
-                deg[u] += 1
-                deg[v] += 1
-                taken.append(True)
-                continue
-            remaining[u] += 1
-            remaining[v] += 1
-        # back up to the last edge skipped that can still be taken
-        while taken:
-            u, v = edges[len(taken) - 1]
-            if taken.pop():
-                deg[u] -= 1
-                deg[v] -= 1
-            elif deg[u] < k and deg[v] < k:
-                deg[u] += 1
-                deg[v] += 1
-                taken.append(True)
-                break
-            remaining[u] += 1
-            remaining[v] += 1
-        else:
-            return out
+    """All spanning subgraphs with every degree exactly k (test-scale), in
+    lexicographic sorted-edge order."""
+    return [frozenset(f) for f in _factors(g, k, 0, budget)]
 
 
 def subdivide_edges(

@@ -7,8 +7,8 @@ Instance files carry a graph, two matchings and optional solver hints::
      "boundary_order": [...]}}
 
 Vertex labels may be arbitrary integers; they are mapped onto 0..n-1 by
-sorted order (the identity when they already are 0..n-1).  Sequence
-files::
+sorted order (the identity when they already are 0..n-1).  An ``n`` above
+:data:`MAX_VERTICES` is refused before any edge is read.  Sequence files::
 
     {"mode": "flip" | "flip_slide" | "kflip", "k": 6,
      "moves": [{"flip": [a, b, c, d]},
@@ -42,6 +42,9 @@ from .graph import (
 )
 
 
+MAX_VERTICES = 10**6  # the largest n: a Graph holds ~450 bytes per vertex, edges or not
+
+
 @dataclass
 class Instance:
     graph: Graph
@@ -60,7 +63,7 @@ def _load_json(source: Union[str, dict]) -> tuple[dict, bool]:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
         data = json.loads(text)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # also bad UTF-8, huge ints, deep nesting
         raise MalformedInputError(f"cannot read JSON from {source}: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedInputError("top-level JSON value must be an object")
@@ -89,6 +92,8 @@ def load_instance(source: Union[str, dict]) -> Instance:
         n, edges = data["n"], data["edges"]
         if type(n) is not int:  # a float, string or bool is no vertex count
             raise TypeError(f"n must be an integer, not {n!r}")
+        if n > MAX_VERTICES:  # refused before a Graph or label map sizes anything by n
+            raise MalformedInputError(f"n is above the limit of {MAX_VERTICES:,} vertices")
         ini, tar = data.get("m_ini", []), data.get("m_tar", [])
         hints = data.get("hints", {}) or {}
         orders = {k: list(hints[k]) for k in ("strong_order", "boundary_order")

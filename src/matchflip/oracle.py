@@ -1,12 +1,15 @@
 """Brute-force ground truth: matching enumeration, reachability BFS, stats.
 
-Matchings are encoded as bitmasks over a global edge index so BFS states
-hash in O(1); a mask is read back one set bit at a time.  Flip neighbors
-come from a 4-cycle table built lazily once per graph; k-flip neighbors
-are found by DFS over alternating cycles.  Neighbors are masks only: the
-moves of a returned path are rebuilt from the difference of consecutive
-masks.  Reachability is a two-ended BFS, one search from each matching
-meeting in the middle, and its budget counts what both searches hold.
+One depth-first search, :func:`_factors`, lists the edge sets of given
+degrees in lexicographic order: perfect matchings, matchings of one size
+(the other vertices bare), and the hardness module's k-factors and gadget
+tables.  Matchings are encoded as bitmasks over a global edge index so
+BFS states hash in O(1); a mask is read back one set bit at a time.  Flip
+neighbors come from a 4-cycle table built lazily once per graph; k-flip
+neighbors are found by DFS over alternating cycles.  Neighbors are masks
+only: the moves of a returned path are rebuilt from the difference of
+consecutive masks.  Reachability is a two-ended BFS, one search from each
+matching meeting in the middle, and its budget counts what both hold.
 Everything here is desk-scale by design and guarded by an explicit budget.
 """
 
@@ -87,95 +90,80 @@ def enumerate_matchings(
     """Exhaustively list matchings, in lexicographic sorted-edge order.
 
     ``target`` is ``"perfect"`` or an exact size.  Raises
-    :class:`BudgetExceededError` when more than ``budget`` matchings exist.
+    :class:`BudgetExceededError` when more than ``budget`` matchings of
+    that size exist.
     """
-    if target == "perfect":
-        out = [frozenset(m) for m in _perfect_matchings(g, budget)]
-    else:
-        k = int(target)
-        out = []
-        for m in _all_matchings(g, budget):
-            if len(m) == k:
-                out.append(frozenset(m))
-                if len(out) > budget:
-                    raise BudgetExceededError("too many matchings")
-    # no sort: both searches extend a sorted edge tuple depth first in
-    # sorted order, so they yield in lexicographic order already
-    return out
+    spare = 0 if target == "perfect" else g.n - 2 * int(target)
+    return [frozenset(m) for m in _factors(g, 1, spare, budget)]
 
 
-def _perfect_matchings(g: Graph, budget: int) -> Iterable[tuple[Edge, ...]]:
-    """Depth first: the first uncovered vertex takes each free neighbour in
-    turn.  One stack frame per matched edge, kept explicitly."""
-    if g.n % 2 != 0:
+def _factors(g: Graph, k: int, spare: int, budget: int) -> Iterable[tuple[Edge, ...]]:
+    """The edge sets in which exactly ``spare`` vertices have no edge and
+    every other has exactly ``k``, as sorted edge tuples in lexicographic
+    order; raises :class:`BudgetExceededError` past ``budget`` of them.
+
+    Depth first: the least vertex still short of edges takes each short
+    neighbour after its last partner in increasing order, then, with no
+    edge yet and ``spare`` left, stays bare.  No more than the
+    ``k * (n - spare) / 2`` edges of a set are taken, so exactly ``spare``
+    end bare.  One explicit stack frame per decision: a vertex and the
+    index of the option it holds, bare being the last."""
+    n = g.n
+    if k < 0 or not 0 <= spare <= n or k * (n - spare) % 2:
         return
-    nbrs = [sorted(a) for a in g.adj]
+    most = k * (n - spare) // 2
+    # each list ends in n, the option to stay bare; need[n] stops every scan
+    nbrs = [sorted(a) + [n] for a in g.adj]
+    need = [k] * n + [1]  # edges each vertex still lacks; 0 when full or bare
     found = 0
     cur: list[Edge] = []
-    covered = [False] * g.n
-    stack: list[list[int]] = []  # [vertex, index of its next partner to try]
-    lo = 0
+    stack: list[list[int]] = []
+    v = 0
     while True:
-        v = lo
-        while v < g.n and covered[v]:
+        while v < n and not need[v]:
             v += 1
-        if v == g.n:
+        if v == n:
             found += 1
             if found > budget:
-                raise BudgetExceededError("too many perfect matchings")
+                raise BudgetExceededError("too many edge sets of the requested degrees")
             yield tuple(cur)
+        elif len(cur) == most:  # a new frame at v that may only stay bare
+            stack.append([v, ~(len(nbrs[v]) - 1)])
+        elif k > 1 and stack and stack[-1][0] == v:  # v again: options follow its last partner
+            stack.append([v, ~(stack[-1][1] + 1)])
         else:
-            covered[v] = True
-            stack.append([v, 0])
+            stack.append([v, -1])
         while stack:
             top = stack[-1]
-            v, i = top
+            v, j = top
             ws = nbrs[v]
-            if len(cur) == len(stack):  # undo this frame's last partner
-                covered[ws[i - 1]] = False
+            if j < 0:  # a new frame holds no option yet; ~j is its first
+                j = ~j
+            elif ws[j] < n:
+                need[v] += 1
+                need[ws[j]] += 1
                 cur.pop()
-            while i < len(ws) and covered[ws[i]]:
-                i += 1
-            if i < len(ws):
-                covered[ws[i]] = True
-                cur.append(edge(v, ws[i]))
-                top[1] = i + 1
-                lo = v + 1
-                break
-            covered[v] = False
-            stack.pop()
-        else:
-            return
-
-
-def _all_matchings(g: Graph, budget: int) -> Iterable[tuple[Edge, ...]]:
-    """Depth first over sorted edges; ``stack`` holds, per open level, the
-    next edge index to try there (one level more than matched edges)."""
-    edges = g.sorted_edges()
-    found = 0
-    cur: list[Edge] = []
-    covered = [False] * max(g.n, 1)
-    stack = [0]
-    while True:
-        found += 1
-        if found > budget:
-            raise BudgetExceededError("too many matchings")
-        yield tuple(cur)
-        while stack:
-            j = stack[-1]
-            while j < len(edges) and (covered[edges[j][0]] or covered[edges[j][1]]):
                 j += 1
-            if j < len(edges):
-                u, v = edges[j]
-                covered[u] = covered[v] = True
-                cur.append(edges[j])
-                stack[-1] = j + 1
-                stack.append(j + 1)
+            else:  # bare was its last option
+                need[v] = k
+                spare += 1
+                stack.pop()
+                continue
+            while not need[ws[j]]:
+                j += 1
+            w = ws[j]
+            if w < n:
+                need[v] -= 1
+                need[w] -= 1
+                cur.append((v, w))
+                top[1] = j
+                break
+            if spare and need[v] == k:
+                need[v] = 0
+                spare -= 1
+                top[1] = j
                 break
             stack.pop()
-            if cur:
-                u, v = cur.pop()
-                covered[u] = covered[v] = False
         else:
             return
 
@@ -459,7 +447,11 @@ def reconfiguration_stats(
 ) -> ReconfigGraphStats:
     """Exact statistics of the reconfiguration graph over all matchings of
     the target class.  Diameter is taken over the component containing
-    ``source`` when given, otherwise the maximum over all components."""
+    ``source`` when given, otherwise the maximum over all components;
+    a ``source`` that is no matching of ``g`` is refused as
+    :func:`matching_partners` refuses it."""
+    if source is not None:
+        matching_partners(g, source)
     nodes = enumerate_matchings(g, target, budget)
     space = MaskSpace(g)
     masks = [space.to_mask(m) for m in nodes]

@@ -117,11 +117,14 @@ def random_matching_of(g: Graph, rng: random.Random) -> frozenset:
 
 
 def all_matchings_by_size(g: Graph, budget: int = 10**7):
-    from matchflip.oracle import _all_matchings
+    """The matchings of each size that has any, the sizes in increasing order."""
+    from matchflip.oracle import enumerate_matchings
 
     by_size: dict[int, list[frozenset]] = {}
-    for m in _all_matchings(g, budget):
-        by_size.setdefault(len(m), []).append(frozenset(m))
+    for size in range(g.n // 2 + 1):
+        ms = enumerate_matchings(g, size, budget)
+        if ms:
+            by_size[size] = ms
     return by_size
 
 

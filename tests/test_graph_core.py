@@ -134,7 +134,7 @@ def test_every_entry_point_refuses_a_bad_matching_alike():
     # is refused with the same class everywhere
     from matchflip.cograph import reachability_class, solve_cograph
     from matchflip.hardness import k_factor_instance
-    from matchflip.oracle import reachable
+    from matchflip.oracle import reachable, reconfiguration_stats
     from matchflip.outerplanar import solve_outerplanar
     from matchflip.strongly_orderable import solve_strongly_orderable
 
@@ -145,6 +145,7 @@ def test_every_entry_point_refuses_a_bad_matching_alike():
         (lambda a, b: [apply_move(C4, m, flip) for m in (a, b)], False),
         (lambda a, b: [reachability_class(C4, m) for m in (a, b)], False),
         (lambda a, b: reachable(C4, a, b), False),
+        (lambda a, b: [reconfiguration_stats(C4, len(m), source=m) for m in (a, b)], False),
         (lambda a, b: solve_cograph(C4, a, b), False),
         (lambda a, b: solve_outerplanar(C4, a, b), True),
         (lambda a, b: solve_strongly_orderable(C4, (0, 1, 2, 3), a, b), True),

@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import get_args
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from matchflip.cli import main
 from matchflip.errors import MalformedInputError
@@ -369,6 +370,116 @@ def test_cli_malformed_input(tmp_path, capsys):
     path5 = _write(tmp_path, "seq_ok.json", {"mode": "flip", "moves": [{"flip": [0, 1, 2, 3]}]})
     assert main(["verify", c4, path5]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cycle", [[], [0], [0, 1], [0, 1, 2]])
+def test_cli_verify_refuses_a_short_flip(tmp_path, capsys, cycle):
+    # a flip names at least four vertices; fewer is malformed, not a fault
+    ipath = _write(tmp_path, "k4.json", K4_INSTANCE)
+    spath = _write(tmp_path, "seq.json", {"mode": "flip", "moves": [{"flip": cycle}]})
+    assert main(["verify", ipath, spath]) == 2
+    assert "bad flip cycle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m_ini", [[[0, 2], [1, 3]], [[0, 0]], [[0, 1], [1, 2]]])
+def test_cli_stats_refuses_a_bad_source_matching(tmp_path, capsys, m_ini):
+    path = _write(tmp_path, "inst.json", {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]], "m_ini": m_ini})
+    assert main(["stats", path]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_load_instance_refuses_a_huge_n_before_reading_edges(tmp_path, capsys):
+    # refused on n alone, on both loader paths, so nothing is sized by n
+    from matchflip.io import MAX_VERTICES
+
+    assert MAX_VERTICES >= 100_000  # the largest instance the tests solve
+    two_squares = [[0, 1], [1, 2], [2, 3], [3, 0], [4, 5], [5, 6], [6, 7], [7, 4]]
+    for n in (MAX_VERTICES + 1, 10**30):
+        for edges in (two_squares, [[5, -3]]):  # labels in 0..n-1, labels to map
+            with pytest.raises(MalformedInputError, match="above the limit"):
+                load_instance({"n": n, "edges": edges})
+    path = _write(tmp_path, "huge.json", {"n": 10**30, "edges": two_squares})
+    for command in ("solve", "oracle", "stats"):
+        assert main([command, path]) == 2
+        assert "above the limit" in capsys.readouterr().err
+
+
+def test_cli_unreadable_json_exits_2(tmp_path, capsys):
+    # JSON the decoder gives up on is malformed input too
+    texts = {
+        "long_int.json": '{"n": 1' + "0" * 5000 + ', "edges": [[0, 1]]}',
+        "deep.json": '{"n": ' + "[" * 100_000 + "}",
+    }
+    paths = [_write(tmp_path, name, text) for name, text in texts.items()]
+    bad_utf8 = tmp_path / "bad_utf8.json"
+    bad_utf8.write_bytes(b'{"n": 2, "edges": [[0, 1]], "note": "\xff"}')
+    for path in paths + [str(bad_utf8)]:
+        assert main(["solve", path]) == 2, path
+        assert capsys.readouterr().err.startswith("error: cannot read JSON"), path
+
+
+FUZZ_INSTANCES = [random_interval_instance(8, 1), random_outerplanar_instance(8, 1),
+                  random_cograph_instance(8, 1), C6_INSTANCE]
+FUZZ_SEQUENCES = [
+    {"mode": "flip", "moves": [{"flip": [0, 1, 2, 3]}, {"flip": [0, 2, 1, 3]}]},
+    {"mode": "flip_slide", "moves": [{"slide": {"remove": [0, 1], "add": [1, 2]}},
+                                     {"flip": [2, 3, 4, 5]}]},
+    {"mode": "kflip", "k": 6, "moves": [{"flip": [0, 1, 2, 3, 4, 5]}]},
+]
+# what a mutation may put in place of any node: wrong types, bad pairs
+# ([0, 0], a pair of no graph, a triple), out-of-range labels, short flips
+FUZZ_JUNK = [None, True, 1.5, "x", -1, 0, 3, 99, 10**30, [], [0], [0, 0], [0, 5], [0, 1, 2],
+             [[0, 5]], [[0, 0]], {}, {"flip": [0]}, {"strong_order": [0, 1]},
+             {"boundary_order": [3, 2, 1, 0]}]
+
+
+def _fuzz_paths(node, path=()):
+    """The path of every node below ``node``, as keys and list indices."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _fuzz_paths(child, path + (key,))
+
+
+def _fuzz_mutate(doc, data):
+    """A copy of ``doc`` with one node dropped, replaced by junk or cut short."""
+    doc = json.loads(json.dumps(doc))
+    paths = list(_fuzz_paths(doc))
+    if not paths:
+        return doc
+    *up, key = data.draw(st.sampled_from(paths))
+    parent = doc
+    for step in up:
+        parent = parent[step]
+    how = data.draw(st.sampled_from(["drop", "junk", "cut"]))
+    if how == "drop":
+        del parent[key]
+    elif how == "junk" or not isinstance(parent[key], list):
+        parent[key] = data.draw(st.sampled_from(FUZZ_JUNK))
+    else:
+        parent[key] = parent[key][:data.draw(st.integers(0, len(parent[key])))]
+    return doc
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_cli_fuzzed_files_never_exit_4(tmp_path, capsys, data):
+    # mutated instance and sequence files: every command answers, refuses
+    # (exit 2) or runs out of budget (exit 3), and never faults (exit 4)
+    inst = data.draw(st.sampled_from(FUZZ_INSTANCES))
+    seq = data.draw(st.sampled_from(FUZZ_SEQUENCES))
+    for _ in range(data.draw(st.integers(1, 3))):
+        if data.draw(st.booleans()):
+            inst = _fuzz_mutate(inst, data)
+        else:
+            seq = _fuzz_mutate(seq, data)
+    ipath = _write(tmp_path, "inst.json", inst)
+    spath = _write(tmp_path, "seq.json", seq)
+    for argv in (["solve", ipath], ["verify", ipath, spath],
+                 ["oracle", ipath, "--budget", "5000"], ["stats", ipath, "--budget", "5000"]):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2, 3), (argv[0], inst, seq, err)
 
 
 def test_cli_budget_exit_code(tmp_path, capsys):

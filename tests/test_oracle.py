@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import collections
+import itertools
 import json
 import random
 
@@ -8,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from matchflip.cli import main
 from matchflip.errors import BudgetExceededError, SizeMismatchError
-from matchflip.graph import edge_set, verify_sequence
+from matchflip.graph import Graph, edge_set, verify_sequence
 from matchflip.hardness import (
     configuration_components,
     enumerate_configurations,
+    enumerate_k_factors,
     k4_or_machine,
     reduce_ncl_to_pmr,
 )
@@ -21,9 +24,8 @@ from matchflip.oracle import (
     FLIP_ONLY,
     FLIP_SLIDE,
     MaskSpace,
-    _all_matchings,
+    _factors,
     _neighbors,
-    _perfect_matchings,
     enumerate_matchings,
     kflip,
     reachable,
@@ -59,13 +61,44 @@ def test_enumerate_perfect_k4():
 @settings(max_examples=300)
 @given(st.integers(0, 10), st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
 def test_enumerators_yield_in_lexicographic_order(n, p, seed):
-    # enumerate_matchings returns them as found: both searches must yield
-    # sorted edge tuples, the tuples in increasing order
+    # enumerate_matchings returns them as found: the one search must yield
+    # sorted edge tuples, the tuples in increasing order, for every count
+    # of bare vertices (test_enumerators_match_brute_force checks k-factors)
     g = random_graph(random.Random(seed), n, p)
-    for found in (list(_perfect_matchings(g, 10**6)), list(_all_matchings(g, 10**6))):
+    for spare in range(n + 1):
+        found = list(_factors(g, 1, spare, 10**6))
         assert all(list(m) == sorted(m) for m in found)
         assert found == sorted(found)
         assert len(set(found)) == len(found)
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 8), st.integers(0, 12), st.integers(0, 2**32 - 1))
+def test_enumerators_match_brute_force(n, m, seed):
+    # every edge subset, filed under each (k, spare) it fits: its vertices
+    # have degree k or none, spare of them none; combinations of the sorted
+    # edges come in lexicographic order, and all of one (k, spare) share a size
+    pairs = list(itertools.combinations(range(n), 2))
+    g = Graph(n, random.Random(seed).sample(pairs, min(m, len(pairs))))
+    want = collections.defaultdict(list)
+    for size in range(g.m + 1):
+        for sub in itertools.combinations(g.sorted_edges(), size):
+            deg = collections.Counter(v for e in sub for v in e)
+            for k in (1, 2, 3):
+                if set(deg.values()) <= {k}:
+                    want[k, n - len(deg)].append(list(sub))
+    for k in (1, 2, 3):
+        for spare in range(n + 1):
+            assert [list(f) for f in _factors(g, k, spare, 10**6)] == want[k, spare]
+
+    def listed(found):
+        return [sorted(f) for f in found]
+
+    for size in range(n // 2 + 1):
+        assert listed(enumerate_matchings(g, size)) == want[1, n - 2 * size]
+    assert listed(enumerate_matchings(g, "perfect")) == want[1, 0]
+    for k in (2, 3):
+        assert listed(enumerate_k_factors(g, k)) == want[k, 0]
 
 
 def test_enumerate_perfect_c6():
