@@ -74,7 +74,7 @@ def _label_map(n: int, labels: set, kinds: set) -> dict:
     # kinds: the types of the labels as read; bool is an int but no label
     if not kinds <= {int}:
         raise MalformedInputError("vertex labels must be integers")
-    if labels and min(labels) >= 0 and max(labels) < n:
+    if not labels or min(labels) >= 0 and max(labels) < n:  # no labels: identity alone
         return {x: x for x in range(n)}
     if len(labels) != n:
         raise MalformedInputError(

@@ -450,6 +450,39 @@ def reference_distance(g: Graph, m1: frozenset, m2: frozenset, mode):
     return dist.get(goal)
 
 
+def reference_stats(g: Graph, target, mode, source=None):
+    """``oracle.reconfiguration_stats`` by one BFS per matching over the
+    oracle's neighbour masks: each BFS gives its source's eccentricity and
+    component.  Raises :class:`SizeMismatchError` for a source outside the
+    target class."""
+    from matchflip.oracle import MaskSpace, ReconfigGraphStats, _neighbors, enumerate_matchings
+
+    space = MaskSpace(g)
+    masks = [space.to_mask(m) for m in enumerate_matchings(g, target)]
+    known = set(masks)
+    nbrs = {m: [w for w in _neighbors(space, m, mode) if w in known] for m in masks}
+    ecc, comp = {}, {}
+    for s in masks:
+        dist = {s: 0}
+        q = deque([s])
+        while q:
+            v = q.popleft()
+            for w in nbrs[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    q.append(w)
+        ecc[s], comp[s] = max(dist.values()), frozenset(dist)
+    comps = set(comp.values())
+    sizes = tuple(sorted(map(len, comps), reverse=True))
+    if source is None:
+        diameter = max(ecc.values(), default=None)
+    elif space.to_mask(source) in known:
+        diameter = max(ecc[m] for m in comp[space.to_mask(source)])
+    else:
+        raise SizeMismatchError("source matching not in the target class")
+    return ReconfigGraphStats(len(masks), len(comps), sizes, diameter)
+
+
 def reference_slide_neighbor_masks(space, mask: int) -> list[int]:
     """Slide neighbours in the oracle's order, matched edges found by
     testing every edge index."""

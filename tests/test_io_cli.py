@@ -232,6 +232,28 @@ def test_cli_stats_json(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["nodes"] == 1
 
 
+def test_cli_instance_without_edges(tmp_path, capsys):
+    # no labels to read: the identity is the only mapping, so every command
+    # answers as on any graph whose matchings are all empty
+    path = _write(tmp_path, "bare.json", {"n": 2, "edges": []})
+    seq = _write(tmp_path, "empty.json", {"mode": "flip", "moves": []})
+    assert main(["solve", path]) == 0
+    assert capsys.readouterr().out.splitlines() == ["YES", "length 0"]
+    assert main(["verify", path, seq]) == 0
+    assert capsys.readouterr().out.splitlines() == ["Accept"]
+    assert main(["oracle", path]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "YES" and json.loads(out[1])["distance"] == 0
+    assert main(["stats", path, "--target", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "component_sizes": [1], "components": 1, "diameter": 0, "nodes": 1}
+    negative = _write(tmp_path, "negative.json", {"n": -1, "edges": []})
+    for argv in (["solve", negative], ["verify", negative, seq], ["oracle", negative],
+                 ["stats", negative, "--target", "0"]):
+        assert main(argv) == 2, argv
+        assert "negative vertex count" in capsys.readouterr().err, argv
+
+
 def test_cli_gen_random_deterministic(tmp_path, capsys):
     outs = []
     for _ in range(2):

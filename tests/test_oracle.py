@@ -46,6 +46,7 @@ from helpers import (
     reference_distance,
     reference_kflip_neighbor_masks,
     reference_slide_neighbor_masks,
+    reference_stats,
 )
 
 
@@ -304,6 +305,46 @@ def test_stats_examples():
 def test_stats_source_component():
     st = reconfiguration_stats(C6, "perfect", FLIP_ONLY, source=C6_PM1)
     assert st.diameter == 0  # the component containing the source is a singleton
+
+
+def test_stats_hypercube_of_disjoint_four_cycles():
+    # the perfect matchings of k disjoint 4-cycles under flips form the
+    # hypercube Q_k; one BFS per matching would take seconds here
+    k = 11
+    g = Graph(4 * k, [(4 * i + j, 4 * i + (j + 1) % 4) for i in range(k) for j in range(4)])
+    source = edge_set(e for i in range(k) for e in ((4 * i, 4 * i + 1), (4 * i + 2, 4 * i + 3)))
+    for src in (None, source):
+        st_ = reconfiguration_stats(g, "perfect", FLIP_ONLY, source=src)
+        assert (st_.nodes, st_.components, st_.component_sizes, st_.diameter) == (
+            2**k, 1, (2**k,), k)
+
+
+def test_stats_match_per_source_reference():
+    # the bit-parallel diameter equals one BFS per matching, with blocks of
+    # 1 and 3 sources as well (several passes), with and without a source;
+    # some draws have a source whose component is narrower than the widest
+    narrower = []
+
+    @settings(max_examples=150)
+    @given(st.sampled_from([FLIP_ONLY, FLIP_SLIDE, kflip(6)]), st.integers(0, 2**32 - 1))
+    def check(mode, seed):
+        rng = random.Random(seed)
+        g = random_graph(rng, rng.randint(3, 8), rng.uniform(0.2, 0.8))
+        target = rng.choice(["perfect", *range(g.n // 2 + 1)])
+        ms = enumerate_matchings(g, target)
+        source = rng.choice(ms) if ms else None
+        expect = reference_stats(g, target, mode)
+        expect_src = reference_stats(g, target, mode, source)
+        if source and expect_src.diameter < expect.diameter:
+            narrower.append(seed)
+        for block in (1, 3, oracle._BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(oracle, "_BLOCK", block)
+                assert reconfiguration_stats(g, target, mode) == expect
+                assert reconfiguration_stats(g, target, mode, source) == expect_src
+
+    check()
+    assert narrower
 
 
 def test_budget_exceeded_reachability():
