@@ -489,13 +489,15 @@ def four_cycles(g: Graph) -> list[tuple[int, int, int, int]]:
     """All 4-cycles of ``g``, each reported once in canonical orientation
     (smallest vertex first, then its smaller cycle neighbor)."""
     out: list[tuple[int, int, int, int]] = []
-    for a in range(g.n):
-        nbrs = sorted(w for w in g.adj[a] if w > a)
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                b, d = nbrs[i], nbrs[j]
-                for c in g.adj[b] & g.adj[d]:
-                    if c > a and c != b and c != d:
+    adj = g.adj
+    for a, ws in enumerate(adj):
+        nbrs = [w for w in ws if w > a]
+        nbrs.sort()
+        for i, b in enumerate(nbrs, 1):
+            ab = adj[b]
+            for d in nbrs[i:]:
+                for c in ab & adj[d]:  # c is neither b nor d: no self-loops
+                    if c > a:
                         out.append((a, b, c, d))
     return out
 

@@ -4,12 +4,16 @@ One depth-first search, :func:`_factors`, lists the edge sets of given
 degrees in lexicographic order: perfect matchings, matchings of one size
 (the other vertices bare), and the hardness module's k-factors and gadget
 tables.  Matchings are encoded as bitmasks over a global edge index so
-BFS states hash in O(1); a mask is read back one set bit at a time.  Flip
-neighbors come from a 4-cycle table built lazily once per graph; k-flip
-neighbors are found by DFS over alternating cycles.  Neighbors are masks
-only: the moves of a returned path are rebuilt from the difference of
-consecutive masks.  Reachability is a two-ended BFS, one search from each
-matching meeting in the middle, and its budget counts what both hold.
+BFS states hash in O(1); a mask is read back one set bit at a time.  Flips
+come from a bit-sliced table of the C 4-cycles, built once per graph on
+first use: 16 big-int operations on a matching's aggregate (the XOR of its
+edges' lanes) give all its flips, and the search keeps each frontier
+matching's aggregate, one XOR from its neighbour's, so an expansion costs a
+few 4C-bit operations plus its own moves, not a step per 4-cycle.  k-flip
+neighbors are found by DFS over alternating cycles.  The moves of a path
+are rebuilt from the difference of consecutive masks.  Reachability is a
+two-ended BFS, one search from each matching meeting in the middle, and
+its budget counts what both hold.
 The stats diameter is one BFS from B sources at once, bit-parallel: for V
 matchings, E adjacencies and diameter D, ⌈V/B⌉·D·E big-int ORs, O(V·B) bits.
 Everything here is desk-scale by design and guarded by an explicit budget.
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Literal, Optional, Union
 
-from .errors import BudgetExceededError, SizeMismatchError
+from .errors import BudgetExceededError, EdgeNotInGraphError, SizeMismatchError
 from .graph import (
     Edge,
     Graph,
@@ -184,22 +188,38 @@ class MaskSpace:
         self.index = {e: i for i, e in enumerate(self.edges)}
 
     @cached_property
-    def cycle_masks(self) -> list[tuple[int, int, int]]:
-        """Per 4-cycle: its two alternate edge pairs and all four edges,
-        built when flips are first asked for (k-flips never read it)."""
-        out = []
+    def cycle_table(self) -> tuple[list[int], list[tuple[int, int]], int]:
+        """The bit-sliced 4-cycle table, built on first use (k-flips never
+        read it): per edge bit its lane, whose bit ``4c + r`` is set when the
+        edge has role r in 4-cycle c (0, 1: the even pair ab, cd; 2, 3: the
+        odd pair bc, da); per cycle its edge mask and the XOR of its edges'
+        lanes, which its flip adds to an aggregate; and ``one``, bit 0 of
+        every nibble.  Edge bits come from per-vertex neighbour maps."""
+        at: list[dict[int, int]] = [{} for _ in range(self.g.n)]
+        for i, (u, v) in enumerate(self.edges):
+            at[u][v] = at[v][u] = i
+        lanes = [0] * len(self.edges)
+        quads = []
+        lane = 1
         for a, b, c, d in four_cycles(self.g):
-            e1 = 1 << self.index[edge(a, b)]
-            e2 = 1 << self.index[edge(b, c)]
-            e3 = 1 << self.index[edge(c, d)]
-            e4 = 1 << self.index[edge(d, a)]
-            out.append((e1 | e3, e2 | e4, e1 | e2 | e3 | e4))
-        return out
+            ab, cd, bc, da = quad = at[a][b], at[c][d], at[b][c], at[d][a]
+            lanes[ab] |= lane
+            lanes[cd] |= lane << 1
+            lanes[bc] |= lane << 2
+            lanes[da] |= lane << 3
+            lane <<= 4
+            quads.append(quad)
+        cycles = [(1 << i | 1 << j | 1 << k | 1 << l, lanes[i] ^ lanes[j] ^ lanes[k] ^ lanes[l])
+                  for i, j, k, l in quads]
+        return lanes, cycles, (lane - 1) // 15
 
     def to_mask(self, edges: Iterable[Edge]) -> int:
         m = 0
         for e in edges:
-            m |= 1 << self.index[edge(*e)]
+            try:
+                m |= 1 << self.index[edge(*e)]
+            except KeyError:
+                raise EdgeNotInGraphError(f"edge {edge(*e)} not in graph") from None
         return m
 
     def edge_list(self, mask: int) -> list[Edge]:
@@ -214,35 +234,55 @@ class MaskSpace:
     def to_edges(self, mask: int) -> frozenset[Edge]:
         return frozenset(self.edge_list(mask))
 
-    def flip_neighbor_masks(self, mask: int) -> list[int]:
-        """Masks one alternating-4-cycle exchange away (valid for any edge
-        subset whose degrees the exchange should preserve)."""
-        out = []
-        for even, odd, both in self.cycle_masks:
-            inter = mask & both
-            if inter == even or inter == odd:
-                out.append(mask ^ both)
-        return out
+
+def _aggregate(space: MaskSpace, mask: int, mode: Mode) -> int:
+    """The XOR of the lanes of the edges of ``mask``; 0 under k-flips,
+    which never build the cycle table."""
+    if mode.kind == MODE_KFLIP:
+        return 0
+    lanes = space.cycle_table[0]
+    agg = 0
+    while mask:
+        low = mask & -mask
+        agg ^= lanes[low.bit_length() - 1]
+        mask ^= low
+    return agg
 
 
-def _slide_neighbor_masks(space: MaskSpace, mask: int) -> list[int]:
-    g = space.g
-    matched = space.edge_list(mask)
-    covered = set()
-    for u, v in matched:
-        covered.add(u)
-        covered.add(v)
+def _flip_steps(space: MaskSpace, mask: int, agg: int) -> list[tuple[int, int]]:
+    """The alternating-4-cycle exchanges of ``mask``, whose aggregate is
+    ``agg``, in cycle order (valid for any edge subset whose degrees the
+    exchange should preserve).  In the nibble of cycle c, p q r s read
+    whether its edges of roles 0..3 are in ``mask``: it flips when it holds
+    exactly the even pair or exactly the odd pair."""
+    _, cycles, one = space.cycle_table
+    p, q, r, s = agg & one, agg >> 1 & one, agg >> 2 & one, agg >> 3 & one
+    flips = p & q & ~(r | s) | r & s & ~(p | q)
     out = []
-    for u, v in matched:
-        bit = 1 << space.index[(u, v)]
-        for pivot, other in ((u, v), (v, u)):
-            for w in g.adj[pivot]:
-                if w not in covered and w != other:
-                    out.append((mask ^ bit) | (1 << space.index[edge(pivot, w)]))
+    while flips:
+        low = flips & -flips
+        both, delta = cycles[low.bit_length() >> 2]
+        out.append((mask ^ both, delta))
+        flips ^= low
     return out
 
 
-def _kflip_neighbor_masks(space: MaskSpace, mask: int, k: int) -> list[int]:
+def _slide_steps(space: MaskSpace, mask: int) -> list[tuple[int, int]]:
+    adj, lanes = space.g.adj, space.cycle_table[0]
+    matched = space.edge_list(mask)
+    covered = {x for e in matched for x in e}
+    out = []
+    for u, v in matched:
+        i = space.index[(u, v)]
+        for pivot, other in ((u, v), (v, u)):
+            for w in adj[pivot]:
+                if w not in covered and w != other:
+                    j = space.index[edge(pivot, w)]
+                    out.append((mask ^ 1 << i | 1 << j, lanes[i] ^ lanes[j]))
+    return out
+
+
+def _kflip_steps(space: MaskSpace, mask: int, k: int) -> list[tuple[int, int]]:
     """Alternating cycles of length exactly k, each found once by starting
     at its minimum vertex along that vertex's matched edge (the cycle's
     direction is then fixed, so no cycle is entered twice).
@@ -251,7 +291,7 @@ def _kflip_neighbor_masks(space: MaskSpace, mask: int, k: int) -> list[int]:
     iterators: each step takes an unmatched edge to a matched vertex and
     then that vertex's matched edge, so ``path`` grows two vertices at a
     time and holds the partner of each vertex on it: a ``w`` off the path
-    has its partner off the path too."""
+    has its partner off the path too.  Each step's XOR is 0 (no aggregate)."""
     adj = space.g.adj
     index = space.index
     partner: dict[int, int] = {}
@@ -282,19 +322,26 @@ def _kflip_neighbor_masks(space: MaskSpace, mask: int, k: int) -> list[int]:
                 cmask = 0
                 for i in range(k):
                     cmask |= 1 << index[edge(path[i], path[i - 1])]
-                out.append(mask ^ cmask)
+                out.append((mask ^ cmask, 0))
             del path[-2:]
+    return out
+
+
+def _steps(space: MaskSpace, mask: int, agg: int, mode: Mode) -> list[tuple[int, int]]:
+    """Each mask one move of ``mode`` away from ``mask`` (flips, then
+    slides) with the XOR from ``agg``, the aggregate of ``mask``, to its own
+    aggregate; k-flips keep none (0 for both)."""
+    if mode.kind == MODE_KFLIP:
+        return _kflip_steps(space, mask, mode.k)
+    out = _flip_steps(space, mask, agg)
+    if mode.kind == MODE_FLIP_SLIDE:
+        out += _slide_steps(space, mask)
     return out
 
 
 def _neighbors(space: MaskSpace, mask: int, mode: Mode) -> list[int]:
     """Masks one move of ``mode`` away from ``mask``."""
-    if mode.kind == MODE_KFLIP:
-        return _kflip_neighbor_masks(space, mask, mode.k)
-    out = space.flip_neighbor_masks(mask)
-    if mode.kind == MODE_FLIP_SLIDE:
-        out.extend(_slide_neighbor_masks(space, mask))
-    return out
+    return [nb for nb, _ in _steps(space, mask, _aggregate(space, mask, mode), mode)]
 
 
 def _move(space: MaskSpace, a: int, b: int) -> Move:
@@ -312,14 +359,11 @@ def _adjacency(space: MaskSpace, masks: list[int], mode: Mode, budget: int) -> l
     """Each mask's neighbours under ``mode`` as indices into ``masks``;
     neighbours outside the list are left out."""
     ids = {m: i for i, m in enumerate(masks)}
-    adj: list[list[int]] = [[] for _ in masks]
+    adj: list[list[int]] = []
     work = 0
-    for i, m in enumerate(masks):
-        for nb in _neighbors(space, m, mode):
-            j = ids.get(nb)
-            if j is not None:
-                adj[i].append(j)
-        work += 1 + len(adj[i])
+    for m in masks:
+        adj.append([j for j in map(ids.get, _neighbors(space, m, mode)) if j is not None])
+        work += 1 + len(adj[-1])
         if work > budget:
             raise BudgetExceededError("stats adjacency exceeds budget")
     return adj
@@ -399,13 +443,13 @@ def _shortest_path(space: MaskSpace, start: int, goal: int, mode: Mode,
     if start == goal:
         return [start]
     maps = ({start: start}, {goal: goal})
-    fronts = [[start], [goal]]
+    fronts = [[(m, _aggregate(space, m, mode))] for m in (start, goal)]
     while fronts[0] and fronts[1]:
         grow = int(len(fronts[0]) > len(fronts[1]))
         this, other = maps[grow], maps[1 - grow]
         nxt = []
-        for cur in fronts[grow]:
-            for nb in _neighbors(space, cur, mode):
+        for cur, agg in fronts[grow]:
+            for nb, delta in _steps(space, cur, agg, mode):
                 if nb in this:
                     continue
                 if nb in other:
@@ -415,7 +459,7 @@ def _shortest_path(space: MaskSpace, start: int, goal: int, mode: Mode,
                 held += 1
                 if held > budget:
                     raise BudgetExceededError("reachability state space exceeds budget")
-                nxt.append(nb)
+                nxt.append((nb, agg ^ delta))
         fronts[grow] = nxt
     return None
 

@@ -483,6 +483,23 @@ def reference_stats(g: Graph, target, mode, source=None):
     return ReconfigGraphStats(len(masks), len(comps), sizes, diameter)
 
 
+def reference_flip_neighbor_masks(space, mask: int) -> list[int]:
+    """Flip neighbours in the oracle's order, by testing every 4-cycle of
+    ``graph.four_cycles``: a cycle flips when ``mask`` holds exactly its
+    even pair or exactly its odd pair (valid for any edge subset whose
+    degrees the exchange should preserve)."""
+    from matchflip.graph import four_cycles
+
+    out = []
+    for a, b, c, d in four_cycles(space.g):
+        bits = [1 << space.index[edge(u, v)] for u, v in ((a, b), (b, c), (c, d), (d, a))]
+        even, odd = bits[0] | bits[2], bits[1] | bits[3]
+        inter = mask & (even | odd)
+        if inter == even or inter == odd:
+            out.append(mask ^ even ^ odd)
+    return out
+
+
 def reference_slide_neighbor_masks(space, mask: int) -> list[int]:
     """Slide neighbours in the oracle's order, matched edges found by
     testing every edge index."""

@@ -54,6 +54,7 @@ from matchflip.oracle import (
     FLIP_ONLY,
     FLIP_SLIDE,
     MaskSpace,
+    _neighbors,
     enumerate_matchings,
     kflip,
     reachable,
@@ -264,7 +265,7 @@ def test_criterion_07_end_to_end_equivalence():
             q = deque([s])
             while q:
                 cur = q.popleft()
-                for nb in space.flip_neighbor_masks(cur):
+                for nb in _neighbors(space, cur, FLIP_ONLY):
                     if nb not in label:
                         label[nb] = cid
                         q.append(nb)

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matchflip.cli import main
-from matchflip.errors import BudgetExceededError, SizeMismatchError
-from matchflip.graph import Graph, edge_set, verify_sequence
+from matchflip.errors import BudgetExceededError, EdgeNotInGraphError, SizeMismatchError
+from matchflip.generators import random_cotree_graph, random_matching_pair
+from matchflip.graph import Graph, edge, edge_set, four_cycles, verify_sequence
 from matchflip.hardness import (
     configuration_components,
     enumerate_configurations,
@@ -29,6 +30,7 @@ from matchflip.oracle import (
     enumerate_matchings,
     kflip,
     reachable,
+    reconfiguration_components,
     reconfiguration_stats,
 )
 
@@ -41,9 +43,11 @@ from helpers import (
     C6_PM2,
     K4,
     all_matchings_by_size,
+    complete_graph,
     path_graph,
     random_graph,
     reference_distance,
+    reference_flip_neighbor_masks,
     reference_kflip_neighbor_masks,
     reference_slide_neighbor_masks,
     reference_stats,
@@ -185,17 +189,43 @@ def test_kflip_neighbor_masks_against_flips():
             for m in ms:
                 mask = space.to_mask(m)
                 assert space.to_edges(mask) == m
+                flips = reference_flip_neighbor_masks(space, mask)
                 four = _neighbors(space, mask, kflip(4))
-                assert sorted(four) == sorted(space.flip_neighbor_masks(mask))
+                assert sorted(four) == sorted(flips)
                 six = _neighbors(space, mask, kflip(6))
                 assert len(six) == len(set(six))
                 checked += len(six)
                 for k in (4, 6, 8):
                     assert (_neighbors(space, mask, kflip(k))
                             == reference_kflip_neighbor_masks(space, mask, k))
-                slides = _neighbors(space, mask, FLIP_SLIDE)[len(space.flip_neighbor_masks(mask)):]
+                slides = _neighbors(space, mask, FLIP_SLIDE)[len(flips):]
                 assert slides == reference_slide_neighbor_masks(space, mask)
     assert checked > 0
+
+
+def test_flip_neighbors_against_reference_scan():
+    """The bit-sliced flips equal a test of every 4-cycle, as lists in the
+    same order: on every matching and every 2-factor of random graphs, and
+    on random edge subsets, some of which hold one pair of a cycle and an
+    edge of the other (which does not flip)."""
+    rng = random.Random(53)
+    factors = subsets = blocked = 0
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(4, 8), rng.uniform(0.3, 1.0))
+        space = MaskSpace(g)
+        masks = [space.to_mask(m) for ms in all_matchings_by_size(g).values() for m in ms]
+        two = [space.to_mask(f) for f in _factors(g, 2, 0, 10**6)]
+        factors += len(two)
+        masks += two
+        for _ in range(60):
+            masks.append(rng.getrandbits(len(space.edges)))
+            subsets += 1
+            held = [sum(masks[-1] >> space.index[edge(c[i - 1], c[i])] & 1 for i in range(4))
+                    for c in four_cycles(g)]
+            blocked += 3 in held
+        for mask in masks:
+            assert _neighbors(space, mask, FLIP_ONLY) == reference_flip_neighbor_masks(space, mask)
+    assert factors and blocked > subsets // 10
 
 
 @settings(max_examples=400)
@@ -245,16 +275,18 @@ def test_kflip_search_leaves_cycle_table_unbuilt(monkeypatch):
             del spaces[:]
             res = reachable(g, a, b, kflip(k))
             assert res.distance == reference_distance(g, a, b, kflip(k))
-            assert spaces and all("cycle_masks" not in vars(s) for s in spaces)
+            assert spaces and all("cycle_table" not in vars(s) for s in spaces)
         del spaces[:]
         res = reachable(g, a, b, FLIP_ONLY)
         assert res.distance == reference_distance(g, a, b, kflip(4))
-        assert "cycle_masks" in vars(spaces[0])  # reachable's own space
+        assert "cycle_table" in vars(spaces[0])  # reachable's own space
 
 
 def test_two_ended_search_expands_fewer_and_repeats(monkeypatch):
     # the reduced k4_or machine from its first configuration to every other
-    # one in its component
+    # one in its component; an expansion is one call of ``_steps``, which
+    # the two-ended search makes itself and the one-ended reference makes
+    # through ``_neighbors``
     machine = k4_or_machine()
     confs = enumerate_configurations(machine)
     comp = configuration_components(machine)
@@ -263,9 +295,10 @@ def test_two_ended_search_expands_fewer_and_repeats(monkeypatch):
 
     def counting(*args):
         calls[0] += 1
-        return _neighbors(*args)
+        return steps(*args)
 
-    monkeypatch.setattr("matchflip.oracle._neighbors", counting)
+    steps = oracle._steps
+    monkeypatch.setattr(oracle, "_steps", counting)
     assert len(insts) >= 20
     ours = theirs = 0
     for inst in insts:
@@ -275,7 +308,7 @@ def test_two_ended_search_expands_fewer_and_repeats(monkeypatch):
         calls[0] = 0
         assert res.distance == reference_distance(inst.graph, inst.m_ini, inst.m_tar, FLIP_ONLY)
         theirs += calls[0]
-    assert ours < theirs
+    assert 0 < ours < theirs
     far = max(insts, key=lambda i: len(i.m_ini ^ i.m_tar))
     first, again = (reachable(far.graph, far.m_ini, far.m_tar, want_path=True) for _ in range(2))
     assert first.sequence == again.sequence
@@ -307,16 +340,32 @@ def test_stats_source_component():
     assert st.diameter == 0  # the component containing the source is a singleton
 
 
-def test_stats_hypercube_of_disjoint_four_cycles():
-    # the perfect matchings of k disjoint 4-cycles under flips form the
-    # hypercube Q_k; one BFS per matching would take seconds here
-    k = 11
+def _disjoint_four_cycles(k: int):
+    """k disjoint 4-cycles and two opposite corners of the hypercube Q_k
+    their perfect matchings form under flips."""
     g = Graph(4 * k, [(4 * i + j, 4 * i + (j + 1) % 4) for i in range(k) for j in range(4)])
-    source = edge_set(e for i in range(k) for e in ((4 * i, 4 * i + 1), (4 * i + 2, 4 * i + 3)))
+    even = edge_set(e for i in range(k) for e in ((4 * i, 4 * i + 1), (4 * i + 2, 4 * i + 3)))
+    return g, even, g.edges - even
+
+
+def test_stats_hypercube_of_disjoint_four_cycles():
+    # one BFS per matching would take seconds here
+    k = 11
+    g, source, _ = _disjoint_four_cycles(k)
     for src in (None, source):
         st_ = reconfiguration_stats(g, "perfect", FLIP_ONLY, source=src)
         assert (st_.nodes, st_.components, st_.component_sizes, st_.diameter) == (
             2**k, 1, (2**k,), k)
+
+
+def test_reachable_across_the_hypercube_of_disjoint_four_cycles():
+    # opposite corners of Q_11: each side's aggregates are updated along
+    # chains of up to six flips before the searches meet
+    g, a, b = _disjoint_four_cycles(11)
+    for mode in (FLIP_ONLY, FLIP_SLIDE):
+        res = reachable(g, a, b, mode, want_path=True)
+        assert res.distance == len(res.sequence) == 11
+        assert verify_sequence(g, a, res.sequence, b).ok
 
 
 def test_stats_match_per_source_reference():
@@ -373,3 +422,38 @@ def test_shortest_path_is_minimal():
         res = reachable(g, a, b, FLIP_ONLY, want_path=True)
         if res.reachable:
             assert len(res.sequence) == res.distance
+
+
+def test_wide_lanes_on_k8_and_random_cographs():
+    # K_8 has 210 4-cycles, so its lanes are 840 bits wide; its flips equal
+    # the scan on every matching, and distances under flips and flips with
+    # slides, on perfect and smaller matchings of K_8 and of random cographs,
+    # equal a one-ended search's
+    g = complete_graph(8)
+    space = MaskSpace(g)
+    assert len(four_cycles(g)) == 210
+    by_size = all_matchings_by_size(g)
+    for ms in by_size.values():
+        for m in ms:
+            mask = space.to_mask(m)
+            assert _neighbors(space, mask, FLIP_ONLY) == reference_flip_neighbor_masks(space, mask)
+    rng = random.Random(61)
+    pairs = [(g, *rng.sample(by_size[s], 2)) for s in (3, 4) for _ in range(4)]
+    for n in range(4, 11):
+        for _ in range(3):
+            h = random_cotree_graph(n, rng)
+            pairs.append((h, *random_matching_pair(h, rng)))
+    for h, a, b in pairs:
+        for mode in (FLIP_ONLY, FLIP_SLIDE):
+            res = reachable(h, a, b, mode, want_path=True)
+            assert res.distance == reference_distance(h, a, b, mode)
+            if res.reachable:
+                assert verify_sequence(h, a, res.sequence, b).ok
+
+
+def test_mask_of_an_edge_outside_the_graph():
+    # refused as matching_partners refuses it, not as a bare KeyError
+    with pytest.raises(EdgeNotInGraphError, match=r"\(0, 2\)"):
+        reconfiguration_components(C4, [frozenset({(0, 2), (1, 3)})])
+    with pytest.raises(EdgeNotInGraphError):
+        MaskSpace(C4).to_mask([(3, 1)])
