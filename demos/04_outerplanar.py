@@ -19,7 +19,7 @@ c6 = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
 a = edge_set([(0, 1), (2, 3), (4, 5)])
 b = edge_set([(1, 2), (3, 4), (5, 0)])
 
-print("boundary of C6:", boundary_order(c6).order)
+print("boundary of C6:", boundary_order(c6))
 print("C6, its two PMs:", "YES" if solve_outerplanar(c6, a, b).yes else "NO")
 
 # one chord makes the instance solvable

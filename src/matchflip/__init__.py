@@ -27,13 +27,11 @@ from .graph import (
 )
 from .strongly_orderable import (
     OrderCheck,
-    StrongOrder,
     canonical_matching,
     solve_strongly_orderable,
     verify_strong_ordering,
 )
 from .outerplanar import (
-    BoundaryOrder,
     OuterplanarResult,
     boundary_order,
     is_outerplanar,

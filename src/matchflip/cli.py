@@ -90,61 +90,41 @@ def _labelled(inst: Instance, seq: ReconfigSequence, back: bool = False) -> Reco
     return ReconfigSequence(seq.mode, tuple(_map_moves(seq.moves, f)), seq.k)
 
 
-def _check_boundary_hint(inst: Instance) -> Optional[bool]:
-    """Whether the boundary_order hint is valid; None without one."""
-    hint = inst.hints.get("boundary_order")
-    return None if hint is None else verify_boundary_order(inst.graph, hint)
-
-
-def _detect_class(inst: Instance) -> tuple[Optional[str], Optional[bool]]:
-    """The class to solve as, and the boundary hint's check if it ran: a
-    valid hint certifies outerplanarity, so recognition runs without one."""
-    if is_cograph(inst.graph):
-        return "cograph", None
-    hint_ok = _check_boundary_hint(inst)
-    if hint_ok or is_outerplanar(inst.graph):
-        return "outerplanar", hint_ok
-    if "strong_order" in inst.hints:
-        return "strongly_orderable", hint_ok
-    return None, hint_ok
-
-
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
-    cls, hint_ok = args.cls, None
+    g, hints = inst.graph, inst.hints
+    # a valid boundary hint certifies outerplanarity, so recognition runs
+    # without one; a failed one is an error only when solved as outerplanar
+    bound = hints.get("boundary_order")
+    bound_ok = bound is not None and verify_boundary_order(g, bound)
+    cls = args.cls
     if cls == "auto":
-        cls, hint_ok = _detect_class(inst)
+        cls = ("cograph" if is_cograph(g)
+               else "outerplanar" if bound_ok or is_outerplanar(g)
+               else "strongly_orderable" if "strong_order" in hints else None)
         if cls is None:
             raise MalformedInputError(
                 "no solver applies: not a cograph, not outerplanar, no strong_order hint"
             )
     if cls == "strongly_orderable":
-        order = inst.hints.get("strong_order")
+        order = hints.get("strong_order")
         if order is None:
             raise MalformedInputError("strongly_orderable solver needs a strong_order hint")
-        chk = verify_strong_ordering(inst.graph, order)
+        chk = verify_strong_ordering(g, order)
         if not chk.valid:
             raise MalformedInputError(
                 f"strong_order hint is not a strong ordering (witness {chk.witness})"
             )
-        seq = solve_strongly_orderable(inst.graph, order, inst.m_ini, inst.m_tar)
-        yes = True
-    elif cls == "outerplanar":
-        if hint_ok is None:
-            hint_ok = _check_boundary_hint(inst)
-        if hint_ok is False:
-            raise MalformedInputError("boundary_order hint is not a valid boundary cycle")
-        res = solve_outerplanar(inst.graph, inst.m_ini, inst.m_tar)
-        yes, seq = res.yes, res.sequence
-    elif cls == "cograph":
-        res = solve_cograph(inst.graph, inst.m_ini, inst.m_tar)
-        yes, seq = res.yes, res.sequence
+        yes, seq = True, solve_strongly_orderable(g, order, inst.m_ini, inst.m_tar)
     else:
-        raise MalformedInputError(f"unknown class {cls!r}")
+        if cls == "outerplanar" and bound is not None and not bound_ok:
+            raise MalformedInputError("boundary_order hint is not a valid boundary cycle")
+        res = (solve_outerplanar if cls == "outerplanar" else solve_cograph)(g, inst.m_ini, inst.m_tar)
+        yes, seq = res.yes, res.sequence
     if not yes:
         print("NO")
         return EXIT_NO
-    verdict = verify_sequence(inst.graph, inst.m_ini, seq, inst.m_tar)
+    verdict = verify_sequence(g, inst.m_ini, seq, inst.m_tar)
     if not verdict.ok:
         raise RuntimeError(f"internal: produced sequence fails verification: {verdict}")
     if args.emit_sequence:

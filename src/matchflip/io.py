@@ -14,7 +14,8 @@ sorted order (the identity when they already are 0..n-1).  An ``n`` above
      "moves": [{"flip": [a, b, c, d]},
                {"slide": {"remove": [u, v], "add": [v, w]}}]}
 
-NCL machine files::
+NCL machine files, every number an exact int and each configuration
+orienting each edge index 0..m-1 once::
 
     {"vertices": [{"id": 0, "type": "and"}, ...],
      "edges": [{"u": 0, "v": 1, "w": 2}, ...],
@@ -166,10 +167,11 @@ def sequence_to_dict(seq: ReconfigSequence) -> dict:
     return out
 
 
-def _ints(labels) -> tuple[int, ...]:
-    out = tuple(labels)
+def _ints(values) -> tuple[int, ...]:
+    """``values`` as a tuple, each an exact int: no bool, float or string."""
+    out = tuple(values)
     if set(map(type, out)) - {int}:  # a bool is an int but no label
-        raise ValueError(f"vertex labels must be integers, got {list(out)}")
+        raise ValueError(f"expected integers, got {list(out)}")
     return out
 
 
@@ -202,16 +204,16 @@ def load_ncl(source: Union[str, dict]):
     data = _load_json(source)[0]
     try:
         vmeta = data["vertices"]
-        ids = [int(v["id"]) for v in vmeta]
+        ids = _ints(v["id"] for v in vmeta)
         mapping = {lab: i for i, lab in enumerate(sorted(ids))}
         if len(mapping) != len(ids):
             raise MalformedInputError("duplicate NCL vertex ids")
         types = [""] * len(ids)
-        for v in vmeta:
-            types[mapping[int(v["id"])]] = v["type"]
+        for v, lab in zip(vmeta, ids):
+            types[mapping[lab]] = v["type"]
         edges = tuple(
-            (mapping[int(e["u"])], mapping[int(e["v"])], int(e["w"]))
-            for e in data["edges"]
+            (mapping[u], mapping[v], w)
+            for u, v, w in (_ints((e["u"], e["v"], e["w"])) for e in data["edges"])
         )
         machine = NclMachine(tuple(types), edges)
         validate_machine(machine)
@@ -221,7 +223,11 @@ def load_ncl(source: Union[str, dict]):
                 return None
             heads = [None] * len(edges)
             for item in data[key]:
-                heads[int(item["edge"])] = mapping[int(item["head"])]
+                i, head = _ints((item["edge"], item["head"]))
+                if not 0 <= i < len(edges) or heads[i] is not None:
+                    raise MalformedInputError(
+                        f"{key}: edge index {i} repeated or outside 0..{len(edges) - 1}")
+                heads[i] = mapping[head]
             if any(h is None for h in heads):
                 raise MalformedInputError(f"{key} does not orient every edge")
             return tuple(heads)

@@ -414,14 +414,17 @@ def reachable(
     slides and k-flips are all undone by the reverse move, so the goal
     half of the path, read backwards, is a path too.
 
-    Returns a shortest sequence when ``want_path``; raises
-    :class:`SizeMismatchError` on unequal sizes and
+    Every move keeps a matching's size, so matchings of two sizes are
+    unreachable.  Returns a shortest sequence when ``want_path``; raises
+    :class:`SizeMismatchError` on a non-matching and
     :class:`BudgetExceededError` when the two maps would hold more than
     ``budget`` matchings together, the start and the goal included.
     """
     p1, p2 = (matching_partners(g, m) for m in (m1, m2))
     if len(p1) != len(p2):
-        raise SizeMismatchError(f"matching sizes differ: {len(p1) // 2} vs {len(p2) // 2}")
+        if budget < 2:  # the start and the goal, as the search counts them
+            raise BudgetExceededError("reachability state space exceeds budget")
+        return ReachResult(False)
     space = MaskSpace(g)
     path = _shortest_path(space, space.to_mask(m1), space.to_mask(m2), mode, budget)
     if path is None:

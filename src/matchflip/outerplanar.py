@@ -72,13 +72,6 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
-class BoundaryOrder:
-    """Cyclic vertex order of a 2-connected outerplanar graph's outer face."""
-
-    order: tuple[int, ...]
-
-
 # --- reduction trace ------------------------------------------------------
 
 
@@ -296,63 +289,48 @@ def _positions(adj, order: list[int]) -> Optional[dict[int, int]]:
 _structures = weakref.WeakKeyDictionary()  # graphs are immutable and hash by identity
 
 
-def _by_vertex(n: int, maps: list[dict[int, int]]) -> list[list[dict[int, int]]]:
-    """Per vertex, the position maps of the block cycles through it."""
-    if len(maps) == 1 and len(maps[0]) == n:  # one block: one shared list
-        return [maps] * n
-    found: list[list[dict[int, int]]] = [[] for _ in range(n)]
-    for pos in maps:
-        for v in pos:
-            found[v].append(pos)
-    return found
-
-
-def _structure(g: Graph) -> Optional[tuple[list[dict[int, int]], list[list[dict[int, int]]]]]:
-    """The graph's cached structure, or None when it is not outerplanar:
-    its blocks' cycle position maps, and per vertex those through it.  A
-    bridge or a lone vertex is its block's own cycle."""
+def _structure(g: Graph) -> Optional[list[dict[int, int]]]:
+    """The graph's cached structure, its blocks' cycle position maps, or
+    None when it is not outerplanar.  A bridge or a lone vertex is its
+    block's own cycle."""
     if g not in _structures:
-        found = None
+        maps = None
         if g.m <= max(0, 2 * g.n - 3):
             # a block holds every edge between its vertices
             maps = [_boundary_cycle(g.adj, blk) if len(blk) > 2 else dict(zip(blk, range(2)))
                     for blk in biconnected_blocks(g.adj, range(g.n))[0]]
-            if None not in maps:
-                found = maps, _by_vertex(g.n, maps)
-        _structures[g] = found
+        _structures[g] = None if maps is None or None in maps else maps
     return _structures[g]
 
 
-def boundary_order(g: Graph) -> BoundaryOrder:
+def boundary_order(g: Graph) -> tuple[int, ...]:
     """The unique Hamiltonian boundary cycle of a 2-connected outerplanar
     graph, certified (consecutive adjacency and non-crossing chords)."""
     if g.n < 3:
         raise NotTwoConnectedError("need at least 3 vertices")
-    struct = _structure(g)
-    if struct is None:
+    blocks = _structure(g)
+    if blocks is None:
         raise NotOuterplanarError("graph is not outerplanar")
-    blocks, found = struct
-    # blocks and cut vertices form a forest with one tree per component
-    if len(blocks) - sum(len(maps) - 1 for maps in found) != 1:
+    # blocks and cut vertices form a forest with one tree per component, and
+    # a vertex in k blocks counts k - 1 times in the blocks' sizes beyond n
+    if len(blocks) - (sum(map(len, blocks)) - g.n) != 1:
         raise NotTwoConnectedError("graph is disconnected")
     if len(blocks) != 1:
         raise NotTwoConnectedError("graph has a cut vertex")
-    return BoundaryOrder(tuple(blocks[0]))
+    return tuple(blocks[0])
 
 
 def verify_boundary_order(g: Graph, order) -> bool:
     """Check a claimed boundary cycle: Hamiltonian, consecutive vertices
     adjacent, chords non-crossing.  A valid one certifies ``g`` as
     2-connected outerplanar and becomes its structure."""
-    if isinstance(order, BoundaryOrder):
-        order = order.order
     order = list(order)
     n = g.n  # n entries in 0..n-1, which _positions sees are distinct
     ok = n >= 3 and len(order) == n and 0 <= min(order) <= max(order) < n
     pos = _positions(g.adj, order) if ok else None
     if pos is None:
         return False
-    _structures[g] = [pos], _by_vertex(g.n, [pos])
+    _structures[g] = [pos]
     return True
 
 
@@ -377,10 +355,9 @@ def solve_outerplanar(
     :class:`NotOuterplanarError` up front unless ``g`` is outerplanar; the
     pieces it meets are read off ``g``'s structure, never searched for."""
     p1, p2 = (matching_partners(g, m, perfect=True) for m in (m_ini, m_tar))
-    struct = _structure(g)
-    if struct is None:
+    blocks = _structure(g)
+    if blocks is None:
         raise NotOuterplanarError("graph is not outerplanar")
-    blocks, found = struct
     trace = ReductionTrace()
     record = trace.records.append
     n = g.n
@@ -394,8 +371,16 @@ def solve_outerplanar(
     # a vertex lives in its block, a cut vertex (one in two blocks) in the
     # one holding its matched edge; its ring is that block's cycle restricted
     # to the live vertices living there, laid after the first split
-    home = [maps[0] for maps in found]
-    cuts = [v for v in range(n) if len(found[v]) > 1]
+    home: list = [None] * n
+    cuts = set()
+    for pos in blocks:
+        for v in pos:
+            if home[v] is None:
+                home[v] = pos
+            else:
+                cuts.add(v)
+                if p1[v] in pos:
+                    home[v] = pos
     nxt, prv = list(range(n)), list(range(n))  # ring neighbours
 
     def lose(t: int, v: int) -> None:
@@ -513,9 +498,8 @@ def solve_outerplanar(
 
     try:
         run(False, False)
-        for v in cuts:  # the first split, at the input's cut vertices
+        for v in sorted(cuts):  # the first split, at the input's cut vertices, by label
             if live[v]:
-                home[v] = next(pos for pos in found[v] if p1[v] in pos)
                 if p2[v] not in home[v]:
                     raise RuntimeError("internal: matched partners straddle blocks")
                 sever(v, adj[v].intersection(home[v]))

@@ -34,11 +34,6 @@ from .graph import (
 
 
 @dataclass(frozen=True)
-class StrongOrder:
-    order: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class OrderCheck:
     valid: bool
     # order positions (i, j, k, l) of a violating quadruple, if any
@@ -46,8 +41,6 @@ class OrderCheck:
 
 
 def _check_permutation(g: Graph, order) -> tuple[int, ...]:
-    if isinstance(order, StrongOrder):
-        order = order.order
     order = tuple(order)
     if sorted(order) != list(range(g.n)):
         raise NotAPermutationError(f"not a permutation of 0..{g.n - 1}")

@@ -321,6 +321,28 @@ def random_outerplanar(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(n, set(edge(u, v) for u, v in edges))
 
 
+def threshold_graph(n: int, rng: random.Random, join: float) -> Graph:
+    """A threshold graph built vertex by vertex: v joins every earlier
+    vertex with probability ``join``, else none.  It is a cograph, and its
+    construction order 0..n-1 is a strong ordering."""
+    return Graph(n, [(u, v) for v in range(n) if rng.random() < join for u in range(v)])
+
+
+def random_square_flips(g: Graph, m: frozenset, rng: random.Random, steps: int) -> frozenset:
+    """The matching ``m`` after ``steps`` tries at a random alternating-square
+    flip: matched edges ab and cd, sampled by their ends a and c, flip when
+    bc and da are edges.  No 4-cycle list is built, so dense graphs cost
+    O(steps)."""
+    p = matching_partners(g, m)
+    ends = sorted(p)
+    for _ in range(steps):
+        a, c = rng.sample(ends, 2)
+        b, d = p[a], p[c]
+        if b != c and c in g.adj[b] and a in g.adj[d]:
+            p[a], p[b], p[c], p[d] = d, c, b, a
+    return edge_set(p.items())
+
+
 # ---------------------------------------------------------------------------
 # reference implementations the fast checks in src/ are compared against
 
@@ -636,10 +658,9 @@ def reference_solve_outerplanar(
     search over every component a reduction touched, severs its cut
     vertices and purges the even chords of its 2-connected pieces."""
     p1, p2 = (matching_partners(g, m, perfect=True) for m in (m_ini, m_tar))
-    struct = _structure(g)
-    if struct is None:
+    cycles = _structure(g)  # g's block cycles as position maps
+    if cycles is None:
         raise NotOuterplanarError("graph is not outerplanar")
-    found = struct[1]
     trace = ReductionTrace()
     if g.n == 0:
         return OuterplanarResult(True, ReconfigSequence(MODE_FLIP, ()), trace)
@@ -768,7 +789,7 @@ def reference_solve_outerplanar(
             # (see the module docstring; the piece has even size, so a
             # rotated or reflected cycle gives every chord the same parity)
             v, w = comp[0], next(iter(adj[comp[0]]))
-            order = sorted(comp, key=next(pos for pos in found[v] if w in pos).__getitem__)
+            order = sorted(comp, key=next(pos for pos in cycles if v in pos and w in pos).__getitem__)
             pos = {v: i for i, v in enumerate(order)}
             for v in comp:
                 for w in [w for w in adj[v] if pos[v] < pos.get(w, -1)]:

@@ -17,6 +17,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from matchflip.cograph import reachability_class, solve_cograph
+from matchflip.errors import NoPerfectMatchingError
 from matchflip.generators import (
     mutate_by_flips,
     random_cograph_instance,
@@ -60,7 +61,7 @@ from matchflip.oracle import (
     reachable,
     reconfiguration_components,
 )
-from matchflip.outerplanar import solve_outerplanar
+from matchflip.outerplanar import is_outerplanar, solve_outerplanar
 from matchflip.strongly_orderable import (
     canonical_matching,
     solve_strongly_orderable,
@@ -82,6 +83,8 @@ from helpers import (
     is_perfect,
     random_graph,
     random_outerplanar,
+    random_square_flips,
+    threshold_graph,
 )
 
 
@@ -561,3 +564,36 @@ def test_three_solvers_against_the_oracle(cls, seed, data):
         res = reachable(g, inst.m_ini, inst.m_tar, FLIP_SLIDE if cls == "cograph" else FLIP_ONLY)
         assert res.reachable == (seq is not None)
         assert seq is None or len(seq) >= res.distance
+
+
+@settings(max_examples=40)
+@given(st.integers(4, 150), st.integers(0, 2**32 - 1))
+def test_two_solvers_agree_where_the_classes_meet(half, seed):
+    """Every two perfect matchings of a strongly orderable graph are
+    connected, so on a strongly orderable cograph or outerplanar graph a
+    NO from either solver is a bug at any n.  Threshold graphs are
+    cographs with a strong ordering (their construction order), and
+    interval instances of low spread are outerplanar; targets come from
+    random square flips of the canonical matching."""
+    rng = random.Random(seed)
+    n = 2 * half
+    g = threshold_graph(n, rng, 0.8)
+    order = tuple(range(n))
+    assert verify_strong_ordering(g, order).valid
+    try:
+        m_ini = canonical_matching(g, order)
+    except NoPerfectMatchingError:
+        m_ini = None  # greedy on a strong ordering misses no perfect matching
+    if m_ini is not None:
+        m_tar = random_square_flips(g, m_ini, rng, 2 * n)
+        res = solve_cograph(g, m_ini, m_tar)
+        assert res.yes and verify_sequence(g, m_ini, res.sequence, m_tar).ok
+        assert len(res.sequence) <= 40 * n
+        seq = solve_strongly_orderable(g, order, m_ini, m_tar)
+        assert len(seq) <= n and verify_sequence(g, m_ini, seq, m_tar).ok
+    inst = load_instance(random_interval_instance(min(n, 120), seed, spread=0.5))
+    g = inst.graph
+    if is_outerplanar(g):
+        res = solve_outerplanar(g, inst.m_ini, inst.m_tar)
+        assert res.yes and len(res.sequence) <= g.n
+        assert verify_sequence(g, inst.m_ini, res.sequence, inst.m_tar).ok

@@ -292,6 +292,62 @@ def test_cli_gen_ncl_and_oracle(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _machine_file(machine, c_ini, c_tar) -> dict:
+    return {
+        "vertices": [{"id": i, "type": t} for i, t in enumerate(machine.vertex_types)],
+        "edges": [{"u": u, "v": v, "w": w} for u, v, w in machine.edges],
+        **{key: [{"edge": i, "head": h} for i, h in enumerate(c)]
+           for key, c in (("c_ini", c_ini), ("c_tar", c_tar))},
+    }
+
+
+def test_cli_gen_ncl_refuses_malformed_numbers(tmp_path, capsys):
+    from matchflip.hardness import SAMPLE_MACHINES, enumerate_configurations, reduce_ncl_to_pmr
+
+    # valid files reduce as the library does, byte for byte
+    files = {"two_or_file": TWO_OR_MACHINE}
+    for name, build in SAMPLE_MACHINES.items():
+        machine = build()
+        configs = enumerate_configurations(machine)
+        files[name] = _machine_file(machine, configs[0], configs[-1])
+    for name, doc in files.items():
+        out = tmp_path / f"{name}.out.json"
+        assert main(["gen-ncl", _write(tmp_path, f"{name}.json", doc), "-o", str(out)]) == 0, name
+        machine, c_ini, c_tar = load_ncl(doc)
+        inst = reduce_ncl_to_pmr(machine, c_ini, c_tar)
+        assert out.read_text() == dumps_canonical(instance_to_dict(inst.graph, inst.m_ini, inst.m_tar))
+    # an id, endpoint, weight, edge index or head that is no exact int, an
+    # edge index outside 0..m-1 and one given twice: each read as a number
+    # or overwritten before, each refused now
+    base = files["two_and"]  # weights 2, 1, 1
+
+    def with_(path, value):
+        doc = json.loads(json.dumps(base))
+        *keys, last = path
+        node = doc
+        for k in keys:
+            node = node[k]
+        node[last] = value
+        return doc
+
+    bad = [
+        with_(("c_ini", 2, "edge"), -1),
+        with_(("c_ini", 2, "edge"), 3),
+        with_(("c_ini", 2, "edge"), 2.0),
+        with_(("c_ini", 2, "edge"), "2"),
+        with_(("c_ini", 1, "head"), True),
+        with_(("vertices", 1, "id"), 1.7),
+        with_(("vertices", 1, "id"), "1"),
+        with_(("edges", 0, "u"), 0.0),
+        with_(("edges", 1, "w"), True),
+        with_(("c_tar",), base["c_tar"] + base["c_tar"][:1]),
+    ]
+    for i, doc in enumerate(bad):
+        assert main(["gen-ncl", _write(tmp_path, f"bad{i}.json", doc)]) == 2, doc
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:"), doc
+
+
 def test_cli_auto_detection_fails_cleanly(tmp_path, capsys):
     # Petersen graph: not a cograph, not outerplanar, no ordering hint
     outer = [[i, (i + 1) % 5] for i in range(5)]
@@ -606,6 +662,73 @@ def test_cli_boundary_hint_checked_before_recognition(tmp_path, capsys):
     assert captured.out == "" and "not outerplanar" in captured.err
 
 
+def _solve_matrix_graphs() -> dict:
+    """The instances of the solve matrix, without hints, and the orders
+    their valid hints take: a generator's own hint, else the labels' order."""
+    outer = [[i, (i + 1) % 5] for i in range(5)]
+    inner = [[5 + i, 5 + (i + 2) % 5] for i in range(5)]
+    spokes = [[i, i + 5] for i in range(5)]
+    fixed = {
+        "k4": K4_INSTANCE,
+        "c6": C6_INSTANCE,
+        "k4path": {
+            "n": 6, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3], [3, 4], [4, 5]],
+            "m_ini": [[0, 1], [2, 3], [4, 5]], "m_tar": [[0, 2], [1, 3], [4, 5]]},
+        "petersen": {"n": 10, "edges": outer + inner + spokes,
+                     "m_ini": spokes, "m_tar": [[0, 1], [2, 3], [4, 9], [5, 7], [6, 8]]},
+        "interval": random_interval_instance(40, 3),
+        "outerplanar": random_outerplanar_instance(30, 2),
+        "cograph": random_cograph_instance(12, 5),
+    }
+    out = {}
+    for name, inst in fixed.items():
+        hints = inst.get("hints", {})
+        natural = list(range(inst["n"]))
+        base = {k: v for k, v in inst.items() if k != "hints"}
+        out[name] = base, hints.get("strong_order", natural), hints.get("boundary_order", natural)
+    return out
+
+
+def test_cli_solve_matrix_pinned(tmp_path):
+    # every graph under every hint set and --class, hashed by exit code,
+    # stdout, stderr and the emitted sequence's bytes
+    import contextlib
+    import hashlib
+    import io as _io
+
+    digest = hashlib.sha256()
+    codes = []
+    for name, (base, strong, bound) in _solve_matrix_graphs().items():
+        n = base["n"]
+        swapped = lambda o: [o[2], o[1], o[0], *o[3:]]  # noqa: E731
+        hint_sets = {
+            "none": {},
+            "strong": {"strong_order": strong},
+            "strong_bad": {"strong_order": swapped(strong)},
+            "strong_not_perm": {"strong_order": [0] * n},
+            "boundary": {"boundary_order": bound},
+            "boundary_bad": {"boundary_order": swapped(bound)},
+            "boundary_short": {"boundary_order": bound[:-1]},
+            "both": {"strong_order": strong, "boundary_order": bound},
+            "strong_boundary_bad": {"strong_order": strong, "boundary_order": swapped(bound)},
+        }
+        for hname, hints in hint_sets.items():
+            ipath = _write(tmp_path, f"{name}.{hname}.json", {**base, "hints": hints})
+            for cls in ("auto", "strongly_orderable", "outerplanar", "cograph"):
+                spath = tmp_path / f"{name}.{hname}.{cls}.seq.json"
+                out, err = _io.StringIO(), _io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    rc = main(["solve", ipath, "--class", cls, "--emit-sequence", str(spath)])
+                emitted = spath.read_bytes() if spath.exists() else b""
+                codes.append(rc)
+                for part in (name, hname, cls, str(rc), out.getvalue(),
+                             err.getvalue().replace(str(tmp_path), "<tmp>")):
+                    digest.update(part.encode() + b"\0")
+                digest.update(emitted + b"\0")
+    assert [codes.count(rc) for rc in (0, 1, 2)] == [66, 12, 174]
+    assert digest.hexdigest() == "48706402749a3d95b285a6d727a4a8dc7577b43615264e8a68f1c432d2ac3629"
+
+
 def test_cli_mode_mismatch(tmp_path, capsys):
     ipath = _write(tmp_path, "c4.json", {
         "n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]],
@@ -630,6 +753,19 @@ def test_cli_solve_and_oracle_agree(tmp_path, capsys):
         capsys.readouterr()
         assert rc_solve == rc_oracle, (cls, seed)
 
+
+
+def test_cli_solve_and_oracle_say_no_on_matchings_of_two_sizes(tmp_path, capsys):
+    # no move changes a matching's size; --budget 0 still exits 3
+    path = _write(tmp_path, "c4.json", {
+        "n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]],
+        "m_ini": [[0, 1]], "m_tar": [[0, 1], [2, 3]]})
+    for argv in (["solve", path], ["oracle", path], ["oracle", path, "--mode", "flip_slide"]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("NO\n", ""), argv
+    assert main(["oracle", path, "--budget", "0"]) == 3
+    capsys.readouterr()
 
 def test_canonical_dump_is_stable():
     a = dumps_canonical({"b": 1, "a": [2, 3]})
@@ -880,11 +1016,11 @@ PUBLIC_API = {
         "reconfiguration_stats",
     ],
     "strongly_orderable": [
-        "OrderCheck", "StrongOrder", "canonical_matching", "solve_strongly_orderable",
+        "OrderCheck", "canonical_matching", "solve_strongly_orderable",
         "verify_strong_ordering",
     ],
     "outerplanar": [
-        "BoundaryOrder", "OuterplanarResult", "boundary_order", "is_outerplanar",
+        "OuterplanarResult", "boundary_order", "is_outerplanar",
         "solve_outerplanar",
     ],
     "cograph": [
@@ -920,8 +1056,10 @@ def test_package_exports_resolve():
     assert (errors, hardness, oracle) == tuple(
         importlib.import_module(f"matchflip.{m}") for m in ("errors", "hardness", "oracle"))
     assert {"errors", "hardness", "oracle", "__version__"} <= set(listed)
-    # an unknown name, and the proof-step entry points that left the API
-    for name in ("no_such_name", "check_conditions", "root_partition", "split_at_cut_vertices"):
+    # an unknown name, the proof-step entry points and the order wrappers
+    # that left the API
+    for name in ("no_such_name", "check_conditions", "root_partition", "split_at_cut_vertices",
+                 "StrongOrder", "BoundaryOrder"):
         with pytest.raises(AttributeError, match=name):
             getattr(matchflip, name)
         with pytest.raises(ImportError):

@@ -25,6 +25,7 @@ from matchflip.oracle import (
     FLIP_ONLY,
     FLIP_SLIDE,
     MaskSpace,
+    ReachResult,
     _factors,
     _neighbors,
     enumerate_matchings,
@@ -141,8 +142,16 @@ def test_reachable_c6_chord_distance_two():
 
 
 def test_reachable_size_mismatch():
+    # every move keeps a matching's size: matchings of two sizes are NO,
+    # after the budget is checked as the search checks it; a non-matching
+    # is still refused
+    for mode in (FLIP_ONLY, FLIP_SLIDE, kflip(6)):
+        assert reachable(C4, edge_set([(0, 1)]), C4_PM1, mode) == ReachResult(False)
+        assert reachable(C4, C4_PM1, edge_set([(1, 2)]), mode, budget=2) == ReachResult(False)
+        with pytest.raises(BudgetExceededError):
+            reachable(C4, edge_set([(0, 1)]), C4_PM1, mode, budget=1)
     with pytest.raises(SizeMismatchError):
-        reachable(C4, edge_set([(0, 1)]), C4_PM1, FLIP_SLIDE)
+        reachable(C4, edge_set([(0, 1), (1, 2)]), C4_PM1, FLIP_SLIDE)
 
 
 def test_reachable_symmetric_random():

@@ -61,13 +61,13 @@ def _same_cycle(a, b):
 
 
 def test_boundary_order_c6():
-    order = boundary_order(C6).order
+    order = boundary_order(C6)
     assert verify_boundary_order(C6, order)
-    assert sorted(order) == list(range(6))
+    assert type(order) is tuple and sorted(order) == list(range(6))
 
 
 def test_boundary_order_with_chord():
-    order = boundary_order(C6_CHORD).order
+    order = boundary_order(C6_CHORD)
     assert verify_boundary_order(C6_CHORD, order)
 
 
@@ -77,10 +77,15 @@ def test_boundary_k4_not_outerplanar():
 
 
 def test_boundary_not_two_connected():
-    with pytest.raises(NotTwoConnectedError):
+    with pytest.raises(NotTwoConnectedError, match="cut vertex"):
         boundary_order(path_graph(4))
-    with pytest.raises(NotTwoConnectedError):
+    with pytest.raises(NotTwoConnectedError, match="cut vertex"):
         boundary_order(Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]))
+    # connectivity is read off the block sizes: two triangles, and a
+    # triangle beside a path, are disconnected
+    for extra in ([(3, 4), (4, 5), (5, 3)], [(3, 4), (4, 5)]):
+        with pytest.raises(NotTwoConnectedError, match="disconnected"):
+            boundary_order(Graph(6, [(0, 1), (1, 2), (2, 0)] + extra))
 
 
 def test_boundary_k23_not_outerplanar():
@@ -333,7 +338,7 @@ def test_inherited_order_matches_ear_contraction(n, seed, drop, data):
     base = random_outerplanar_graph(n, rng, drop)
     perm = rng.sample(range(n), n)  # the generator's boundary is 0..n-1
     g = Graph(n, [(perm[u], perm[v]) for u, v in base.edges])
-    found = _structure(g)[1]
+    blocks = _structure(g)
     gone = data.draw(st.sets(st.integers(0, n - 1), max_size=n // 3))
     cut = data.draw(st.sets(st.sampled_from(sorted(g.edges)), max_size=g.m // 3))
     alive = set(range(n)) - gone
@@ -343,7 +348,7 @@ def test_inherited_order_matches_ear_contraction(n, seed, drop, data):
             continue
         v = min(blk)
         w = next(iter(adj[v]))
-        inherited = sorted(blk, key=next(pos for pos in found[v] if w in pos).__getitem__)
+        inherited = sorted(blk, key=next(pos for pos in blocks if v in pos and w in pos).__getitem__)
         assert _same_cycle(inherited, _boundary_cycle(adj, blk))
 
 
@@ -387,7 +392,7 @@ def test_verify_boundary_order_matches_reference(n, seed, kind, data):
         # a rejected order never reaches the cache, a valid one certifies
         assert is_outerplanar(h) == outer_ref
         if want:
-            assert _same_cycle(boundary_order(h).order, order)
+            assert _same_cycle(boundary_order(h), order)
 
 
 def _glued_blocks(rng: random.Random, count: int):
